@@ -62,7 +62,6 @@ from .sketches import (
     ReservoirSampler,
     StableBloomFilter,
     derive_num_filters,
-    hash_bit_index,
 )
 from .terms import Term, TermKind, Triple, blank, iri, literal
 
@@ -108,7 +107,6 @@ __all__ = [
     "ext_links_exact",
     "extcon_estimate",
     "extcon_exact",
-    "hash_bit_index",
     "iri",
     "literal",
     "mixing_time",

@@ -1,7 +1,8 @@
 """External merge sort that groups an N-Triples file by subject.
 
-Works on raw lines, not parsed triples: the key is the subject's serialized
-form (first `<...>` or `_:label` token), with the full line breaking ties.
+Works on raw lines, not parsed triples: the key is the subject token (first
+`<...>` or `_:label`) in the canonical form the parser gives it, so escaped
+spellings of one subject sort together; the full line breaks ties.
 Lines whose subject cannot be scanned (junk, comments, blanks) still pass
 through, keyed by their leading token, and are counted in the summary.
 
@@ -16,12 +17,15 @@ import heapq
 import os
 import sys
 import tempfile
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
 from .murmur3 import murmur3_x64_128
+from .ntriples import canonical_subject
 
 _LIST_SLOT_BYTES = 8
+_TAB, _BACKSLASH = 9, 92  # int needles: `bytes in bytes` first fails an int conversion
 
 
 @dataclass
@@ -43,8 +47,12 @@ def subject_sort_key(line: bytes) -> tuple[bytes, bool]:
     stripped = line.lstrip(b" \t")
     if stripped.startswith(b"<"):
         end = stripped.find(b">")
-        if end > 0:
-            return stripped[: end + 1], True
+        key = stripped[: end + 1]
+        if end > 0 and _TAB not in key:
+            if _BACKSLASH in key:  # escaped: key on the canonical form if it decodes
+                with suppress(ValueError):
+                    key = canonical_subject(key.decode("utf-8")).encode("utf-8")
+            return key, True
     elif stripped.startswith(b"_:"):
         end = 2
         while end < len(stripped) and stripped[end : end + 1] not in (b" ", b"\t"):
@@ -65,7 +73,7 @@ def sort_by_subject(
     """Sort `input_path` so lines sharing a subject are contiguous.
 
     Output is the same multiset of lines (line endings normalised to \\n)
-    ordered by (subject token, full line), both compared bytewise.
+    ordered by (subject sort key, full line), both compared bytewise.
     """
     summary = SortSummary()
     chunk: list[bytes] = []

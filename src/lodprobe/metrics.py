@@ -172,9 +172,9 @@ class _ExtLinksBase:
 
 class ExtLinksEstimate(_ExtLinksBase):
     """Distinct object PLDs held in a reservoir; denominator counts every
-    object URI streamed. A PLD already in the reservoir is counted but not
-    re-offered, so with capacity >= distinct PLDs the sample is exhaustive
-    and the estimate collapses to the exact value."""
+    object URI streamed. A PLD already in the reservoir is counted but the
+    reservoir discards it, so with capacity >= distinct PLDs the sample is
+    exhaustive and the estimate collapses to the exact value."""
 
     def __init__(self, reservoir_capacity: int, seed: int):
         super().__init__()
@@ -183,16 +183,9 @@ class ExtLinksEstimate(_ExtLinksBase):
         self._sampler = ReservoirSampler(
             reservoir_capacity, SeededRng(derive_seed(seed, "ext-links"))
         )
-        self._retained: set[str] = set()
 
     def _offer_pld(self, p: str) -> None:
-        if p in self._retained:
-            return
-        outcome = self._sampler.add(p)
-        if outcome.added or outcome.replaced:
-            self._retained.add(p)
-        if outcome.replaced:
-            self._retained.discard(outcome.evicted)
+        self._sampler.add(p)
 
     def finalize(self) -> MetricResult:
         base = self._base.result()
@@ -400,7 +393,6 @@ class DerefEstimate:
         self._rng = SeededRng(derive_seed(seed, "dereferenceability"))
         self._global = ReservoirSampler(global_capacity, self._rng.fork("global"))
         self._per_pld: dict[str, ReservoirSampler] = {}
-        self._per_pld_retained: dict[str, set[str]] = {}
         self.uris_routed = 0
         self.uris_without_pld = 0
 
@@ -420,19 +412,10 @@ class DerefEstimate:
                 return
             if outcome.replaced:
                 self._per_pld.pop(outcome.evicted, None)
-                self._per_pld_retained.pop(outcome.evicted, None)
             self._per_pld[p] = ReservoirSampler(
                 self.per_pld_capacity, self._rng.fork(f"pld:{p}")
             )
-            self._per_pld_retained[p] = set()
-        retained = self._per_pld_retained[p]
-        if uri in retained:
-            return
-        outcome = self._per_pld[p].add(uri)
-        if outcome.added or outcome.replaced:
-            retained.add(uri)
-        if outcome.replaced:
-            retained.discard(outcome.evicted)
+        self._per_pld[p].add(uri)
 
     def finalize(self) -> MetricResult:
         deref_ok = 0

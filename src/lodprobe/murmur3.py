@@ -69,9 +69,3 @@ def murmur3_x64_128(data: bytes, seed: int = 0) -> tuple[int, int]:
     h1 = (h1 + h2) & _MASK64
     h2 = (h2 + h1) & _MASK64
     return h1, h2
-
-
-def digest_bytes(data: bytes, seed: int = 0) -> bytes:
-    """16-byte little-endian digest, matching the reference C output layout."""
-    h1, h2 = murmur3_x64_128(data, seed)
-    return h1.to_bytes(8, "little") + h2.to_bytes(8, "little")

@@ -33,6 +33,9 @@ _STATEMENT_RE = re.compile(
     r"[ \t]*\.[ \t]*(?:#.*)?$"
 )
 _BLANK_RE = re.compile(r"[ \t]*(?:#.*)?$")
+_SUBJECT_RE = re.compile(_IRI + r"|" + _BNODE)
+# A token is canonical as written unless it holds an escape or a character serialize_term escapes.
+_NON_CANONICAL_RE = re.compile(r"[\\\x00-\x1f\x7f]")
 _ESCAPE_RE = re.compile(r"\\(?:[tbnrf\"'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})")
 _ECHAR_TABLE = {
     "t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\",
@@ -103,29 +106,31 @@ def _decode_escapes(raw: str, allow_echar: bool) -> str:
 
 def _term_from_token(token: str) -> Term:
     if token.startswith("<"):
-        return Term(TermKind.IRI, _decode_escapes(token[1:-1], allow_echar=False))
-    if token.startswith("_:"):
-        return Term(TermKind.BLANK_NODE, token[2:])
-    # literal, optionally suffixed with ^^<datatype> or @lang
-    end = _literal_end(token)
-    value = _decode_escapes(token[1:end], allow_echar=True)
-    suffix = token[end + 1 :]
-    if suffix.startswith("^^"):
-        return Term(TermKind.LITERAL, value, datatype_iri=_decode_escapes(suffix[3:-1], False))
-    if suffix.startswith("@"):
-        return Term(TermKind.LITERAL, value, language_tag=suffix[1:])
-    return Term(TermKind.LITERAL, value)
-
-
-def _literal_end(token: str) -> int:
-    i = 1
-    while True:
-        if token[i] == "\\":
-            i += 2 if token[i + 1] not in ("u", "U") else (6 if token[i + 1] == "u" else 10)
-        elif token[i] == '"':
-            return i
+        parts = (TermKind.IRI, _decode_escapes(token[1:-1], allow_echar=False))
+    elif token.startswith("_:"):
+        return Term(TermKind.BLANK_NODE, token[2:], token=token)
+    else:
+        # literal, optionally suffixed with ^^<datatype> or @lang; neither
+        # suffix can hold a quote, so the last quote closes the value
+        end = token.rindex('"')
+        value = _decode_escapes(token[1:end], allow_echar=True)
+        suffix = token[end + 1 :]
+        if suffix.startswith("^^"):
+            parts = (TermKind.LITERAL, value, _decode_escapes(suffix[3:-1], False), None)
+        elif suffix.startswith("@"):
+            parts = (TermKind.LITERAL, value, None, suffix[1:])
         else:
-            i += 1
+            parts = (TermKind.LITERAL, value, None, None)
+    if _NON_CANONICAL_RE.search(token) is None:
+        return Term(*parts, token=token)
+    return Term(*parts, token=serialize_term(Term(*parts)))
+
+
+def canonical_subject(token: str) -> str:
+    """Canonical form of a subject token; ValueError when it is not one."""
+    if _SUBJECT_RE.fullmatch(token) is None:
+        raise NTriplesParseError("not an IRI or blank node")
+    return _term_from_token(token).token
 
 
 def parse_line(line: str) -> Triple | None:
@@ -134,10 +139,10 @@ def parse_line(line: str) -> Triple | None:
     Raises NTriplesParseError for anything else that is not a statement.
     """
     line = line.rstrip("\r\n")
-    if _BLANK_RE.fullmatch(line):
-        return None
     m = _STATEMENT_RE.fullmatch(line)
     if m is None:
+        if _BLANK_RE.fullmatch(line):
+            return None
         raise _diagnose(line)
     try:
         return Triple(
@@ -321,6 +326,9 @@ def _escape_iri(value: str) -> str:
 
 
 def serialize_term(term: Term) -> str:
+    """Canonical N-Triples form; the parser's token when the term has one."""
+    if term.token is not None:
+        return term.token
     if term.kind is TermKind.IRI:
         return f"<{_escape_iri(term.lexical)}>"
     if term.kind is TermKind.BLANK_NODE:

@@ -16,6 +16,9 @@ from urllib.parse import urlsplit
 
 _SNAPSHOT_NAME = "public_suffix_snapshot.dat"
 _IPV4_RE = re.compile(r"^\d{1,3}(?:\.\d{1,3}){3}$")
+# `scheme://authority`: up to the first `/`, `?` or `#` after the first
+# `://`, where urlsplit ends the authority. `pld` reads nothing after it.
+_AUTHORITY_PREFIX_RE = re.compile(r".*?://[^/?#]*", re.DOTALL)
 
 
 class NoPldError(ValueError):
@@ -92,8 +95,18 @@ def pld(iri: str) -> str:
 
 
 def try_pld(iri: str) -> str | None:
-    """`pld` as a query: None instead of NoPldError."""
+    """`pld` as a query: None instead of NoPldError; memoised by authority."""
+    prefix = _AUTHORITY_PREFIX_RE.match(iri)
+    return _pld_or_none(iri) if prefix is None else _memo_pld_or_none(prefix.group())
+
+
+def _pld_or_none(iri: str) -> str | None:
     try:
         return pld(iri)
-    except (NoPldError, ValueError):
+    except ValueError:  # NoPldError included
         return None
+
+
+# Bounded: a dump links to far fewer authorities than IRIs, and a miss
+# only costs the uncached lookup.
+_memo_pld_or_none = lru_cache(maxsize=8192)(_pld_or_none)

@@ -50,10 +50,6 @@ class SeededRng:
         """Uniform float in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
-    def choice(self, seq):
-        """Uniformly chosen element of a non-empty sequence."""
-        return seq[self.uniform_below(len(seq))]
-
     def fork(self, label: str) -> "SeededRng":
         """Derive an independent child stream for a named purpose.
 

@@ -3,10 +3,11 @@
 Both are single-owner mutable structures driven entirely by a SeededRng,
 so a run is reproducible from its seed. The reservoir implements the
 classic fill-then-replace scheme in which the n-th offered element lands
-in the sample with probability capacity/n. The duplicate filter splits its
-bit budget across several sub-filters, addresses each with one index
-derived from a single 128-bit Murmur3 digest, and keeps itself useful on
-unbounded streams by probabilistically clearing bits as it fills up.
+in the sample with probability capacity/n, over distinct elements. The
+duplicate filter splits its bit budget across several sub-filters,
+addresses each with one index derived from a single 128-bit Murmur3
+digest, and keeps itself useful on unbounded streams by probabilistically
+clearing bits as it fills up.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ _DISCARDED = AddOutcome(False, False, -1)
 
 
 class ReservoirSampler(Generic[T]):
-    """Fixed-capacity uniform sample over a stream of unknown length."""
+    """Fixed-capacity uniform sample of the distinct items of a stream of
+    unknown length: offering a held item discards it without counting it."""
 
     def __init__(self, capacity: int, rng: SeededRng):
         if capacity < 1:
@@ -48,17 +50,23 @@ class ReservoirSampler(Generic[T]):
         self.rng = rng
         self.seen = 0
         self._items: list[T] = []
+        self._held: set[T] = set()
 
     def add(self, item: T) -> AddOutcome:
+        if item in self._held:
+            return _DISCARDED
         self.seen += 1
         items = self._items
         if len(items) < self.capacity:
             items.append(item)
+            self._held.add(item)
             return AddOutcome(True, False, len(items) - 1)
         pos = self.rng.uniform_below(self.seen)
         if pos < self.capacity:
             evicted = items[pos]
             items[pos] = item
+            self._held.discard(evicted)
+            self._held.add(item)
             return AddOutcome(False, True, pos, evicted)
         return _DISCARDED
 
@@ -68,9 +76,6 @@ class ReservoirSampler(Generic[T]):
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def __contains__(self, item: T) -> bool:
-        return item in self._items
 
 
 def derive_num_filters(fpr_threshold: float) -> int:
@@ -82,16 +87,6 @@ def derive_num_filters(fpr_threshold: float) -> int:
     if not 0.0 < fpr_threshold < 1.0:
         raise ValueError("fpr_threshold must be in (0, 1)")
     return max(1, math.ceil(math.log2(1.0 / fpr_threshold)))
-
-
-def hash_bit_index(item: bytes, filter_index: int, bits_per_filter: int) -> int:
-    """Bit position of `item` in sub-filter `filter_index`.
-
-    One 128-bit Murmur3 digest yields all per-filter functions by double
-    hashing its two 64-bit halves: (h1 + i*h2) mod bits_per_filter.
-    """
-    h1, h2 = murmur3_x64_128(item)
-    return (h1 + filter_index * h2) % bits_per_filter
 
 
 class StableBloomFilter:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 _WHITESPACE = set(" \t\n\r\f\v")
@@ -21,12 +21,15 @@ class Term:
     `lexical` holds the decoded form: the IRI string, the blank node label
     (without the `_:` prefix), or the literal value. `datatype_iri` and
     `language_tag` apply to literals only and are mutually exclusive.
+    `token` is the canonical N-Triples form the parser kept, or None; it
+    takes no part in equality or hashing.
     """
 
     kind: TermKind
     lexical: str
     datatype_iri: str | None = None
     language_tag: str | None = None
+    token: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind is not TermKind.LITERAL:
@@ -38,10 +41,6 @@ class Term:
                 raise ValueError("IRI contains whitespace")
         elif self.datatype_iri is not None and self.language_tag is not None:
             raise ValueError("literal cannot carry both datatype and language tag")
-
-    @property
-    def is_iri(self) -> bool:
-        return self.kind is TermKind.IRI
 
     @property
     def is_literal(self) -> bool:

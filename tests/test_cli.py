@@ -1,10 +1,12 @@
 import json
 import re
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+from lodprobe import verify_subject_contiguous
 from lodprobe.cli import main
 
 from synth import conciseness_stream, deref_fixture, write_ntriples
@@ -198,6 +200,33 @@ class TestCompare:
         assert texts[0] == texts[1]
 
 
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("command", ["assess", "compare"])
+def test_golden_report(command, tmp_path):
+    """Every value of a seeded report, pinned bit for bit.
+
+    golden.nt mixes escape spellings of one term, blank nodes, duplicate
+    instances and one malformed line; golden-<command>.json is the expected
+    report with elapsed fields masked and run-specific paths replaced.
+    Regenerate it only for a change that is meant to alter values.
+    """
+    out = tmp_path / "report.json"
+    code = main([
+        command, "--input", str(DATA / "golden.nt"),
+        "--metric", "deref", "--metric", "ext-links", "--metric", "extcon", "--metric", "cc",
+        "--seed", "42", "--resolver", f"mock:{DATA / 'golden-mock.json'}", "--out", str(out),
+    ])
+    assert code == 2
+    report = json.loads(_mask_timings(out.read_text()))
+    report["config"].update(
+        input="golden.nt", output="report.json", resolver="mock:golden-mock.json"
+    )
+    expected = (DATA / f"golden-{command}.json").read_text()
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == expected
+
+
 class TestSort:
     def test_sort_success(self, tmp_path, capsys):
         src = tmp_path / "in.nt"
@@ -208,6 +237,21 @@ class TestSort:
         dst = tmp_path / "out.nt"
         assert main(["sort", "--input", str(src), "--output", str(dst)]) == 0
         assert dst.read_text().startswith("<http://a.org/s1>")
+
+    def test_sort_output_is_accepted_by_assess(self, tmp_path):
+        # Two spellings of one subject around another: sorting on the raw
+        # bytes would give x, a, x and conciseness would reject the output.
+        src = tmp_path / "in.nt"
+        src.write_text(
+            '<http://a.org/x> <http://a.org/p> "1" .\n'
+            '<http://a.org/a> <http://a.org/p> "2" .\n'
+            '<http://a.org/\\u0078> <http://a.org/p> "3" .\n'
+        )
+        dst = tmp_path / "out.nt"
+        assert main(["sort", "--input", str(src), "--output", str(dst)]) == 0
+        assert verify_subject_contiguous(dst) is None
+        code = main(["assess", "--input", str(dst), "--metric", "extcon", "--seed", "1"])
+        assert code == 0
 
     def test_sort_missing_input(self, tmp_path):
         code = main([

@@ -58,11 +58,12 @@ def test_malformed_lines_pass_through_counted(tmp_path):
         b"complete junk here",
         b"<http://a/s1> <http://a/p> <http://a/o> .",
         b"@prefix nonsense",
+        b"<a\tb> <http://a/p> <http://a/o> .",
     ]
     src, dst = tmp_path / "in.nt", tmp_path / "out.nt"
     _write(src, lines)
     summary = sort_by_subject(src, dst)
-    assert summary.malformed_lines == 2
+    assert summary.malformed_lines == 3
     assert Counter(_read(dst)) == Counter(lines)
 
 
@@ -132,3 +133,19 @@ def test_subject_sort_key_forms():
     assert subject_sort_key(b"_:b7 <http://a/p> <http://a/o> .") == (b"_:b7", True)
     assert subject_sort_key(b"junk line") == (b"junk", False)
     assert subject_sort_key(b"") == (b"", False)
+    # escaped spellings key on the canonical token the parser gives the subject
+    assert subject_sort_key(b"<http://a/\\u0078> <http://a/p> <http://a/o> .") == (
+        b"<http://a/x>", True
+    )
+    assert subject_sort_key("<http://a/caf\\u00E9> <http://a/p> \"x\" .".encode()) == (
+        "<http://a/café>".encode(), True
+    )
+    # a key that does not decode stays raw
+    assert subject_sort_key(b"<http://a/\\uD800> <http://a/p> <http://a/o> .") == (
+        b"<http://a/\\uD800>", True
+    )
+    assert subject_sort_key(b"<http://a/\\q> <http://a/p> <http://a/o> .") == (
+        b"<http://a/\\q>", True
+    )
+    # a tab inside `<...>` is no IRI; keying on it would split the line apart
+    assert subject_sort_key(b"<a\tb> <http://a/p> <http://a/o> .") == (b"<a", False)

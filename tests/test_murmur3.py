@@ -8,7 +8,7 @@ MurmurHash3 x64-128 is 0x6384BA69.
 
 import pytest
 
-from lodprobe.murmur3 import digest_bytes, murmur3_x64_128
+from lodprobe.murmur3 import murmur3_x64_128
 
 REFERENCE_DIGESTS = [
     (b"", 0, "00000000000000000000000000000000"),
@@ -53,6 +53,11 @@ def test_all_tail_lengths_distinct():
 
 
 def test_smhasher_verification_value():
-    blob = b"".join(digest_bytes(bytes(range(i)), 256 - i) for i in range(256))
-    verification = int.from_bytes(digest_bytes(blob, 0)[:4], "little")
+    def digest(data: bytes, seed: int) -> bytes:
+        # 16-byte little-endian digest, the reference C output layout
+        h1, h2 = murmur3_x64_128(data, seed)
+        return h1.to_bytes(8, "little") + h2.to_bytes(8, "little")
+
+    blob = b"".join(digest(bytes(range(i)), 256 - i) for i in range(256))
+    verification = int.from_bytes(digest(blob, 0)[:4], "little")
     assert verification == 0x6384BA69

@@ -283,3 +283,41 @@ def test_serialize_term_forms():
     assert serialize_term(literal("v")) == '"v"'
     assert serialize_term(literal("v", language_tag="en")) == '"v"@en'
     assert serialize_term(literal("v", datatype_iri="http://dt")) == '"v"^^<http://dt>'
+
+
+@pytest.mark.parametrize(
+    "spelling, term",
+    [
+        ("<http://a.org/x>", iri("http://a.org/x")),
+        ("_:b1", blank("b1")),
+        ('"plain"', literal("plain")),
+        ("<http://a.org/\\u0078>", iri("http://a.org/x")),
+        ("<http://a.org/caf\\u00E9>", iri("http://a.org/café")),
+        ("<http://a.org/\\U0001F600>", iri("http://a.org/\U0001F600")),
+        ("<http://a.org/del\x7f>", iri("http://a.org/del\x7f")),
+        ('"caf\\u00e9 \\U0001F600"', literal("café \U0001F600")),
+        ('"\\t\\b\\n\\r\\f\\"\\\'\\\\"', literal("\t\b\n\r\f\"'\\")),
+        ('"\\u0009"', literal("\t")),
+        ('"raw\ttab"', literal("raw\ttab")),
+        ('"raw\x7fdel"', literal("raw\x7fdel")),
+        ('"v"@en-GB', literal("v", language_tag="en-GB")),
+        ('"v"^^<http://dt.org/type>', literal("v", datatype_iri="http://dt.org/type")),
+        ('"v"^^<http://dt.org/t\\u00FFpe>', literal("v", datatype_iri="http://dt.org/tÿpe")),
+        ('"a\\"b"^^<http://dt.org/\\u0074>', literal('a"b', datatype_iri="http://dt.org/t")),
+    ],
+)
+def test_parsed_token_is_canonical(spelling, term):
+    """A parsed term carries the canonical form of the term built by hand,
+    and equals and hashes like it, whatever escapes spelled it."""
+    positions = ("object",) if term.kind is TermKind.LITERAL else ("subject", "object")
+    for position in positions:
+        line = (f"{spelling} <http://a.org/p> <http://a.org/o> ." if position == "subject"
+                else f"<http://a.org/s> <http://a.org/p> {spelling} .")
+        parsed = getattr(parse_line(line), position)
+        assert term.token is None
+        assert parsed.token == serialize_term(term)
+        assert parsed == term
+        assert hash(parsed) == hash(term)
+    assert parse_line(f"<http://a.org/s> <http://a.org/p> {spelling} .").predicate.token == (
+        "<http://a.org/p>"
+    )

@@ -1,6 +1,7 @@
 import pytest
 
-from lodprobe import NoPldError, pld, registrable_domain, try_pld
+from lodprobe import NoPldError, SeededRng, pld, registrable_domain, try_pld
+from lodprobe.pld import _memo_pld_or_none
 
 
 class TestPld:
@@ -72,3 +73,83 @@ class TestRegistrableDomain:
     def test_empty_label_rejected(self):
         with pytest.raises(NoPldError):
             registrable_domain("a..b.org")
+
+
+def _uncached(iri: str) -> str | None:
+    try:
+        return pld(iri)
+    except NoPldError:
+        return None
+
+
+MEMO_CASES = [
+    # ports and userinfo
+    "http://dbpedia.org:8080/x",
+    "http://dbpedia.org:80",
+    "http://user:pw@www.dbpedia.org/x",
+    "http://user:pw@WWW.DBPEDIA.ORG:8080/x?y#z",
+    "http://user@other.org@dbpedia.org/x",
+    # bracketed and malformed hosts
+    "http://[::1]/x",
+    "http://[::1]:8080/",
+    "http://[/x",
+    "http://[",
+    "http://a]b.org/",
+    "http://ex\u2100ample.org/",
+    # upper case, `?` or `#` right after the host, trailing dots, IPv4
+    "HTTP://DBpedia.ORG/resource/Malta",
+    "Https://Data.Gov.UK/x",
+    "http://dbpedia.org?x=http://evil.org/",
+    "http://dbpedia.org#frag/x",
+    "http://dbpedia.org?x",
+    "http://dbpedia.org.",
+    "http://dbpedia.org./x",
+    "http://192.168.1.10/x",
+    "http://192.168.1.10:80/x",
+    # no `://`, other schemes, empty authorities, decoded control characters
+    "urn:isbn:0451450523",
+    "relative/path",
+    "",
+    "mailto:someone@example.org",
+    "mailto:x://dbpedia.org/",
+    "ftp://files.example.org/x",
+    "http:///nohost",
+    "http://",
+    "://dbpedia.org/",
+    "//dbpedia.org/x",
+    "\u0001http://dbpedia.org/x",
+    "\u0001mailto://x.org/",
+    "http:\t//dbpedia.org/x",
+    "ht\ttp://dbpedia.org/x",
+    # public-suffix edges and a second `://` in the path
+    "http://co.uk/",
+    "http://a.b.test.ck/x",
+    "http://www.ck/",
+    "http://dbpedia.org/a://b.org/",
+]
+
+
+def _random_iri(rng: SeededRng) -> str:
+    pieces = [
+        ["http", "HTTP", "https", "mailto", "ftp", "", "\u0001http"],
+        ["://", ":", ":/", "//", ":\t//"],
+        ["", "u@", "u:p@", "@"],
+        ["a.org", "WWW.A.ORG", "a.co.uk", "[::1]", "[", "]", "192.168.0.1", "a.org.", "", "co.uk"],
+        ["", ":80", ":x", ":"],
+        ["", "/", "/p", "?q", "#f", "/x://b.org/", "?u=http://b.org/", "#://c.org"],
+    ]
+    return "".join(options[rng.uniform_below(len(options))] for options in pieces)
+
+
+def test_memo_matches_uncached_pld():
+    """Each input is looked up cold, then again warm after the next input."""
+    rng = SeededRng(20261018)
+    inputs = MEMO_CASES + [_random_iri(rng) for _ in range(2000)]
+    expected = [_uncached(x) for x in inputs]
+    _memo_pld_or_none.cache_clear()
+    for i, (iri, want) in enumerate(zip(inputs, expected)):
+        assert try_pld(iri) == want, iri
+        if i:
+            assert try_pld(inputs[i - 1]) == expected[i - 1], inputs[i - 1]
+    # every warm lookup of an IRI with `://` is served by the memo
+    assert _memo_pld_or_none.cache_info().hits >= sum("://" in x for x in inputs[:-1])

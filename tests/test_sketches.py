@@ -6,7 +6,6 @@ from lodprobe import (
     SeededRng,
     StableBloomFilter,
     derive_num_filters,
-    hash_bit_index,
     murmur3_x64_128,
 )
 
@@ -43,6 +42,19 @@ class TestReservoir:
         outcome = s.add("b")
         assert not outcome.added and not outcome.replaced and outcome.position == -1
         assert s.contents() == ["a"]
+
+    def test_held_item_is_discarded_uncounted(self):
+        # Offering an item the sample holds draws nothing and leaves `seen`;
+        # once evicted, the same item is an ordinary offer again.
+        seed = next(s for s in range(100) if SeededRng(s).uniform_below(2) == 0)
+        s = ReservoirSampler(1, SeededRng(seed))
+        assert s.add("a").added
+        outcome = s.add("a")
+        assert not outcome.added and not outcome.replaced and s.seen == 1
+        assert s.add("b").evicted == "a"
+        assert not s.add("b").replaced and s.seen == 2
+        s.add("a")
+        assert s.seen == 3
 
     def test_replay_matches_manual_simulation(self):
         # Replaying the very same rng draws by hand must reproduce the state.
@@ -112,23 +124,30 @@ class TestDeriveNumFilters:
             derive_num_filters(bad)
 
 
+def _positions(item: bytes, num_filters: int, bits_per_filter: int) -> list[int]:
+    """Bit index of `item` in each sub-filter of a filter of that shape."""
+    f = StableBloomFilter(
+        num_filters * bits_per_filter, 0.5, SeededRng(0), num_filters=num_filters
+    )
+    assert f.bits_per_filter == bits_per_filter
+    return f._positions(item)
+
+
 class TestHashBitIndex:
     def test_deterministic(self):
-        assert hash_bit_index(b"item", 3, 1000) == hash_bit_index(b"item", 3, 1000)
+        assert _positions(b"item", 4, 1000) == _positions(b"item", 4, 1000)
 
     def test_filters_get_distinct_functions(self):
-        indexes = {hash_bit_index(b"item", i, 10**9) for i in range(8)}
-        assert len(indexes) == 8
+        assert len(set(_positions(b"item", 8, 10**6))) == 8
 
     def test_empty_input_is_h1_mod(self):
         h1, _ = murmur3_x64_128(b"")
-        assert hash_bit_index(b"", 0, 64) == h1 % 64
-        assert hash_bit_index(b"", 0, 64) == 0  # empty-input digest is all zeros
+        assert _positions(b"", 1, 64)[0] == h1 % 64
+        assert _positions(b"", 1, 64)[0] == 0  # empty-input digest is all zeros
 
     def test_double_hash_derivation(self):
         h1, h2 = murmur3_x64_128(b"payload")
-        for i in range(5):
-            assert hash_bit_index(b"payload", i, 12289) == (h1 + i * h2) % 12289
+        assert _positions(b"payload", 5, 12289) == [(h1 + i * h2) % 12289 for i in range(5)]
 
     def test_uniformity_chi_square(self):
         rng = SeededRng(11)
@@ -136,9 +155,10 @@ class TestHashBitIndex:
         counts = [0] * buckets
         n = 100_000
         scale = 2**64
+        f = StableBloomFilter(3 * buckets, 0.5, SeededRng(0), num_filters=3)
         for _ in range(n):
             item = rng.next_u64().to_bytes(8, "little")
-            counts[hash_bit_index(item, 2, buckets)] += 1
+            counts[f._positions(item)[2]] += 1
         _, p = stats.chisquare(counts)
         assert p > 0.001
 
