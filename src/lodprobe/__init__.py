@@ -24,26 +24,13 @@ from .extsort import SortSummary, sort_by_subject, verify_subject_contiguous
 from .graph import (
     ResourceGraph,
     WalkAccumulators,
-    WalkConfig,
     estimate_cc,
     exact_global_cc,
     exact_local_cc,
     mixing_time,
     random_walk,
 )
-from .metrics import (
-    BaseUriNotFound,
-    MetricResult,
-    SortOrderViolation,
-    cc_metric,
-    deref_estimate,
-    deref_exact,
-    detect_base_uri,
-    ext_links_estimate,
-    ext_links_exact,
-    extcon_estimate,
-    extcon_exact,
-)
+from .metrics import MetricResult, SortOrderViolation
 from .murmur3 import murmur3_x64_128
 from .ntriples import (
     DatasetReadError,
@@ -67,7 +54,6 @@ from .terms import Term, TermKind, Triple, blank, iri, literal
 
 __all__ = [
     "AddOutcome",
-    "BaseUriNotFound",
     "CachedResolver",
     "DatasetReadError",
     "LiveResolver",
@@ -91,22 +77,13 @@ __all__ = [
     "Verdict",
     "VerdictKind",
     "WalkAccumulators",
-    "WalkConfig",
     "blank",
-    "cc_metric",
     "classify",
-    "deref_estimate",
-    "deref_exact",
     "derive_num_filters",
     "derive_seed",
-    "detect_base_uri",
     "estimate_cc",
     "exact_global_cc",
     "exact_local_cc",
-    "ext_links_estimate",
-    "ext_links_exact",
-    "extcon_estimate",
-    "extcon_exact",
     "iri",
     "literal",
     "mixing_time",

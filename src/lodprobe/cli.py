@@ -217,7 +217,8 @@ def _merge_config(args, config_file: dict) -> None:
             args.param.append(pair)
 
 
-def _cmd_assess_or_compare(args, compare: bool) -> int:
+def _plan_run(args, compare: bool) -> tuple[int, list]:
+    """Seed and processors for a run, built before the input is opened."""
     config_file = _load_config_file(args.config)
     _merge_config(args, config_file)
     if not args.input:
@@ -250,6 +251,14 @@ def _cmd_assess_or_compare(args, compare: bool) -> int:
             ),
             "elapsed": 0.0,
         })
+    return seed, timed
+
+
+def _cmd_assess_or_compare(args, compare: bool) -> int:
+    try:
+        seed, timed = _plan_run(args, compare)
+    except ValueError as exc:  # a bad value in the flags, environment or config
+        raise UsageError(str(exc)) from exc
 
     reader = NTriplesReader(args.input)
     try:

@@ -59,15 +59,8 @@ class ResourceGraph:
     def vertices(self):
         return self._adj.keys()
 
-    def degree(self, v: str) -> int:
-        return len(self._adj[v])
-
     def neighbors(self, v: str) -> set[str]:
         return self._adj[v]
-
-    def has_edge(self, u: str, v: str) -> bool:
-        nu = self._adj.get(u)
-        return nu is not None and v in nu
 
     def frozen_neighbors(self) -> dict[str, tuple[str, ...]]:
         """Indexable neighbor tuples for walkers; cached until mutation.
@@ -110,21 +103,8 @@ def mixing_time(vertex_count: int, m: float, min_steps: int = 3) -> int:
 
 
 @dataclass(frozen=True, slots=True)
-class WalkConfig:
-    mixing_multiplier: float = 1.0
-    seed: int = 0
-    min_steps: int = 3
-
-    def __post_init__(self):
-        if self.mixing_multiplier <= 0:
-            raise ValueError("mixing_multiplier must be positive")
-        if self.min_steps < 3:
-            raise ValueError("min_steps must be >= 3")
-
-
-@dataclass(frozen=True, slots=True)
 class WalkAccumulators:
-    """A finished walk: its path plus the two running sums the estimate needs.
+    """A finished walk: its length plus the two running sums the estimate needs.
 
     phi_sum collects, for every interior step, whether the walk's
     predecessor and successor are themselves adjacent, weighted by
@@ -132,7 +112,6 @@ class WalkAccumulators:
     """
 
     steps: int
-    path: tuple[str, ...]
     phi_sum: float
     psi_sum: float
 
@@ -154,8 +133,6 @@ def random_walk(g: ResourceGraph, r: int, seed: int) -> WalkAccumulators:
     order = sorted(neighbors)
 
     current = order[below(len(order))]
-    path = [current]
-    append = path.append
     psi_sum = 1.0 / len(neighbors[current])
     phi_sum = 0.0
     # The interior term at position k needs the successor, so each new step
@@ -164,14 +141,13 @@ def random_walk(g: ResourceGraph, r: int, seed: int) -> WalkAccumulators:
     for _ in range(r - 1):
         ns = neighbors[current]
         nxt = ns[below(len(ns))]
-        append(nxt)
         d = len(ns)
         if prev is not None and d > 1 and nxt in adj[prev]:
             phi_sum += 1.0 / (d - 1)
         psi_sum += 1.0 / len(neighbors[nxt])
         prev = current
         current = nxt
-    return WalkAccumulators(r, tuple(path), phi_sum, psi_sum)
+    return WalkAccumulators(r, phi_sum, psi_sum)
 
 
 def estimate_cc(w: WalkAccumulators) -> float:

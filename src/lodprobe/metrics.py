@@ -1,9 +1,7 @@
 """The four quality metrics, each as a streaming processor in two variants.
 
 Every metric is a processor with `consume(triple)` / `finalize()`, so one
-pass over a dataset can feed any number of them. The functional wrappers
-at the bottom (`ext_links_estimate`, `extcon_exact`, ...) run a whole
-stream through one processor and time it.
+pass over a dataset can feed any number of them.
 
 Value conventions on empty input: conciseness 1 (vacuous uniqueness),
 dereferenceability 0, external links 0, clustering metric 1: each the
@@ -12,14 +10,12 @@ conservative end of its quality dimension, flagged with a warning counter.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Iterable
 
 from .deref import CachedResolver, Resolver, classify, pld_alive
 from .graph import (
     ResourceGraph,
-    WalkConfig,
     estimate_cc,
     exact_global_cc,
     mixing_time,
@@ -71,14 +67,6 @@ class MetricResult:
         )
 
 
-class MetricProcessor(Protocol):
-    name: str
-
-    def consume(self, triple: Triple) -> None: ...
-
-    def finalize(self) -> MetricResult: ...
-
-
 class SortOrderViolation(RuntimeError):
     """Conciseness input was not subject-sorted; carries the triple ordinal."""
 
@@ -123,21 +111,6 @@ class BaseUriTracker:
             return None
         # max count first, then lexicographically smallest PLD
         return min(self.frequency, key=lambda p: (-self.frequency[p], p))
-
-
-class BaseUriNotFound(ValueError):
-    pass
-
-
-def detect_base_uri(triples: Iterable[Triple]) -> str:
-    """Base PLD of a dataset; raises when no subject yields any PLD."""
-    tracker = BaseUriTracker()
-    for t in triples:
-        tracker.offer(t)
-    base = tracker.result()
-    if base is None:
-        raise BaseUriNotFound("no subject in the dataset yields a pay-level domain")
-    return base
 
 
 # --------------------------------------------------------------------------
@@ -386,6 +359,8 @@ class DerefEstimate:
         per_pld_capacity: int,
         seed: int,
     ):
+        if per_pld_capacity < 1:  # its samplers are built lazily, mid-stream
+            raise ValueError("per_pld_capacity must be >= 1")
         self.seed = seed
         self.resolver = CachedResolver(resolver)
         self.global_capacity = global_capacity
@@ -521,6 +496,10 @@ class ClusteringMetric:
         min_steps: int = 3,
         seed: int = 0,
     ):
+        if not 0 < mixing_multiplier < float("inf"):
+            raise ValueError("mixing_multiplier must be positive and finite")
+        if min_steps < 3:
+            raise ValueError("min_steps must be >= 3")
         self.estimated = estimated
         self.mixing_multiplier = mixing_multiplier
         self.min_steps = min_steps
@@ -557,63 +536,3 @@ class ClusteringMetric:
             counters=counters,
             seed=self.seed if self.estimated else None,
         )
-
-
-# --------------------------------------------------------------------------
-# Functional wrappers: run one processor over a stream and time it.
-
-
-def _run(processor, triples: Iterable[Triple]) -> MetricResult:
-    start = time.perf_counter()
-    for t in triples:
-        processor.consume(t)
-    result = processor.finalize()
-    return result.with_elapsed(time.perf_counter() - start)
-
-
-def ext_links_estimate(triples: Iterable[Triple], reservoir_capacity: int, seed: int) -> MetricResult:
-    return _run(ExtLinksEstimate(reservoir_capacity, seed), triples)
-
-
-def ext_links_exact(triples: Iterable[Triple]) -> MetricResult:
-    return _run(ExtLinksExact(), triples)
-
-
-def extcon_estimate(
-    triples: Iterable[Triple], total_bits: int, fpr_threshold: float, seed: int
-) -> MetricResult:
-    return _run(ConcisenessEstimate(total_bits, fpr_threshold, seed), triples)
-
-
-def extcon_exact(triples: Iterable[Triple]) -> MetricResult:
-    return _run(ConcisenessExact(), triples)
-
-
-def deref_estimate(
-    triples: Iterable[Triple],
-    resolver: Resolver,
-    global_capacity: int,
-    per_pld_capacity: int,
-    seed: int,
-) -> MetricResult:
-    return _run(DerefEstimate(resolver, global_capacity, per_pld_capacity, seed), triples)
-
-
-def deref_exact(triples: Iterable[Triple], resolver: Resolver) -> MetricResult:
-    return _run(DerefExact(resolver), triples)
-
-
-def cc_metric(
-    triples: Iterable[Triple],
-    mode: str = "estimate",
-    cfg: WalkConfig | None = None,
-) -> MetricResult:
-    if mode not in ("exact", "estimate"):
-        raise ValueError("mode must be 'exact' or 'estimate'")
-    cfg = cfg or WalkConfig()
-    return _run(
-        ClusteringMetric(
-            mode == "estimate", cfg.mixing_multiplier, cfg.min_steps, cfg.seed
-        ),
-        triples,
-    )

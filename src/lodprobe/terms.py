@@ -42,10 +42,6 @@ class Term:
         elif self.datatype_iri is not None and self.language_tag is not None:
             raise ValueError("literal cannot carry both datatype and language tag")
 
-    @property
-    def is_literal(self) -> bool:
-        return self.kind is TermKind.LITERAL
-
 
 def iri(value: str) -> Term:
     return Term(TermKind.IRI, value)

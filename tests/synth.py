@@ -6,6 +6,13 @@ from lodprobe import SeededRng, Triple, iri, literal, serialize_triple
 from lodprobe.graph import ResourceGraph
 
 
+def run(processor, triples):
+    """Feed every triple to a metric processor, then finalize it."""
+    for t in triples:
+        processor.consume(t)
+    return processor.finalize()
+
+
 def conciseness_stream(
     n_instances: int,
     duplicate_count: int,

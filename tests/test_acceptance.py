@@ -24,12 +24,6 @@ from lodprobe import (
     Triple,
     estimate_cc,
     exact_global_cc,
-    ext_links_estimate,
-    ext_links_exact,
-    extcon_estimate,
-    extcon_exact,
-    deref_estimate,
-    deref_exact,
     iri,
     literal,
     mixing_time,
@@ -39,7 +33,14 @@ from lodprobe import (
 )
 from lodprobe.cli import main
 from lodprobe.extsort import subject_sort_key
-from lodprobe.metrics import ConcisenessEstimate, ConcisenessExact
+from lodprobe.metrics import (
+    ConcisenessEstimate,
+    ConcisenessExact,
+    DerefEstimate,
+    DerefExact,
+    ExtLinksEstimate,
+    ExtLinksExact,
+)
 
 from synth import (
     complete_graph,
@@ -47,6 +48,7 @@ from synth import (
     deref_fixture,
     er_graph,
     path_graph,
+    run,
     write_ntriples,
 )
 
@@ -130,12 +132,14 @@ def test_criterion_3_conciseness_accuracy():
     assert len(triples) == 100_000
     assert exact_value == 0.85
 
-    exact = extcon_exact(triples)
+    exact = run(ConcisenessExact(), triples)
     assert exact.value == 0.85  # exactly, by construction
 
     # Published P3-style setting: 10 filters over 100,000 bits
     # (fpr threshold 0.001 derives 10 sub-filters).
-    estimate = extcon_estimate(triples, total_bits=100_000, fpr_threshold=0.001, seed=31)
+    estimate = run(
+        ConcisenessEstimate(total_bits=100_000, fpr_threshold=0.001, seed=31), triples
+    )
     assert estimate.parameters["num_filters"] == 10
     delta = abs(estimate.value - exact.value)
     assert delta <= 0.02, f"|estimate - exact| = {delta}"
@@ -224,15 +228,13 @@ def test_criterion_5_dereferenceability_mock():
     triples, mappings, expected = deref_fixture(20, 50, verdict_of)
     resolver_mappings = mappings
 
-    exact = deref_exact(triples, MockResolver(resolver_mappings))
+    exact = run(DerefExact(MockResolver(resolver_mappings)), triples)
     assert exact.value == pytest.approx(expected, abs=1e-12)
 
     # P3 capacities (global 50, per-PLD 10000) over 20 seeds.
     max_delta = 0.0
     for seed in range(20):
-        est = deref_estimate(
-            triples, MockResolver(resolver_mappings), 50, 10_000, seed=seed
-        )
+        est = run(DerefEstimate(MockResolver(resolver_mappings), 50, 10_000, seed), triples)
         max_delta = max(max_delta, abs(est.value - expected))
     assert max_delta <= 0.1, f"max |estimate - exhaustive| = {max_delta}"
 
@@ -241,8 +243,8 @@ def test_criterion_5_dereferenceability_mock():
         6, 10, lambda p, u: "500", dead_root_plds=set(range(6))
     )
     assert dead_expected == 0.0
-    dead_est = deref_estimate(dead_triples, MockResolver(dead_mappings), 50, 10_000, seed=3)
-    dead_exact = deref_exact(dead_triples, MockResolver(dead_mappings))
+    dead_est = run(DerefEstimate(MockResolver(dead_mappings), 50, 10_000, seed=3), dead_triples)
+    dead_exact = run(DerefExact(MockResolver(dead_mappings)), dead_triples)
     assert dead_est.value == 0.0
     assert dead_exact.value == 0.0
 
@@ -267,9 +269,9 @@ def test_criterion_6_ext_links_exact_under_full_retention():
                 iri(f"http://{pld_name}/r{k}"),
             ))
         distinct = len(set(externals)) + 1
-        exact = ext_links_exact(triples)
+        exact = run(ExtLinksExact(), triples)
         for capacity in (distinct, distinct + 3, 4 * distinct):
-            est = ext_links_estimate(triples, capacity, seed=trial)
+            est = run(ExtLinksEstimate(capacity, seed=trial), triples)
             assert est.value == exact.value, (trial, capacity)
 
     _report(6, "external links: estimate == exact bit-for-bit whenever "

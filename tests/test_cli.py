@@ -6,7 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from lodprobe import verify_subject_contiguous
+from lodprobe import cli, verify_subject_contiguous
 from lodprobe.cli import main
 
 from synth import conciseness_stream, deref_fixture, write_ntriples
@@ -32,6 +32,23 @@ def _schema():
 def _mask_timings(report_text: str) -> str:
     masked = re.sub(r'"elapsed_seconds": [0-9.e-]+', '"elapsed_seconds": 0', report_text)
     return re.sub(r'"speedup": [0-9.e-]+', '"speedup": 0', masked)
+
+
+# Each must end in one `error:` line before the input is opened.
+BAD_VALUES = [
+    (["--param", "min_steps=1"], None),
+    (["--param", "min_steps=abc"], None),
+    (["--param", "mixing_multiplier=0"], None),
+    (["--param", "mixing_multiplier=-1"], None),
+    (["--param", "mixing_multiplier=nan"], None),
+    (["--param", "reservoir_capacity=0"], None),
+    (["--param", "total_bits=10"], None),
+    (["--param", "fpr_threshold=2"], None),
+    (["--param", "global_capacity=0"], None),
+    (["--param", "per_pld_capacity=0"], None),
+    ([], "abc"),
+    (["--config", "malformed.json"], None),
+]
 
 
 class TestAssess:
@@ -125,6 +142,37 @@ class TestAssess:
         code = main(["assess", "--config", str(cfg), "--seed", "22", "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["config"]["seed"] == 22
+
+    @pytest.mark.parametrize("flags, seed_env", BAD_VALUES,
+                             ids=[" ".join(f) or f"LODPROBE_SEED={e}" for f, e in BAD_VALUES])
+    def test_bad_value_is_one_error_line(self, flags, seed_env, tmp_path, monkeypatch, capsys):
+        (tmp_path / "two.nt").write_text(
+            "<http://a.org/s> <http://a.org/p> <http://b.org/o> .\n"
+            '<http://a.org/s> <http://a.org/q> "v" .\n'
+        )
+        (tmp_path / "malformed.json").write_text('{"seed": ')
+        (tmp_path / "mock.json").write_text('{"mappings": []}')
+        monkeypatch.chdir(tmp_path)
+        if seed_env is None:
+            monkeypatch.delenv("LODPROBE_SEED", raising=False)
+        else:
+            monkeypatch.setenv("LODPROBE_SEED", seed_env)
+
+        def must_not_open(path):
+            raise AssertionError(f"input {path} opened despite a bad value")
+
+        monkeypatch.setattr(cli, "NTriplesReader", must_not_open)
+        code = main([
+            "assess", "--input", "two.nt",
+            "--metric", "cc", "--metric", "extcon", "--metric", "ext-links",
+            "--metric", "deref", "--resolver", "mock:mock.json",
+            "--out", "r.json", *flags,
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_mock_resolver_script(self, tmp_path):
         triples, mappings, expected = deref_fixture(2, 3, lambda p, u: "hash-ok")

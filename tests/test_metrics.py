@@ -7,21 +7,21 @@ from lodprobe import (
     SortOrderViolation,
     Triple,
     blank,
-    cc_metric,
-    deref_estimate,
-    deref_exact,
-    detect_base_uri,
-    ext_links_estimate,
-    ext_links_exact,
-    extcon_estimate,
-    extcon_exact,
     iri,
     literal,
 )
-from lodprobe.graph import WalkConfig
-from lodprobe.metrics import BaseUriNotFound, ConcisenessEstimate, DerefEstimate, _run
+from lodprobe.metrics import (
+    BaseUriTracker,
+    ClusteringMetric,
+    ConcisenessEstimate,
+    ConcisenessExact,
+    DerefEstimate,
+    DerefExact,
+    ExtLinksEstimate,
+    ExtLinksExact,
+)
 
-from synth import conciseness_stream, deref_fixture, er_graph, random_triple
+from synth import conciseness_stream, deref_fixture, er_graph, random_triple, run
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 VOID_DATASET = "http://rdfs.org/ns/void#Dataset"
@@ -32,6 +32,13 @@ def _t(s, p, o):
     return Triple(iri(s), iri(p), o if not isinstance(o, str) else iri(o))
 
 
+def _base(triples):
+    tracker = BaseUriTracker()
+    for t in triples:
+        tracker.offer(t)
+    return tracker.result()
+
+
 class TestDetectBaseUri:
     def test_void_dataset_declaration_wins(self):
         triples = [
@@ -40,18 +47,18 @@ class TestDetectBaseUri:
             _t("http://other.org/a", "http://p.org/p", "http://other.org/b"),
             _t("http://other.org/c", "http://p.org/p", "http://other.org/d"),
         ]
-        assert detect_base_uri(triples) == "ex.org"
+        assert _base(triples) == "ex.org"
 
     def test_owl_ontology_declaration(self):
         triples = [_t("http://onto.org/o", RDF_TYPE, OWL_ONTOLOGY)]
-        assert detect_base_uri(triples) == "onto.org"
+        assert _base(triples) == "onto.org"
 
     def test_first_declaration_wins(self):
         triples = [
             _t("http://first.org/ds", RDF_TYPE, VOID_DATASET),
             _t("http://second.org/ds", RDF_TYPE, VOID_DATASET),
         ]
-        assert detect_base_uri(triples) == "first.org"
+        assert _base(triples) == "first.org"
 
     def test_frequency_fallback(self):
         triples = [
@@ -59,7 +66,7 @@ class TestDetectBaseUri:
         ] + [
             _t(f"http://b.org/s{i}", "http://p.org/p", "http://x.org/o") for i in range(10)
         ]
-        assert detect_base_uri(triples) == "a.org"
+        assert _base(triples) == "a.org"
 
     def test_tie_breaks_lexicographically(self):
         triples = [
@@ -67,11 +74,10 @@ class TestDetectBaseUri:
         ] + [
             _t(f"http://a.org/s{i}", "http://p.org/p", "http://x.org/o") for i in range(5)
         ]
-        assert detect_base_uri(triples) == "a.org"
+        assert _base(triples) == "a.org"
 
     def test_no_usable_subjects(self):
-        with pytest.raises(BaseUriNotFound):
-            detect_base_uri([Triple(blank("b0"), iri("http://p.org/p"), literal("x"))])
+        assert _base([Triple(blank("b0"), iri("http://p.org/p"), literal("x"))]) is None
 
 
 def _dataset_with_externals(n_internal_objects: int, external_plds: list[str]):
@@ -91,20 +97,20 @@ class TestExtLinks:
             Triple(iri(f"http://a.org/s{i}"), iri("http://p.org/p"), literal(f"v{i}"))
             for i in range(10)
         ]
-        assert ext_links_exact(triples).value == 0.0
-        assert ext_links_estimate(triples, 100, seed=1).value == 0.0
+        assert run(ExtLinksExact(), triples).value == 0.0
+        assert run(ExtLinksEstimate(100, seed=1), triples).value == 0.0
 
     def test_single_external_among_thousand(self):
         triples = _dataset_with_externals(999, ["ext.org"])
         # Brute-force oracle: 1000 object URIs, 1 distinct external PLD.
-        result = ext_links_estimate(triples, reservoir_capacity=10, seed=3)
+        result = run(ExtLinksEstimate(reservoir_capacity=10, seed=3), triples)
         assert result.value == pytest.approx(1 / 1000)
         assert result.counters["total_object_uris"] == 1000
 
     def test_exact_construction(self):
         externals = [f"ext{k}.org" for k in range(7)]
         triples = _dataset_with_externals(93, externals)
-        result = ext_links_exact(triples)
+        result = run(ExtLinksExact(), triples)
         assert result.value == pytest.approx(7 / 100)
         assert result.counters["distinct_plds"] == 8  # a.org + 7 externals
         assert result.estimated is False
@@ -113,14 +119,14 @@ class TestExtLinks:
         rng = SeededRng(44)
         externals = [f"x{rng.uniform_below(20)}.net" for _ in range(30)]
         triples = _dataset_with_externals(200, externals)
-        exact = ext_links_exact(triples)
-        estimate = ext_links_estimate(triples, reservoir_capacity=64, seed=9)
+        exact = run(ExtLinksExact(), triples)
+        estimate = run(ExtLinksEstimate(reservoir_capacity=64, seed=9), triples)
         assert estimate.value == exact.value  # bit-for-bit float equality
 
     def test_small_reservoir_still_bounded(self):
         externals = [f"e{k}.org" for k in range(40)]
         triples = _dataset_with_externals(10, externals)
-        result = ext_links_estimate(triples, reservoir_capacity=5, seed=2)
+        result = run(ExtLinksEstimate(reservoir_capacity=5, seed=2), triples)
         assert result.counters["plds_sampled"] == 5
         assert 0.0 <= result.value <= 40 / 50
 
@@ -130,7 +136,7 @@ class TestExtLinks:
             Triple(iri("http://a.org/s"), iri("http://p.org/p"), blank("b0")),
             Triple(iri("http://a.org/s"), iri("http://p.org/p"), literal("x")),
         ]
-        result = ext_links_exact(triples)
+        result = run(ExtLinksExact(), triples)
         assert result.counters["total_object_uris"] == 1
 
     def test_no_base_pld_counts_all_external(self):
@@ -138,7 +144,7 @@ class TestExtLinks:
             Triple(blank("b0"), iri("http://p.org/p"), iri("http://e1.org/x")),
             Triple(blank("b1"), iri("http://p.org/p"), iri("http://e2.org/y")),
         ]
-        result = ext_links_exact(triples)
+        result = run(ExtLinksExact(), triples)
         assert result.value == pytest.approx(1.0)
         assert result.parameters["base_pld"] is None
 
@@ -147,26 +153,26 @@ class TestConciseness:
     def test_all_distinct_instances(self):
         triples, exact_value = conciseness_stream(4, 0, seed=1, triples_per_instance=3)
         assert exact_value == 1.0
-        assert extcon_exact(triples).value == 1.0
-        assert extcon_estimate(triples, 100_000, 0.01, seed=1).value == 1.0
+        assert run(ConcisenessExact(), triples).value == 1.0
+        assert run(ConcisenessEstimate(100_000, 0.01, seed=1), triples).value == 1.0
 
     def test_two_of_four_share_signature(self):
         triples, exact_value = conciseness_stream(4, 1, seed=2, triples_per_instance=3)
         assert exact_value == 0.75
-        assert extcon_exact(triples).value == 0.75
-        assert extcon_estimate(triples, 100_000, 0.01, seed=2).value == 0.75
+        assert run(ConcisenessExact(), triples).value == 0.75
+        assert run(ConcisenessEstimate(100_000, 0.01, seed=2), triples).value == 0.75
 
     def test_five_identical_instances(self):
         body = [("http://p.org/p", literal("same"))]
         triples = [
             Triple(iri(f"http://a.org/s{i}"), iri(p), o) for i in range(5) for p, o in body
         ]
-        assert extcon_exact(triples).value == pytest.approx(0.2)
-        assert extcon_estimate(triples, 100_000, 0.01, seed=3).value == pytest.approx(0.2)
+        assert run(ConcisenessExact(), triples).value == pytest.approx(0.2)
+        assert run(ConcisenessEstimate(100_000, 0.01, seed=3), triples).value == pytest.approx(0.2)
 
     def test_empty_dataset_vacuously_concise(self):
-        assert extcon_exact([]).value == 1.0
-        result = extcon_estimate([], 10_000, 0.01, seed=1)
+        assert run(ConcisenessExact(), []).value == 1.0
+        result = run(ConcisenessEstimate(10_000, 0.01, seed=1), [])
         assert result.value == 1.0
         assert result.counters["zero_denominator"] == 1
 
@@ -177,7 +183,7 @@ class TestConciseness:
             _t("http://a.org/s2", "http://p.org/p2", "http://a.org/o2"),
             _t("http://a.org/s2", "http://p.org/p1", "http://a.org/o1"),
         ]
-        result = extcon_exact(a)
+        result = run(ConcisenessExact(), a)
         assert result.value == 0.5  # the two instances are duplicates
         assert result.counters["duplicate_instances"] == 1
 
@@ -187,7 +193,7 @@ class TestConciseness:
             _t("http://a.org/s1", "http://p.org/p", "http://a.org/o"),
             _t("http://a.org/s2", "http://p.org/p", "http://a.org/o"),
         ]
-        assert extcon_exact(triples).counters["duplicate_instances"] == 1
+        assert run(ConcisenessExact(), triples).counters["duplicate_instances"] == 1
 
     def test_sort_order_violation(self):
         triples = [
@@ -196,28 +202,26 @@ class TestConciseness:
             _t("http://a.org/s1", "http://p.org/p", "http://a.org/o2"),
         ]
         with pytest.raises(SortOrderViolation) as exc_info:
-            extcon_exact(triples)
+            run(ConcisenessExact(), triples)
         assert exc_info.value.triple_number == 3
 
     def test_estimate_within_tolerance_at_moderate_size(self):
         triples, exact_value = conciseness_stream(2000, 300, seed=7, triples_per_instance=5)
         assert exact_value == 0.85
-        estimate = extcon_estimate(triples, 100_000, 0.001, seed=7)
+        estimate = run(ConcisenessEstimate(100_000, 0.001, seed=7), triples)
         assert abs(estimate.value - exact_value) <= 0.02
 
     def test_exact_geq_estimate_with_resets_disabled(self):
         # False positives only inflate the duplicate count.
         triples, _ = conciseness_stream(1500, 150, seed=11, triples_per_instance=4)
-        exact = extcon_exact(triples)
+        exact = run(ConcisenessExact(), triples)
         for seed in (1, 2, 3):
-            est = _run(
-                ConcisenessEstimate(20_000, 0.01, seed, enable_resets=False), triples
-            )
+            est = run(ConcisenessEstimate(20_000, 0.01, seed, enable_resets=False), triples)
             assert exact.value >= est.value
 
     def test_counters_and_runs(self):
         triples, _ = conciseness_stream(50, 10, seed=4, triples_per_instance=2)
-        result = extcon_exact(triples)
+        result = run(ConcisenessExact(), triples)
         assert result.counters["total_instances"] == 50
         assert result.counters["duplicate_instances"] == 10
         assert result.counters["duplicate_instances"] <= result.counters["total_instances"]
@@ -234,7 +238,7 @@ class TestConciseness:
         shuffled = []
         while keys:
             shuffled.extend(blocks[keys.pop(rng.uniform_below(len(keys)))])
-        assert extcon_exact(shuffled).value == extcon_exact(triples).value
+        assert run(ConcisenessExact(), shuffled).value == run(ConcisenessExact(), triples).value
 
 
 class TestDeref:
@@ -242,7 +246,7 @@ class TestDeref:
         triples, mappings, _ = deref_fixture(
             4, 5, lambda p, u: "500", dead_root_plds={0, 1, 2, 3}
         )
-        result = deref_estimate(triples, MockResolver(mappings), 50, 100, seed=1)
+        result = run(DerefEstimate(MockResolver(mappings), 50, 100, seed=1), triples)
         assert result.value == 0.0
         assert result.counters["pld_roots_down"] == 4
 
@@ -253,14 +257,14 @@ class TestDeref:
             {"status": 303, "location": "http://base.org/data"},
             {"status": 200, "content_type": "text/turtle"},
         ]
-        result = deref_estimate(triples, MockResolver(mappings), 50, 100, seed=2)
+        result = run(DerefEstimate(MockResolver(mappings), 50, 100, seed=2), triples)
         assert result.value == 1.0
-        assert deref_exact(triples, MockResolver(mappings)).value == 1.0
+        assert run(DerefExact(MockResolver(mappings)), triples).value == 1.0
 
     def test_exact_matches_hand_computed_ratio(self):
         verdicts = ["hash-ok", "303-ok", "direct-200", "404", "500"]
         triples, mappings, expected = deref_fixture(2, 5, lambda p, u: verdicts[u])
-        result = deref_exact(triples, MockResolver(mappings))
+        result = run(DerefExact(MockResolver(mappings)), triples)
         # 2 PLDs x (2 ok of 5) + the 404 subject URI: 4/11.
         assert expected == pytest.approx(4 / 11)
         assert result.value == pytest.approx(expected)
@@ -268,8 +272,8 @@ class TestDeref:
     def test_estimate_equals_exact_with_full_capacity(self):
         verdicts = ["hash-ok", "303-ok", "404"]
         triples, mappings, expected = deref_fixture(5, 3, lambda p, u: verdicts[u % 3])
-        exact = deref_exact(triples, MockResolver(mappings))
-        estimate = deref_estimate(triples, MockResolver(mappings), 50, 1000, seed=5)
+        exact = run(DerefExact(MockResolver(mappings)), triples)
+        estimate = run(DerefEstimate(MockResolver(mappings), 50, 1000, seed=5), triples)
         assert exact.value == pytest.approx(expected)
         assert estimate.value == exact.value
 
@@ -277,15 +281,15 @@ class TestDeref:
         verdicts = ["hash-ok", "404"]
         triples, mappings, _ = deref_fixture(3, 2, lambda p, u: verdicts[u])
         doubled = [t for t in triples for _ in range(3)]
-        base = deref_estimate(triples, MockResolver(mappings), 50, 100, seed=6)
-        dup = deref_estimate(doubled, MockResolver(mappings), 50, 100, seed=6)
+        base = run(DerefEstimate(MockResolver(mappings), 50, 100, seed=6), triples)
+        dup = run(DerefEstimate(MockResolver(mappings), 50, 100, seed=6), doubled)
         assert base.value == dup.value
         assert base.counters["uris_sampled"] == dup.counters["uris_sampled"]
 
     def test_transport_failures_tallied(self):
         triples, mappings, _ = deref_fixture(1, 3, lambda p, u: "404")
         mappings["http://pld000.org/res0"] = [{"error": "timeout"}]
-        result = deref_exact(triples, MockResolver(mappings))
+        result = run(DerefExact(MockResolver(mappings)), triples)
         assert result.counters["transport_errors"] == 1
 
     def test_eviction_bounds_memory(self):
@@ -304,7 +308,7 @@ class TestDeref:
         assert all(len(s) <= 5 for s in processor._per_pld.values())
 
     def test_empty_dataset_zero(self):
-        result = deref_exact([], MockResolver({}))
+        result = run(DerefExact(MockResolver({})), [])
         assert result.value == 0.0
         assert result.counters["zero_denominator"] == 1
 
@@ -317,7 +321,7 @@ class TestDeref:
         triples = [
             _t("http://a.org/doc#s1", "http://v.org/p", "http://a.org/doc#s2"),
         ]
-        result = deref_exact(triples, mock)
+        result = run(DerefExact(mock), triples)
         assert result.value == 1.0
         assert mock.call_count["http://a.org/doc"] == 1  # cache collapsed the probes
 
@@ -336,14 +340,14 @@ class TestCcMetric:
             _t("http://a.org/r0", "http://p.org/p", f"http://a.org/r{i}") for i in range(1, 6)
         ]
         for mode in ("exact", "estimate"):
-            result = cc_metric(triples, mode=mode, cfg=WalkConfig(seed=2))
+            result = run(ClusteringMetric(mode == "estimate", seed=2), triples)
             assert result.value == 1.0
 
     def test_value_is_one_minus_cc(self):
         from synth import complete_graph
 
         triples = self._graph_triples(complete_graph(4))
-        result = cc_metric(triples, mode="exact")
+        result = run(ClusteringMetric(False), triples)
         assert result.value == 0.0  # K4 has cc 1
         assert result.counters["raw_cc_millionths"] == 1_000_000
 
@@ -351,28 +355,42 @@ class TestCcMetric:
         triples = [
             Triple(iri("http://a.org/s"), iri("http://p.org/p"), literal("v")),
         ]
-        result = cc_metric(triples, mode="exact")
+        result = run(ClusteringMetric(False), triples)
         assert result.value == 1.0
         assert result.counters["edgeless_graph"] == 1
 
     def test_estimate_tracks_exact_on_er_dataset(self):
         g = er_graph(300, 0.06, seed=5)
         triples = self._graph_triples(g)
-        exact = cc_metric(triples, mode="exact")
+        exact = run(ClusteringMetric(False), triples)
         deltas = sorted(
-            abs(cc_metric(triples, mode="estimate", cfg=WalkConfig(seed=s)).value - exact.value)
+            abs(run(ClusteringMetric(True, seed=s), triples).value - exact.value)
             for s in range(7)
         )
         assert deltas[len(deltas) // 2] <= 0.1
 
     def test_counters_report_graph_shape(self):
         g = er_graph(50, 0.1, seed=6)
-        result = cc_metric(self._graph_triples(g), mode="estimate", cfg=WalkConfig(seed=1))
+        result = run(ClusteringMetric(True, seed=1), self._graph_triples(g))
         # Isolated vertices never materialise: only edges create vertices.
         assert result.counters["vertices"] == g.vertex_count
         assert result.counters["edges"] == g.edge_count
         assert result.counters["walk_steps"] >= 3
         assert result.seed == 1
+
+    def test_walk_parameter_validation(self):
+        for bad in (
+            {"mixing_multiplier": 0.0},
+            {"mixing_multiplier": -1.0},
+            {"mixing_multiplier": float("nan")},
+            {"mixing_multiplier": float("inf")},
+            {"min_steps": 2},
+        ):
+            with pytest.raises(ValueError):
+                ClusteringMetric(True, **bad)
+        metric = ClusteringMetric(True, mixing_multiplier=1e-9, min_steps=3)
+        edge = _t("http://a.org/s", "http://p.org/p", "http://a.org/o")
+        assert run(metric, [edge]).counters["walk_steps"] == 3
 
 
 class TestMetricResultContract:
@@ -383,24 +401,20 @@ class TestMetricResultContract:
     def test_determinism_same_seed_same_everything(self):
         rng = SeededRng(123)
         triples = [random_triple(rng) for _ in range(500)]
-        a = ext_links_estimate(triples, 10, seed=42)
-        b = ext_links_estimate(triples, 10, seed=42)
+        a = run(ExtLinksEstimate(10, seed=42), triples)
+        b = run(ExtLinksEstimate(10, seed=42), triples)
         assert a.value == b.value
         assert a.counters == b.counters
-        c = cc_metric(triples, mode="estimate", cfg=WalkConfig(seed=42))
-        d = cc_metric(triples, mode="estimate", cfg=WalkConfig(seed=42))
+        c = run(ClusteringMetric(True, seed=42), triples)
+        d = run(ClusteringMetric(True, seed=42), triples)
         assert c.value == d.value
 
     def test_order_insensitive_exact_variants(self):
         rng = SeededRng(321)
         triples = [random_triple(rng) for _ in range(300)]
         reversed_triples = list(reversed(triples))
-        assert ext_links_exact(triples).value == ext_links_exact(reversed_triples).value
+        assert run(ExtLinksExact(), triples).value == run(ExtLinksExact(), reversed_triples).value
         assert (
-            cc_metric(triples, mode="exact").value
-            == cc_metric(reversed_triples, mode="exact").value
+            run(ClusteringMetric(False), triples).value
+            == run(ClusteringMetric(False), reversed_triples).value
         )
-
-    def test_elapsed_recorded(self):
-        triples = [_t("http://a.org/s", "http://p.org/p", "http://a.org/o")]
-        assert ext_links_exact(triples).elapsed_seconds > 0
