@@ -18,6 +18,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import asdict, replace
 from itertools import islice
 from pathlib import Path
 
@@ -61,8 +62,23 @@ DEFAULTS = {
 }
 
 
+# Expected JSON type of each config-file key, at the top level and in a
+# metric object; null counts as unset, as the report's config echo writes it.
+_CONFIG_SHAPE = {"input": str, "resolver": str, "output": str, "parameters": dict, "metrics": list}
+_METRIC_SHAPE = {"name": str, "variant": str, "parameters": dict}
+_JSON_TYPES = {str: "a string", dict: "an object", list: "a list"}
+
+
 class UsageError(ValueError):
     pass
+
+
+def _convert(kind: type, value, source: str):
+    """kind(value), or a UsageError that names where the value came from."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{source}: expected {kind.__name__}, got {value!r}") from None
 
 
 def _normalise_metric_entry(entry) -> dict:
@@ -73,9 +89,9 @@ def _normalise_metric_entry(entry) -> dict:
         name, _, variant = entry.partition(":")
         parameters = {}
     else:
-        name = entry.get("name", "")
-        variant = entry.get("variant", "")
-        parameters = dict(entry.get("parameters", {}))
+        name = entry.get("name") or ""
+        variant = entry.get("variant") or ""
+        parameters = dict(entry.get("parameters") or {})
     canonical = METRIC_ALIASES.get(name.strip().lower())
     if canonical is None:
         raise UsageError(f"unknown metric {name!r} (choose from: "
@@ -102,10 +118,10 @@ def _metric_params(metric: str, entry_params: dict, cli_params: dict[str, str]) 
     merged = dict(DEFAULTS[metric])
     for key, default in DEFAULTS[metric].items():
         if key in entry_params:
-            merged[key] = type(default)(entry_params[key])
+            merged[key] = _convert(type(default), entry_params[key], f"{metric} parameter {key}")
         for candidate in (f"{metric}.{key}", key):
             if candidate in cli_params:
-                merged[key] = type(default)(cli_params[candidate])
+                merged[key] = _convert(type(default), cli_params[candidate], f"parameter {candidate}")
                 break
     return merged
 
@@ -152,7 +168,7 @@ def _finalize(entry) -> dict:
     t0 = clock()
     result = entry["processor"].finalize()
     entry["elapsed"] += clock() - t0
-    return result.with_elapsed(entry["elapsed"]).as_dict()
+    return asdict(replace(result, elapsed_seconds=entry["elapsed"]))
 
 
 def _config_echo(args, seed: int, timed: list) -> dict:
@@ -169,9 +185,9 @@ def _config_echo(args, seed: int, timed: list) -> dict:
 
 
 def _write_report(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path is None:
         return
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     out = Path(out_path)
     fd, tmp = tempfile.mkstemp(prefix=".lodprobe-report-", dir=out.parent)
     try:
@@ -189,16 +205,34 @@ def _resolve_seed(args, config_file: dict) -> int:
         return args.seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        return int(env)
+        return _convert(int, env, SEED_ENV_VAR)
     if "seed" in config_file:
-        return int(config_file["seed"])
+        return _convert(int, config_file["seed"], f"seed in {args.config}")
     return int.from_bytes(os.urandom(8), "big") >> 1
+
+
+def _check_shape(obj: dict, shape: dict, where: str) -> None:
+    for key, kind in shape.items():
+        if obj.get(key) is not None and not isinstance(obj[key], kind):
+            raise UsageError(f"{where}: {key!r} must be {_JSON_TYPES[kind]}")
 
 
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    return json.loads(Path(path).read_text("utf-8"))
+    try:
+        config = json.loads(Path(path).read_text("utf-8"))
+    except ValueError as exc:
+        raise UsageError(f"--config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise UsageError(f"--config {path}: the top level must be an object")
+    _check_shape(config, _CONFIG_SHAPE, f"--config {path}")
+    for i, entry in enumerate(config.get("metrics") or []):
+        if isinstance(entry, dict):
+            _check_shape(entry, _METRIC_SHAPE, f"--config {path}: metrics[{i}]")
+        elif not isinstance(entry, str):
+            raise UsageError(f"--config {path}: 'metrics' must hold strings or objects")
+    return config
 
 
 def _merge_config(args, config_file: dict) -> None:
@@ -211,7 +245,7 @@ def _merge_config(args, config_file: dict) -> None:
         args.resolver = config_file["resolver"]
     if args.out is None and config_file.get("output"):
         args.out = config_file["output"]
-    for key, value in config_file.get("parameters", {}).items():
+    for key, value in (config_file.get("parameters") or {}).items():
         pair = f"{key}={value}"
         if not any(p.startswith(f"{key}=") for p in args.param):
             args.param.append(pair)
@@ -241,15 +275,16 @@ def _plan_run(args, compare: bool) -> tuple[int, list]:
 
     timed = []
     for entry in entries:
-        merged = _metric_params(entry["name"], entry["parameters"], cli_params)
+        name, variant = entry["name"], entry["variant"]
+        merged = _metric_params(name, entry["parameters"], cli_params)
+        try:
+            processor = _build_processor(name, variant, merged, seed, args.resolver)
+        except ValueError as exc:
+            shown = ", ".join(f"{k}={v}" for k, v in merged.items())
+            raise UsageError(f"{name}:{variant} ({shown}): {exc}") from exc
         timed.append({
-            "name": entry["name"],
-            "variant": entry["variant"],
-            "parameters": merged,
-            "processor": _build_processor(
-                entry["name"], entry["variant"], merged, seed, args.resolver
-            ),
-            "elapsed": 0.0,
+            "name": name, "variant": variant, "parameters": merged,
+            "processor": processor, "elapsed": 0.0,
         })
     return seed, timed
 
@@ -290,16 +325,8 @@ def _cmd_assess_or_compare(args, compare: bool) -> int:
         "tool": {"name": "lodprobe", "version": __version__},
         "config": _config_echo(args, seed, timed),
         "dataset": {
-            **reader.summary.as_dict(),
-            "first_failures": [
-                {
-                    "line_number": f.line_number,
-                    "byte_offset": f.byte_offset,
-                    "reason": f.reason,
-                    "line": f.line,
-                }
-                for f in reader.failures[:10]
-            ],
+            **asdict(reader.summary),
+            "first_failures": [asdict(f) for f in reader.failures],
         },
         "results": results,
         "deviations": deviations,
@@ -340,7 +367,7 @@ def _cmd_sort(args) -> int:
               f"subject were passed through", file=sys.stderr)
     if args.out:
         _write_report({"tool": {"name": "lodprobe", "version": __version__},
-                       "sort": summary.as_dict()}, args.out)
+                       "sort": asdict(summary)}, args.out)
     return 0
 
 

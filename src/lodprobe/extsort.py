@@ -34,13 +34,6 @@ class SortSummary:
     chunks: int = 0
     malformed_lines: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "lines": self.lines,
-            "chunks": self.chunks,
-            "malformed_lines": self.malformed_lines,
-        }
-
 
 def subject_sort_key(line: bytes) -> tuple[bytes, bool]:
     """(sort key, subject recognised). Key never contains a tab or newline."""

@@ -49,23 +49,6 @@ class MetricResult:
         if not 0.0 <= self.value <= 1.0:
             raise ValueError(f"metric value {self.value} outside [0, 1]")
 
-    def as_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "value": self.value,
-            "estimated": self.estimated,
-            "parameters": self.parameters,
-            "counters": self.counters,
-            "elapsed_seconds": self.elapsed_seconds,
-            "seed": self.seed,
-        }
-
-    def with_elapsed(self, elapsed: float) -> "MetricResult":
-        return MetricResult(
-            self.metric, self.value, self.estimated, self.parameters,
-            self.counters, elapsed, self.seed,
-        )
-
 
 class SortOrderViolation(RuntimeError):
     """Conciseness input was not subject-sorted; carries the triple ordinal."""

@@ -11,9 +11,10 @@ dumps are dirty and a quality assessor has to survive them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Union
+from typing import BinaryIO, Iterator
 
 from .terms import Term, TermKind, Triple
 
@@ -74,13 +75,6 @@ class StreamSummary:
     lines_read: int = 0
     triples_parsed: int = 0
     parse_errors: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "lines_read": self.lines_read,
-            "triples_parsed": self.triples_parsed,
-            "parse_errors": self.parse_errors,
-        }
 
 
 def _decode_escapes(raw: str, allow_echar: bool) -> str:
@@ -224,79 +218,53 @@ def _diagnose(line: str) -> NTriplesParseError:
     return NTriplesParseError("malformed term", byte_at(skip_ws(0)))
 
 
-Source = Union[str, Path, BinaryIO, Iterable[str]]
+_KEPT_FAILURES = 10  # failures kept with their line; all of them are counted
 
 
 class NTriplesReader:
-    """One-pass reader over a dataset; constant memory in the file size.
+    """One pass over a path or a binary file object, in constant memory.
 
     Iterating yields Triples in file order. Malformed lines are skipped,
-    counted in `summary`, and the first `max_recorded_errors` of them kept
-    in `failures` with line numbers and byte offsets.
+    counted in `summary`, and the first ten of them kept in `failures`
+    with line numbers and byte offsets.
     """
 
-    def __init__(self, source: Source, max_recorded_errors: int = 100):
+    def __init__(self, source: str | Path | BinaryIO):
         self._source = source
-        self.max_recorded_errors = max_recorded_errors
         self.summary = StreamSummary()
         self.failures: list[ParseFailure] = []
         self.bytes_consumed = 0
 
-    def _lines(self) -> Iterator[str]:
-        src = self._source
-        if isinstance(src, (str, Path)):
-            with open(src, "rb") as fh:
-                yield from self._decode_lines(fh)
-        elif hasattr(src, "readline"):
-            yield from self._decode_lines(src)
-        else:
-            for line in src:
-                self.bytes_consumed += len(line.encode("utf-8")) + 1
-                yield line
-
-    def _decode_lines(self, fh) -> Iterator[str]:
-        while True:
-            try:
-                raw = fh.readline()
-            except OSError as exc:
-                raise DatasetReadError(exc, self.bytes_consumed) from exc
-            if not raw:
-                return
-            self.bytes_consumed += len(raw)
-            try:
-                yield raw.decode("utf-8")
-            except UnicodeDecodeError:
-                yield NTriplesParseError("invalid UTF-8", 0)  # sentinel, handled below
-
     def __iter__(self) -> Iterator[Triple]:
-        for item in self.events():
-            if isinstance(item, Triple):
-                yield item
+        src, summary = self._source, self.summary
+        with open(src, "rb") if isinstance(src, (str, Path)) else nullcontext(src) as fh:
+            while True:
+                try:
+                    raw = fh.readline()
+                except OSError as exc:
+                    raise DatasetReadError(exc, self.bytes_consumed) from exc
+                if not raw:
+                    return
+                self.bytes_consumed += len(raw)
+                summary.lines_read += 1
+                try:
+                    line = raw.decode("utf-8")
+                    triple = parse_line(line)
+                except UnicodeDecodeError:
+                    self._record(0, "invalid UTF-8", "<undecodable line>")
+                except NTriplesParseError as exc:
+                    self._record(exc.byte_offset, exc.reason, line)
+                else:
+                    if triple is not None:
+                        summary.triples_parsed += 1
+                        yield triple
 
-    def events(self) -> Iterator[Triple | ParseFailure]:
-        """Yield every parsed Triple and every ParseFailure, in file order."""
-        for line in self._lines():
-            self.summary.lines_read += 1
-            if isinstance(line, NTriplesParseError):
-                yield self._record(line, "<undecodable line>")
-                continue
-            try:
-                triple = parse_line(line)
-            except NTriplesParseError as exc:
-                yield self._record(exc, line)
-                continue
-            if triple is not None:
-                self.summary.triples_parsed += 1
-                yield triple
-
-    def _record(self, exc: NTriplesParseError, line: str) -> ParseFailure:
+    def _record(self, byte_offset: int, reason: str, line: str) -> None:
         self.summary.parse_errors += 1
-        failure = ParseFailure(
-            self.summary.lines_read, exc.byte_offset, exc.reason, line.rstrip("\r\n")[:200]
-        )
-        if len(self.failures) < self.max_recorded_errors:
-            self.failures.append(failure)
-        return failure
+        if len(self.failures) < _KEPT_FAILURES:
+            self.failures.append(ParseFailure(
+                self.summary.lines_read, byte_offset, reason, line.rstrip("\r\n")[:200]
+            ))
 
 
 _LITERAL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}

@@ -26,17 +26,17 @@ T = TypeVar("T")
 class AddOutcome:
     """What happened to an offered element.
 
-    `added` means a fill-phase append, `replaced` an eviction at `position`
-    (whose previous occupant is `evicted`); both false means discarded.
+    `added` means a fill-phase append, `replaced` an eviction of `evicted`;
+    both false means discarded.
     """
 
     added: bool
     replaced: bool
-    position: int
     evicted: Any = None
 
 
-_DISCARDED = AddOutcome(False, False, -1)
+_ADDED = AddOutcome(True, False)
+_DISCARDED = AddOutcome(False, False)
 
 
 class ReservoirSampler(Generic[T]):
@@ -60,14 +60,14 @@ class ReservoirSampler(Generic[T]):
         if len(items) < self.capacity:
             items.append(item)
             self._held.add(item)
-            return AddOutcome(True, False, len(items) - 1)
+            return _ADDED
         pos = self.rng.uniform_below(self.seen)
         if pos < self.capacity:
             evicted = items[pos]
             items[pos] = item
             self._held.discard(evicted)
             self._held.add(item)
-            return AddOutcome(False, True, pos, evicted)
+            return AddOutcome(False, True, evicted)
         return _DISCARDED
 
     def contents(self) -> list[T]:
@@ -127,7 +127,6 @@ class StableBloomFilter:
         self.total_bits = self.bits_per_filter * self.num_filters
         self.rng = rng
         self.enable_resets = enable_resets
-        self.insertions = 0
         self.resets = 0
         self.reset_log: list[tuple[int, int]] | None = [] if log_resets else None
         self._arrays = [bytearray(-(-self.bits_per_filter // 8)) for _ in range(self.num_filters)]
@@ -137,13 +136,6 @@ class StableBloomFilter:
         h1, h2 = murmur3_x64_128(item)
         bpf = self.bits_per_filter
         return [(h1 + i * h2) % bpf for i in range(self.num_filters)]
-
-    def __contains__(self, item: bytes) -> bool:
-        """Membership probe without mutating the filter."""
-        for i, pos in enumerate(self._positions(item)):
-            if not self._arrays[i][pos >> 3] & (1 << (pos & 7)):
-                return False
-        return True
 
     def check_and_add(self, item: bytes) -> bool:
         """True when `item` looks like a duplicate; otherwise inserts it."""
@@ -164,7 +156,6 @@ class StableBloomFilter:
             if not arrays[i][byte] & mask:
                 arrays[i][byte] |= mask
                 counts[i] += 1
-        self.insertions += 1
         return False
 
     def current_fpr(self) -> float:

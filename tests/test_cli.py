@@ -34,20 +34,29 @@ def _mask_timings(report_text: str) -> str:
     return re.sub(r'"speedup": [0-9.e-]+', '"speedup": 0', masked)
 
 
-# Each must end in one `error:` line before the input is opened.
+# Each must end in one `error:` line, naming what was bad, before the input
+# is opened: (flags, LODPROBE_SEED, expected part of the message).
 BAD_VALUES = [
-    (["--param", "min_steps=1"], None),
-    (["--param", "min_steps=abc"], None),
-    (["--param", "mixing_multiplier=0"], None),
-    (["--param", "mixing_multiplier=-1"], None),
-    (["--param", "mixing_multiplier=nan"], None),
-    (["--param", "reservoir_capacity=0"], None),
-    (["--param", "total_bits=10"], None),
-    (["--param", "fpr_threshold=2"], None),
-    (["--param", "global_capacity=0"], None),
-    (["--param", "per_pld_capacity=0"], None),
-    ([], "abc"),
-    (["--config", "malformed.json"], None),
+    (["--param", "min_steps=1"], None,
+     "clustering-coefficient:estimate (mixing_multiplier=1.0, min_steps=1)"),
+    (["--param", "min_steps=abc"], None, "parameter min_steps"),
+    (["--param", "mixing_multiplier=0"], None, "clustering-coefficient:estimate (mixing_multiplier=0.0"),
+    (["--param", "mixing_multiplier=-1"], None, "clustering-coefficient:estimate (mixing_multiplier=-1.0"),
+    (["--param", "mixing_multiplier=nan"], None, "clustering-coefficient:estimate (mixing_multiplier=nan"),
+    (["--param", "reservoir_capacity=0"], None, "external-links:estimate (reservoir_capacity=0)"),
+    (["--param", "total_bits=10"], None,
+     "extensional-conciseness:estimate (total_bits=10, fpr_threshold=0.001)"),
+    (["--param", "fpr_threshold=2"], None,
+     "extensional-conciseness:estimate (total_bits=100000, fpr_threshold=2.0)"),
+    (["--param", "global_capacity=0"], None,
+     "dereferenceability:estimate (global_capacity=0, per_pld_capacity=10000)"),
+    (["--param", "per_pld_capacity=0"], None,
+     "dereferenceability:estimate (global_capacity=50, per_pld_capacity=0)"),
+    ([], "abc", "LODPROBE_SEED"),
+    (["--config", "malformed.json"], None, "malformed.json"),
+    (["--config", "list.json"], None, "list.json: the top level must be an object"),
+    (["--config", "parameters.json"], None, "parameters.json: 'parameters' must be an object"),
+    (["--config", "metrics.json"], None, "metrics.json: 'metrics' must hold strings or objects"),
 ]
 
 
@@ -143,14 +152,19 @@ class TestAssess:
         assert code == 0
         assert json.loads(out.read_text())["config"]["seed"] == 22
 
-    @pytest.mark.parametrize("flags, seed_env", BAD_VALUES,
-                             ids=[" ".join(f) or f"LODPROBE_SEED={e}" for f, e in BAD_VALUES])
-    def test_bad_value_is_one_error_line(self, flags, seed_env, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("flags, seed_env, expected", BAD_VALUES,
+                             ids=[" ".join(f) or f"LODPROBE_SEED={e}" for f, e, _ in BAD_VALUES])
+    def test_bad_value_is_one_error_line(
+        self, flags, seed_env, expected, tmp_path, monkeypatch, capsys
+    ):
         (tmp_path / "two.nt").write_text(
             "<http://a.org/s> <http://a.org/p> <http://b.org/o> .\n"
             '<http://a.org/s> <http://a.org/q> "v" .\n'
         )
         (tmp_path / "malformed.json").write_text('{"seed": ')
+        (tmp_path / "list.json").write_text("[1]")
+        (tmp_path / "parameters.json").write_text('{"parameters": 5}')
+        (tmp_path / "metrics.json").write_text('{"metrics": [5]}')
         (tmp_path / "mock.json").write_text('{"mappings": []}')
         monkeypatch.chdir(tmp_path)
         if seed_env is None:
@@ -171,6 +185,7 @@ class TestAssess:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert expected in err
         assert "Traceback" not in err
         assert not (tmp_path / "r.json").exists()
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import pytest
@@ -190,7 +191,7 @@ def test_reader_empty_file(tmp_path):
     path.write_text("")
     reader = NTriplesReader(path)
     assert list(reader) == []
-    assert reader.summary.as_dict() == {
+    assert dataclasses.asdict(reader.summary) == {
         "lines_read": 0, "triples_parsed": 0, "parse_errors": 0,
     }
 
@@ -213,16 +214,21 @@ def test_reader_mixed_valid_and_malformed(tmp_path):
     assert reader.failures[0].line_number == 2
 
 
-def test_reader_events_interleaves_failures():
-    lines = [
-        "<http://a/s1> <http://a/p> <http://a/o1> .",
-        "broken",
-        "<http://a/s2> <http://a/p> <http://a/o2> .",
+def test_reader_keeps_first_ten_failures():
+    # 12 malformed lines, each after a valid one: all are counted, the
+    # first ten kept in file order with their line numbers.
+    lines = []
+    for i in range(12):
+        lines.append(f"<http://a/s{i}> <http://a/p> <http://a/o{i}> .\n")
+        lines.append(f"broken {i}\n")
+    reader = NTriplesReader(io.BytesIO("".join(lines).encode()))
+    assert [t.subject.lexical for t in reader] == [f"http://a/s{i}" for i in range(12)]
+    assert reader.summary.parse_errors == 12
+    assert reader.summary.triples_parsed == 12
+    assert reader.failures == [
+        ParseFailure(2 * i + 2, 0, "unexpected character 'b' in subject", f"broken {i}")
+        for i in range(10)
     ]
-    events = list(NTriplesReader(lines).events())
-    assert isinstance(events[0], Triple)
-    assert isinstance(events[1], ParseFailure)
-    assert isinstance(events[2], Triple)
 
 
 def test_reader_invalid_utf8(tmp_path):
