@@ -25,6 +25,7 @@ from urllib.parse import urlsplit
 RDF_CONTENT_TYPES = frozenset(
     {"text/turtle", "application/rdf+xml", "application/n-triples", "application/ld+json"}
 )
+_ACCEPT = ", ".join(sorted(RDF_CONTENT_TYPES))
 
 DEFAULT_MAX_REDIRECTS = 10
 DEFAULT_TIMEOUT_SECONDS = 10.0
@@ -45,9 +46,6 @@ class Resolution:
 
 
 class Resolver(Protocol):
-    max_redirects: int
-    timeout: float
-
     def resolve(self, uri: str) -> Resolution: ...
 
 
@@ -150,16 +148,32 @@ class MockResolver:
 
     def __init__(self, mappings: dict[str, list[dict]], max_redirects: int = DEFAULT_MAX_REDIRECTS):
         self.max_redirects = max_redirects
-        self.timeout = DEFAULT_TIMEOUT_SECONDS
         self._scripts = [_Script(p, r) for p, r in mappings.items()]
         self._scripts.sort(key=lambda s: (s.pattern.endswith("*"), -len(s.pattern)))
-        self.call_count: dict[str, int] = {}
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockResolver":
-        doc = json.loads(Path(path).read_text("utf-8"))
+        """Load a script; a wrong shape is a ValueError naming the file and key."""
+        where = f"mock script {path}"
+        try:
+            doc = json.loads(Path(path).read_text("utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ValueError(f"{where}: the top level must be an object")
+        if not isinstance(doc.get("mappings"), list):
+            raise ValueError(f"{where}: 'mappings' must be a list")
+        for i, m in enumerate(doc["mappings"]):
+            if not isinstance(m, dict) or not isinstance(m.get("pattern"), str):
+                raise ValueError(f"{where}: mappings[{i}]: 'pattern' must be a string")
+            responses = m.get("responses")
+            if not isinstance(responses, list) or not all(isinstance(r, dict) for r in responses):
+                raise ValueError(f"{where}: mappings[{i}]: 'responses' must be a list of objects")
+        max_redirects = doc.get("max_redirects", DEFAULT_MAX_REDIRECTS)
+        if type(max_redirects) is not int:
+            raise ValueError(f"{where}: 'max_redirects' must be an integer")
         mappings = {m["pattern"]: m["responses"] for m in doc["mappings"]}
-        return cls(mappings, max_redirects=doc.get("max_redirects", DEFAULT_MAX_REDIRECTS))
+        return cls(mappings, max_redirects)
 
     def _find(self, uri: str) -> _Script | None:
         for script in self._scripts:
@@ -168,7 +182,6 @@ class MockResolver:
         return None
 
     def resolve(self, uri: str) -> Resolution:
-        self.call_count[uri] = self.call_count.get(uri, 0) + 1
         script = self._find(uri)
         if script is None:
             return Resolution(uri, transport_error="unmatched-uri")
@@ -197,8 +210,6 @@ class CachedResolver:
 
     def __init__(self, inner: Resolver):
         self.inner = inner
-        self.max_redirects = inner.max_redirects
-        self.timeout = inner.timeout
         self._cache: dict[str, Resolution] = {}
         self._inflight: dict[str, threading.Event] = {}
         self._lock = threading.Lock()
@@ -241,11 +252,10 @@ class LiveResolver:
         self,
         max_redirects: int = DEFAULT_MAX_REDIRECTS,
         timeout: float = DEFAULT_TIMEOUT_SECONDS,
-        accept: str = ", ".join(sorted(RDF_CONTENT_TYPES)),
     ):
         self.max_redirects = max_redirects
         self.timeout = timeout
-        self._headers = {"Accept": accept, "User-Agent": "lodprobe/0.1"}
+        self._headers = {"Accept": _ACCEPT, "User-Agent": "lodprobe/0.1"}
 
     def resolve(self, uri: str) -> Resolution:
         try:

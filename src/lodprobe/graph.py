@@ -24,17 +24,12 @@ class ResourceGraph:
     def __init__(self):
         self._adj: dict[str, set[str]] = {}
         self._edge_count = 0
-        self._neighbor_lists: dict[str, tuple[str, ...]] | None = None
 
     def add_triple(self, t: Triple) -> None:
         """Add the edge a triple describes; literal objects add nothing."""
         if t.object.kind is TermKind.LITERAL:
             return
-        u = serialize_term(t.subject)
-        v = serialize_term(t.object)
-        if u == v:
-            return
-        self.add_edge(u, v)
+        self.add_edge(serialize_term(t.subject), serialize_term(t.object))
 
     def add_edge(self, u: str, v: str) -> None:
         if u == v:
@@ -46,7 +41,6 @@ class ResourceGraph:
         nu.add(v)
         adj.setdefault(v, set()).add(u)
         self._edge_count += 1
-        self._neighbor_lists = None
 
     @property
     def vertex_count(self) -> int:
@@ -62,15 +56,13 @@ class ResourceGraph:
     def neighbors(self, v: str) -> set[str]:
         return self._adj[v]
 
-    def frozen_neighbors(self) -> dict[str, tuple[str, ...]]:
-        """Indexable neighbor tuples for walkers; cached until mutation.
+    def frozen_neighbors(self, v: str) -> tuple[str, ...]:
+        """v's neighbors as an indexable tuple for walkers.
 
         Sorted so a seeded walk picks the same neighbors in every process:
         raw set order varies with string-hash randomisation.
         """
-        if self._neighbor_lists is None:
-            self._neighbor_lists = {v: tuple(sorted(ns)) for v, ns in self._adj.items()}
-        return self._neighbor_lists
+        return tuple(sorted(self._adj[v]))
 
 
 def exact_local_cc(g: ResourceGraph, v: str) -> float:
@@ -120,7 +112,8 @@ def random_walk(g: ResourceGraph, r: int, seed: int) -> WalkAccumulators:
     """Uniform-start, uniform-neighbor walk of exactly r steps.
 
     The graph is undirected, so a dead end is never terminal: the walker
-    can always step back the way it came.
+    can always step back the way it came. Only the visited vertices'
+    neighbor sets are sorted, each once, however often the walk returns.
     """
     if g.edge_count == 0:
         raise ValueError("random walk requires a graph with at least one edge")
@@ -128,23 +121,25 @@ def random_walk(g: ResourceGraph, r: int, seed: int) -> WalkAccumulators:
         raise ValueError("walk length must be >= 3")
     rng = SeededRng(seed)
     below = rng.uniform_below
-    neighbors = g.frozen_neighbors()
     adj = g._adj
-    order = sorted(neighbors)
+    visited: dict[str, tuple[str, ...]] = {}
+    order = sorted(adj)
 
     current = order[below(len(order))]
-    psi_sum = 1.0 / len(neighbors[current])
+    psi_sum = 1.0 / len(adj[current])
     phi_sum = 0.0
     # The interior term at position k needs the successor, so each new step
     # settles the contribution of the vertex it just left behind.
     prev = None
     for _ in range(r - 1):
-        ns = neighbors[current]
+        ns = visited.get(current)
+        if ns is None:
+            ns = visited[current] = g.frozen_neighbors(current)
         nxt = ns[below(len(ns))]
         d = len(ns)
         if prev is not None and d > 1 and nxt in adj[prev]:
             phi_sum += 1.0 / (d - 1)
-        psi_sum += 1.0 / len(neighbors[nxt])
+        psi_sum += 1.0 / len(adj[nxt])
         prev = current
         current = nxt
     return WalkAccumulators(r, phi_sum, psi_sum)

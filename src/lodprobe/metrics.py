@@ -103,8 +103,9 @@ class BaseUriTracker:
 class _ExtLinksBase:
     name = "external-links"
 
-    def __init__(self):
+    def __init__(self, plds):
         self._base = BaseUriTracker()
+        self._plds = plds
         self.total_object_uris = 0
         self.objects_without_pld = 0
 
@@ -117,12 +118,12 @@ class _ExtLinksBase:
             self.objects_without_pld += 1
             return
         self.total_object_uris += 1
-        self._offer_pld(p)
+        self._plds.add(p)
 
     def _value(self, distinct_plds: Iterable[str], base: str | None) -> float:
         if self.total_object_uris == 0:
             return 0.0
-        external = sum(1 for p in set(distinct_plds) if p != base)
+        external = sum(1 for p in distinct_plds if p != base)
         return external / self.total_object_uris
 
 
@@ -133,19 +134,15 @@ class ExtLinksEstimate(_ExtLinksBase):
     exhaustive and the estimate collapses to the exact value."""
 
     def __init__(self, reservoir_capacity: int, seed: int):
-        super().__init__()
+        super().__init__(
+            ReservoirSampler(reservoir_capacity, SeededRng(derive_seed(seed, "ext-links")))
+        )
         self.seed = seed
         self.capacity = reservoir_capacity
-        self._sampler = ReservoirSampler(
-            reservoir_capacity, SeededRng(derive_seed(seed, "ext-links"))
-        )
-
-    def _offer_pld(self, p: str) -> None:
-        self._sampler.add(p)
 
     def finalize(self) -> MetricResult:
         base = self._base.result()
-        plds = self._sampler.contents()
+        plds = self._plds.contents()
         return MetricResult(
             metric=self.name,
             value=self._value(plds, base),
@@ -155,7 +152,7 @@ class ExtLinksEstimate(_ExtLinksBase):
                 "total_object_uris": self.total_object_uris,
                 "objects_without_pld": self.objects_without_pld,
                 "plds_sampled": len(plds),
-                "plds_offered": self._sampler.seen,
+                "plds_offered": self._plds.seen,
                 "zero_denominator": int(self.total_object_uris == 0),
             },
             seed=self.seed,
@@ -166,11 +163,7 @@ class ExtLinksExact(_ExtLinksBase):
     """Exhaustive distinct-PLD set instead of a reservoir."""
 
     def __init__(self):
-        super().__init__()
-        self._plds: set[str] = set()
-
-    def _offer_pld(self, p: str) -> None:
-        self._plds.add(p)
+        super().__init__(set())
 
     def finalize(self) -> MetricResult:
         base = self._base.result()
@@ -326,6 +319,18 @@ def _route_iris(t: Triple):
         yield t.object.lexical
 
 
+def _tally(uris: Iterable[str], resolver: Resolver) -> tuple[int, int]:
+    """(dereferenceable, transport errors) among `uris`."""
+    ok = transport_errors = 0
+    for uri in uris:
+        verdict = classify(uri, resolver)
+        if verdict.ok:
+            ok += 1
+        elif verdict.reason and verdict.reason.startswith("transport-error"):
+            transport_errors += 1
+    return ok, transport_errors
+
+
 class DerefEstimate:
     """Two-level sampling: a global reservoir of PLDs, and one reservoir of
     resource URIs per retained PLD (dropped when its PLD is evicted, which
@@ -348,8 +353,10 @@ class DerefEstimate:
         self.resolver = CachedResolver(resolver)
         self.global_capacity = global_capacity
         self.per_pld_capacity = per_pld_capacity
-        self._rng = SeededRng(derive_seed(seed, "dereferenceability"))
-        self._global = ReservoirSampler(global_capacity, self._rng.fork("global"))
+        self._sample_seed = derive_seed(seed, "dereferenceability")
+        self._global = ReservoirSampler(
+            global_capacity, SeededRng(derive_seed(self._sample_seed, "global"))
+        )
         self._per_pld: dict[str, ReservoirSampler] = {}
         self.uris_routed = 0
         self.uris_without_pld = 0
@@ -371,30 +378,21 @@ class DerefEstimate:
             if outcome.replaced:
                 self._per_pld.pop(outcome.evicted, None)
             self._per_pld[p] = ReservoirSampler(
-                self.per_pld_capacity, self._rng.fork(f"pld:{p}")
+                self.per_pld_capacity, SeededRng(derive_seed(self._sample_seed, f"pld:{p}"))
             )
         self._per_pld[p].add(uri)
 
     def finalize(self) -> MetricResult:
-        deref_ok = 0
-        sampled = 0
-        roots_down = 0
-        transport_errors = 0
-        for p in self._global.contents():
-            sampler = self._per_pld.get(p)
-            if sampler is None:
-                continue
+        deref_ok = sampled = roots_down = transport_errors = 0
+        for p, sampler in self._per_pld.items():
             uris = sampler.contents()
             sampled += len(uris)
             if not pld_alive(f"http://{p}/", self.resolver):
                 roots_down += 1
                 continue
-            for uri in uris:
-                verdict = classify(uri, self.resolver)
-                if verdict.ok:
-                    deref_ok += 1
-                elif verdict.reason and verdict.reason.startswith("transport-error"):
-                    transport_errors += 1
+            ok, errors = _tally(uris, self.resolver)
+            deref_ok += ok
+            transport_errors += errors
         value = deref_ok / sampled if sampled else 0.0
         return MetricResult(
             metric=self.name,
@@ -438,14 +436,7 @@ class DerefExact:
                 self._uris.add(uri)
 
     def finalize(self) -> MetricResult:
-        deref_ok = 0
-        transport_errors = 0
-        for uri in sorted(self._uris):
-            verdict = classify(uri, self.resolver)
-            if verdict.ok:
-                deref_ok += 1
-            elif verdict.reason and verdict.reason.startswith("transport-error"):
-                transport_errors += 1
+        deref_ok, transport_errors = _tally(sorted(self._uris), self.resolver)
         total = len(self._uris)
         return MetricResult(
             metric=self.name,
@@ -465,6 +456,11 @@ class DerefExact:
 # --------------------------------------------------------------------------
 # Clustering coefficient of the resource network
 
+# Caps on the walk length r = max(min_steps, mixing_multiplier * ln(n)^2):
+# r stays at or under 10^6 steps for any graph below 10^13 vertices.
+MAX_MIXING_MULTIPLIER = 1000.0
+MAX_MIN_STEPS = 1_000_000
+
 
 class ClusteringMetric:
     """Builds the resource graph while streaming; the quality value is
@@ -479,10 +475,10 @@ class ClusteringMetric:
         min_steps: int = 3,
         seed: int = 0,
     ):
-        if not 0 < mixing_multiplier < float("inf"):
-            raise ValueError("mixing_multiplier must be positive and finite")
-        if min_steps < 3:
-            raise ValueError("min_steps must be >= 3")
+        if not 0 < mixing_multiplier <= MAX_MIXING_MULTIPLIER:
+            raise ValueError(f"mixing_multiplier must be in (0, {MAX_MIXING_MULTIPLIER:g}]")
+        if not 3 <= min_steps <= MAX_MIN_STEPS:
+            raise ValueError(f"min_steps must be in [3, {MAX_MIN_STEPS}]")
         self.estimated = estimated
         self.mixing_multiplier = mixing_multiplier
         self.min_steps = min_steps

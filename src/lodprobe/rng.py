@@ -50,18 +50,14 @@ class SeededRng:
         """Uniform float in [0, 1) with 53 bits of precision."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
-    def fork(self, label: str) -> "SeededRng":
-        """Derive an independent child stream for a named purpose.
-
-        Children with distinct labels get unrelated sequences, so multiple
-        metric processors can share one run seed without lock-step draws.
-        """
-        h = self.seed
-        for byte in label.encode("utf-8"):
-            h = ((h ^ byte) * 0x100000001B3) & _MASK64
-        return SeededRng(h)
-
 
 def derive_seed(seed: int, label: str) -> int:
-    """Stable 64-bit child seed for `label`, as used by `SeededRng.fork`."""
-    return SeededRng(seed).fork(label).seed
+    """Stable 64-bit child seed for a named purpose.
+
+    Children with distinct labels get unrelated sequences, so multiple
+    metric processors can share one run seed without lock-step draws.
+    """
+    h = seed & _MASK64
+    for byte in label.encode("utf-8"):
+        h = ((h ^ byte) * 0x100000001B3) & _MASK64
+    return h

@@ -1,6 +1,8 @@
-"""Synthetic dataset builders shared by the module and acceptance tests."""
+"""Synthetic dataset builders and a counting resolver shared by the module and acceptance tests."""
 
 from __future__ import annotations
+
+from collections import Counter
 
 from lodprobe import SeededRng, Triple, iri, literal, serialize_triple
 from lodprobe.graph import ResourceGraph
@@ -11,6 +13,18 @@ def run(processor, triples):
     for t in triples:
         processor.consume(t)
     return processor.finalize()
+
+
+class CountingResolver:
+    """Passes each resolve to `inner` and counts, per URI, the calls it got."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls: Counter[str] = Counter()
+
+    def resolve(self, uri: str):
+        self.calls[uri] += 1
+        return self.inner.resolve(uri)
 
 
 def conciseness_stream(

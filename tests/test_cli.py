@@ -43,6 +43,10 @@ BAD_VALUES = [
     (["--param", "mixing_multiplier=0"], None, "clustering-coefficient:estimate (mixing_multiplier=0.0"),
     (["--param", "mixing_multiplier=-1"], None, "clustering-coefficient:estimate (mixing_multiplier=-1.0"),
     (["--param", "mixing_multiplier=nan"], None, "clustering-coefficient:estimate (mixing_multiplier=nan"),
+    (["--param", "mixing_multiplier=1e308"], None,
+     "clustering-coefficient:estimate (mixing_multiplier=1e+308"),
+    (["--param", "min_steps=1000001"], None,
+     "clustering-coefficient:estimate (mixing_multiplier=1.0, min_steps=1000001)"),
     (["--param", "reservoir_capacity=0"], None, "external-links:estimate (reservoir_capacity=0)"),
     (["--param", "total_bits=10"], None,
      "extensional-conciseness:estimate (total_bits=10, fpr_threshold=0.001)"),
@@ -57,6 +61,10 @@ BAD_VALUES = [
     (["--config", "list.json"], None, "list.json: the top level must be an object"),
     (["--config", "parameters.json"], None, "parameters.json: 'parameters' must be an object"),
     (["--config", "metrics.json"], None, "metrics.json: 'metrics' must hold strings or objects"),
+    (["--resolver", "mock:empty-mock.json"], None,
+     "mock script empty-mock.json: 'mappings' must be a list"),
+    (["--resolver", "mock:pattern-mock.json"], None,
+     "mock script pattern-mock.json: mappings[0]: 'pattern' must be a string"),
 ]
 
 
@@ -166,6 +174,8 @@ class TestAssess:
         (tmp_path / "parameters.json").write_text('{"parameters": 5}')
         (tmp_path / "metrics.json").write_text('{"metrics": [5]}')
         (tmp_path / "mock.json").write_text('{"mappings": []}')
+        (tmp_path / "empty-mock.json").write_text("{}")
+        (tmp_path / "pattern-mock.json").write_text('{"mappings": [{"pattern": 1, "responses": []}]}')
         monkeypatch.chdir(tmp_path)
         if seed_env is None:
             monkeypatch.delenv("LODPROBE_SEED", raising=False)

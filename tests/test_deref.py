@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 
 import pytest
@@ -11,6 +12,8 @@ from lodprobe import (
     classify,
     pld_alive,
 )
+
+from synth import CountingResolver
 
 TTL = {"status": 200, "content_type": "text/turtle"}
 RDFXML = {"status": 200, "content_type": "application/rdf+xml"}
@@ -179,6 +182,21 @@ class TestMockResolver:
         assert classify("http://a.org/doc#x", r).ok
         assert pld_alive("http://b.org/", r) is False
 
+    @pytest.mark.parametrize("doc, key", [
+        ([], "the top level"),
+        ({}, "'mappings'"),
+        ({"mappings": [5]}, "mappings[0]: 'pattern'"),
+        ({"mappings": [{"pattern": "http://a.org/", "responses": {}}]}, "mappings[0]: 'responses'"),
+        ({"mappings": [{"pattern": "http://a.org/", "responses": [200]}]},
+         "mappings[0]: 'responses'"),
+        ({"mappings": [], "max_redirects": "5"}, "'max_redirects'"),
+    ])
+    def test_from_file_rejects_wrong_shape(self, doc, key, tmp_path):
+        path = tmp_path / "mock.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"mock script {path}: {key}")):
+            MockResolver.from_file(path)
+
     def test_resolution_invariants(self):
         res = Resolution("http://x.org/", (303, 200), "text/turtle")
         assert res.final_status == 200
@@ -187,25 +205,25 @@ class TestMockResolver:
 
 class TestCachedResolver:
     def test_second_resolve_is_cached(self):
-        inner = mock({"http://a.org/doc": [TTL]})
+        inner = CountingResolver(mock({"http://a.org/doc": [TTL]}))
         cached = CachedResolver(inner)
         cached.resolve("http://a.org/doc")
         cached.resolve("http://a.org/doc")
-        assert inner.call_count["http://a.org/doc"] == 1
+        assert inner.calls["http://a.org/doc"] == 1
 
     def test_distinct_uris_each_resolved(self):
-        inner = mock({"http://a.org/*": [TTL]})
+        inner = CountingResolver(mock({"http://a.org/*": [TTL]}))
         cached = CachedResolver(inner)
         cached.resolve("http://a.org/1")
         cached.resolve("http://a.org/2")
-        assert sum(inner.call_count.values()) == 2
+        assert sum(inner.calls.values()) == 2
 
     def test_many_lookups_few_calls(self):
-        inner = mock({"http://a.org/*": [TTL]})
+        inner = CountingResolver(mock({"http://a.org/*": [TTL]}))
         cached = CachedResolver(inner)
         for i in range(10_000):
             cached.resolve(f"http://a.org/{i % 100}")
-        assert sum(inner.call_count.values()) == 100
+        assert sum(inner.calls.values()) == 100
 
     def test_observationally_equivalent(self):
         mappings = {"http://a.org/res": [{"status": 303, "location": "http://a/d"}, TTL]}
@@ -218,9 +236,6 @@ class TestCachedResolver:
         barrier = threading.Barrier(8)
 
         class SlowResolver:
-            max_redirects = 10
-            timeout = 1.0
-
             def resolve(self, uri):
                 calls.append(uri)
                 return Resolution(uri, (200,), "text/turtle")
@@ -243,9 +258,6 @@ class TestCachedResolver:
 
     def test_resolver_crash_becomes_transport_error(self):
         class Crashy:
-            max_redirects = 10
-            timeout = 1.0
-
             def resolve(self, uri):
                 raise RuntimeError("boom")
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -36,11 +37,10 @@ def _replay_walk(g: ResourceGraph, r: int, seed: int) -> tuple[float, float]:
     """Independent replay of random_walk's draw sequence: (phi_sum, psi_sum),
     summed in the walk's own order, from a path that must follow edges."""
     rng = SeededRng(seed)
-    lists = g.frozen_neighbors()
-    order = sorted(lists)
+    order = sorted(g.vertices())
     path = [order[rng.uniform_below(len(order))]]
     for _ in range(r - 1):
-        ns = lists[path[-1]]
+        ns = sorted(g.neighbors(path[-1]))
         nxt = ns[rng.uniform_below(len(ns))]
         assert nxt in g.neighbors(path[-1])
         path.append(nxt)
@@ -241,6 +241,28 @@ class TestRandomWalk:
             random_walk(ResourceGraph(), 10, seed=0)
         with pytest.raises(ValueError):
             random_walk(complete_graph(3), 2, seed=0)
+
+    def test_walk_memory_envelope(self):
+        # The walk reads the graph in place: beyond the sorted start order
+        # (one pointer per vertex) it holds only the neighbor tuples of the
+        # vertices it visits, and it keeps nothing once it returns.
+        n, r = 20_000, 121
+        rng = SeededRng(61)
+        names = [f"v{i}" for i in range(n)]
+        g = ResourceGraph()
+        for i in range(n):
+            g.add_edge(names[i], names[(i + 1) % n])
+            g.add_edge(names[i], names[rng.uniform_below(n)])
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            walk = random_walk(g, r, seed=5)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert walk.steps == r
+        assert peak - before <= 32 * n
+        assert after - before <= 64 * 1024
 
     def test_degree_one_contributes_zero_phi(self):
         # Star graph: interior steps alternate centre/leaf; leaves have d=1,

@@ -21,7 +21,14 @@ from lodprobe.metrics import (
     ExtLinksExact,
 )
 
-from synth import conciseness_stream, deref_fixture, er_graph, random_triple, run
+from synth import (
+    CountingResolver,
+    conciseness_stream,
+    deref_fixture,
+    er_graph,
+    random_triple,
+    run,
+)
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 VOID_DATASET = "http://rdfs.org/ns/void#Dataset"
@@ -313,17 +320,17 @@ class TestDeref:
         assert result.counters["zero_denominator"] == 1
 
     def test_hash_uris_share_document_probe(self):
-        mock = MockResolver({
+        mock = CountingResolver(MockResolver({
             "http://base.org/": [{"status": 200, "content_type": "text/html"}],
             "http://a.org/": [{"status": 200, "content_type": "text/html"}],
             "http://a.org/doc": [{"status": 200, "content_type": "text/turtle"}],
-        })
+        }))
         triples = [
             _t("http://a.org/doc#s1", "http://v.org/p", "http://a.org/doc#s2"),
         ]
         result = run(DerefExact(mock), triples)
         assert result.value == 1.0
-        assert mock.call_count["http://a.org/doc"] == 1  # cache collapsed the probes
+        assert mock.calls["http://a.org/doc"] == 1  # cache collapsed the probes
 
 
 class TestCcMetric:

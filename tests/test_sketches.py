@@ -7,6 +7,7 @@ from lodprobe import (
     SeededRng,
     StableBloomFilter,
     derive_num_filters,
+    derive_seed,
     murmur3_x64_128,
 )
 
@@ -78,7 +79,7 @@ class TestReservoir:
         rng = SeededRng(5)
         for trial in range(30):
             cap = 1 + rng.uniform_below(10)
-            s = ReservoirSampler(cap, rng.fork(f"t{trial}"))
+            s = ReservoirSampler(cap, SeededRng(derive_seed(rng.seed, f"t{trial}")))
             n = rng.uniform_below(300)
             for i in range(n):
                 s.add(i)
