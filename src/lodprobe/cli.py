@@ -134,7 +134,7 @@ def _build_resolver(spec: str | None):
     raise UsageError(f"--resolver must be 'live' or 'mock:<script>', got {spec!r}")
 
 
-def _build_processor(metric: str, variant: str, p: dict, seed: int, resolver_spec):
+def _build_processor(metric: str, variant: str, p: dict, seed: int, resolver):
     if metric == "external-links":
         return (ExtLinksEstimate(p["reservoir_capacity"], seed)
                 if variant == "estimate" else ExtLinksExact())
@@ -142,7 +142,6 @@ def _build_processor(metric: str, variant: str, p: dict, seed: int, resolver_spe
         return (ConcisenessEstimate(p["total_bits"], p["fpr_threshold"], seed)
                 if variant == "estimate" else ConcisenessExact())
     if metric == "dereferenceability":
-        resolver = _build_resolver(resolver_spec)
         return (DerefEstimate(resolver, p["global_capacity"], p["per_pld_capacity"], seed)
                 if variant == "estimate" else DerefExact(resolver))
     return ClusteringMetric(
@@ -252,7 +251,11 @@ def _merge_config(args, config_file: dict) -> None:
 
 
 def _plan_run(args, compare: bool) -> tuple[int, list]:
-    """Seed and processors for a run, built before the input is opened."""
+    """Seed and processors for a run, built before the input is opened.
+
+    Deref processors share one inner resolver but each wraps it in its own
+    CachedResolver, so exact and estimate each pay for their own lookups.
+    """
     config_file = _load_config_file(args.config)
     _merge_config(args, config_file)
     if not args.input:
@@ -273,12 +276,16 @@ def _plan_run(args, compare: bool) -> tuple[int, list]:
                 expanded.append({**entry, "variant": variant})
         entries = expanded
 
+    resolver = None
+    if any(entry["name"] == "dereferenceability" for entry in entries):
+        resolver = _build_resolver(args.resolver)
+
     timed = []
     for entry in entries:
         name, variant = entry["name"], entry["variant"]
         merged = _metric_params(name, entry["parameters"], cli_params)
         try:
-            processor = _build_processor(name, variant, merged, seed, args.resolver)
+            processor = _build_processor(name, variant, merged, seed, resolver)
         except ValueError as exc:
             shown = ", ".join(f"{k}={v}" for k, v in merged.items())
             raise UsageError(f"{name}:{variant} ({shown}): {exc}") from exc

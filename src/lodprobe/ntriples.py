@@ -6,6 +6,11 @@ lines in one pass; only lines it rejects go through the slower diagnostic
 scanner that pins down a byte offset and reason. Malformed lines never
 abort a stream; the reader records them and moves on, because real-world
 dumps are dirty and a quality assessor has to survive them.
+
+Within one reader pass a repeated IRI or blank-node token yields one
+shared `Term`: the pass keeps a bounded token-to-Term memo, cleared when
+full and released with the pass. Literals are parsed each time, since
+they rarely repeat.
 """
 
 from __future__ import annotations
@@ -127,10 +132,25 @@ def canonical_subject(token: str) -> str:
     return _term_from_token(token).token
 
 
-def parse_line(line: str) -> Triple | None:
+# Memo entries per reader pass; repeats cluster within a few thousand lines,
+# so clearing a full memo loses almost nothing against an LRU.
+_TERM_MEMO_ENTRIES = 4096
+
+
+def _remember(token: str, terms: dict[str, Term]) -> Term:
+    term = _term_from_token(token)  # a token that raises is never stored
+    if len(terms) >= _TERM_MEMO_ENTRIES:
+        terms.clear()
+    terms[token] = term
+    return term
+
+
+def parse_line(line: str, terms: dict[str, Term] | None = None) -> Triple | None:
     """Parse one physical line; None for blank and comment lines.
 
-    Raises NTriplesParseError for anything else that is not a statement.
+    `terms` memoises IRI and blank-node tokens to their Term across calls
+    that share it. Raises NTriplesParseError for anything else that is not
+    a statement.
     """
     line = line.rstrip("\r\n")
     m = _STATEMENT_RE.fullmatch(line)
@@ -138,11 +158,14 @@ def parse_line(line: str) -> Triple | None:
         if _BLANK_RE.fullmatch(line):
             return None
         raise _diagnose(line)
+    s, p, o = m.groups()
+    if terms is None:
+        terms = {}
     try:
         return Triple(
-            _term_from_token(m.group(1)),
-            _term_from_token(m.group(2)),
-            _term_from_token(m.group(3)),
+            terms.get(s) or _remember(s, terms),
+            terms.get(p) or _remember(p, terms),
+            _term_from_token(o) if o[0] == '"' else terms.get(o) or _remember(o, terms),
         )
     except NTriplesParseError:
         raise
@@ -226,7 +249,9 @@ class NTriplesReader:
 
     Iterating yields Triples in file order. Malformed lines are skipped,
     counted in `summary`, and the first ten of them kept in `failures`
-    with line numbers and byte offsets.
+    with line numbers and byte offsets. Within a pass, a repeated IRI or
+    blank-node token yields the same Term object; literals are built
+    fresh. The memo behind that is bounded and dropped when the pass ends.
     """
 
     def __init__(self, source: str | Path | BinaryIO):
@@ -237,6 +262,7 @@ class NTriplesReader:
 
     def __iter__(self) -> Iterator[Triple]:
         src, summary = self._source, self.summary
+        terms: dict[str, Term] = {}
         with open(src, "rb") if isinstance(src, (str, Path)) else nullcontext(src) as fh:
             while True:
                 try:
@@ -249,7 +275,7 @@ class NTriplesReader:
                 summary.lines_read += 1
                 try:
                     line = raw.decode("utf-8")
-                    triple = parse_line(line)
+                    triple = parse_line(line, terms)
                 except UnicodeDecodeError:
                     self._record(0, "invalid UTF-8", "<undecodable line>")
                 except NTriplesParseError as exc:

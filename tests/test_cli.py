@@ -8,6 +8,7 @@ import pytest
 
 from lodprobe import cli, verify_subject_contiguous
 from lodprobe.cli import main
+from lodprobe.deref import MockResolver
 
 from synth import conciseness_stream, deref_fixture, write_ntriples
 
@@ -270,6 +271,55 @@ class TestCompare:
             ])
             assert code == 0
             texts.append(_mask_timings(out.read_text()))
+        assert texts[0] == texts[1]
+
+    def test_mock_script_loaded_once(self, monkeypatch):
+        loads = []
+        load = MockResolver.from_file
+
+        def counting_load(path):
+            loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(MockResolver, "from_file", counting_load)
+        args = cli.build_parser().parse_args([
+            "compare", "--input", str(DATA / "golden.nt"), "--metric", "deref",
+            "--resolver", f"mock:{DATA / 'golden-mock.json'}", "--seed", "42",
+        ])
+        _, timed = cli._plan_run(args, compare=True)
+        assert len(loads) == 1
+        exact, estimate = (entry["processor"].resolver for entry in timed)
+        # One script, but each variant caches its own lookups.
+        assert exact is not estimate and exact.inner is estimate.inner
+
+    def test_report_identical_across_hash_seeds(self, tmp_path):
+        # Sets and dicts iterate differently per process; none of that may
+        # reach the report. The child imports the checkout under test.
+        import subprocess
+        import sys
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        snippet = (
+            f"import sys; sys.path[:0] = [{src!r}]; "
+            "from lodprobe.cli import main; "
+            f"sys.exit(main(['compare', '--input', {str(DATA / 'golden.nt')!r}, "
+            "'--metric', 'deref', '--metric', 'ext-links', '--metric', 'extcon', "
+            "'--metric', 'cc', '--seed', '42', "
+            f"'--resolver', 'mock:' + {str(DATA / 'golden-mock.json')!r}, "
+            "'--out', 'report.json']))"
+        )
+        texts = []
+        for hash_seed in ("1", "2"):
+            cwd = tmp_path / f"hash-{hash_seed}"
+            cwd.mkdir()
+            child = subprocess.run(
+                [sys.executable, "-c", snippet],
+                capture_output=True, text=True,
+                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
+                cwd=str(cwd),
+            )
+            assert child.returncode == 2, child.stderr
+            texts.append(_mask_timings((cwd / "report.json").read_text()))
         assert texts[0] == texts[1]
 
 

@@ -13,6 +13,7 @@ from lodprobe import (
     blank,
     iri,
     literal,
+    ntriples,
     parse_line,
     serialize_triple,
 )
@@ -281,6 +282,92 @@ def test_reader_bounded_memory(tmp_path):
     assert count == 200_000
     # Streaming state only: far below the ~14 MB file size.
     assert peak < 4 * 1024 * 1024
+
+
+def _read_lines(*lines: str) -> tuple[NTriplesReader, list[Triple]]:
+    reader = NTriplesReader(io.BytesIO("".join(f"{line}\n" for line in lines).encode()))
+    return reader, list(reader)
+
+
+def test_reader_shares_repeated_terms():
+    _, (t0, t1, t2, t3) = _read_lines(
+        "<http://a.org/s> <http://a.org/p> <http://a.org/o> .",
+        "<http://a.org/o> <http://a.org/p> _:b1 .",
+        '_:b1 <http://a.org/p> "lit" .',
+        '_:b1 <http://a.org/p> "lit" .',
+    )
+    assert t1.subject is t0.object
+    assert t1.predicate is t0.predicate and t3.predicate is t0.predicate
+    assert t2.subject is t1.object and t3.subject is t1.object
+    # Literals are built fresh on every line.
+    assert t2.object == t3.object and t2.object is not t3.object
+
+
+def test_reader_memo_cap_keeps_terms_correct(monkeypatch):
+    monkeypatch.setattr(ntriples, "_TERM_MEMO_ENTRIES", 4)
+    lines = [
+        f"<http://a.org/s{i % 50}> <http://a.org/p{i % 3}> <http://a.org/o{i * 7 % 50}> ."
+        for i in range(300)
+    ]
+    _, triples = _read_lines(*lines)
+    expected = [parse_line(line) for line in lines]
+    assert triples == expected
+    for got, want in zip(triples, expected):
+        for position in ("subject", "predicate", "object"):
+            assert getattr(got, position).token == getattr(want, position).token
+
+
+def test_reader_never_memoises_a_failing_token():
+    # The escape decodes to a space: the line passes the statement regex
+    # but the IRI fails Term validation, and must fail again next time.
+    bad = "<http://a/\\u0020b> <http://a/p> <http://a/o> ."
+    reader, triples = _read_lines(bad, "<http://a/s> <http://a/p> <http://a/o> .", bad)
+    assert len(triples) == 1
+    assert reader.summary.parse_errors == 2
+    assert [f.line_number for f in reader.failures] == [1, 3]
+    assert all(f.reason == "IRI contains whitespace" for f in reader.failures)
+
+
+def test_reader_escape_spellings_share_one_canonical_token():
+    _, (t0, t1) = _read_lines(
+        "<http://a.org/\\u0078> <http://a.org/p> <http://a.org/o> .",
+        "<http://a.org/x> <http://a.org/p> <http://a.org/o> .",
+    )
+    assert t0.subject == t1.subject
+    assert t0.subject.token == t1.subject.token == "<http://a.org/x>"
+
+
+def _reader_pass_memory(path) -> tuple[int, int]:
+    """(peak, retained) bytes traced over one full pass, above the start."""
+    import tracemalloc
+
+    reader = NTriplesReader(path)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for _ in reader:
+            pass
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert reader.summary.parse_errors == 0
+    return peak - before, after - before
+
+
+def test_reader_memo_memory_envelope(tmp_path):
+    # Every subject is a distinct IRI, so the memo fills and clears over
+    # and over: the peak of a pass must not grow with the input, and the
+    # pass holds nothing once it ends.
+    measured = {}
+    for n in (20_000, 100_000):
+        path = tmp_path / f"distinct-{n}.nt"
+        with open(path, "w") as fh:
+            for i in range(n):
+                fh.write(f"<http://ex.org/s{i:07d}> <http://ex.org/p> <http://ex.org/o{i % 50}> .\n")
+        measured[n] = _reader_pass_memory(path)
+    (peak_small, kept_small), (peak_large, kept_large) = measured.values()
+    assert peak_large - peak_small <= 64 * 1024, measured
+    assert kept_small <= 16 * 1024 and kept_large <= 16 * 1024, measured
 
 
 def test_serialize_term_forms():
