@@ -44,16 +44,10 @@ from .ntriples import (
 )
 from .pld import NoPldError, pld, registrable_domain, try_pld
 from .rng import SeededRng, derive_seed
-from .sketches import (
-    AddOutcome,
-    ReservoirSampler,
-    StableBloomFilter,
-    derive_num_filters,
-)
+from .sketches import ReservoirSampler, StableBloomFilter, derive_num_filters
 from .terms import Term, TermKind, Triple, blank, iri, literal
 
 __all__ = [
-    "AddOutcome",
     "CachedResolver",
     "DatasetReadError",
     "LiveResolver",

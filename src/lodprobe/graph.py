@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .ntriples import serialize_term
 from .rng import SeededRng
@@ -123,9 +124,8 @@ def random_walk(g: ResourceGraph, r: int, seed: int) -> WalkAccumulators:
     below = rng.uniform_below
     adj = g._adj
     visited: dict[str, tuple[str, ...]] = {}
-    order = sorted(adj)
-
-    current = order[below(len(order))]
+    # Insertion order is first-seen order, the same in every process.
+    current = next(islice(adj, below(len(adj)), None))
     psi_sum = 1.0 / len(adj[current])
     phi_sum = 0.0
     # The interior term at position k needs the successor, so each new step

@@ -11,7 +11,7 @@ conservative end of its quality dimension, flagged with a warning counter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .deref import CachedResolver, Resolver, classify, pld_alive
 from .graph import (
@@ -120,39 +120,38 @@ class _ExtLinksBase:
         self.total_object_uris += 1
         self._plds.add(p)
 
-    def _value(self, distinct_plds: Iterable[str], base: str | None) -> float:
+    def _value(self, plds: Collection[str], base: str | None, distinct: float) -> float:
+        """External share of `plds`, scaled to `distinct` PLDs, per object URI."""
         if self.total_object_uris == 0:
             return 0.0
-        external = sum(1 for p in distinct_plds if p != base)
-        return external / self.total_object_uris
+        external = sum(1 for p in plds if p != base)
+        return min(1.0, external * distinct / len(plds) / self.total_object_uris)
 
 
 class ExtLinksEstimate(_ExtLinksBase):
-    """Distinct object PLDs held in a reservoir; denominator counts every
-    object URI streamed. A PLD already in the reservoir is counted but the
-    reservoir discards it, so with capacity >= distinct PLDs the sample is
-    exhaustive and the estimate collapses to the exact value."""
+    """Distinct object PLDs in a bottom-k sample, scaled to the distinct
+    count it estimates; denominator counts every object URI streamed. The
+    count is exact until a PLD is turned away, so with capacity >= distinct
+    PLDs the estimate equals the exact value."""
 
     def __init__(self, reservoir_capacity: int, seed: int):
-        super().__init__(
-            ReservoirSampler(reservoir_capacity, SeededRng(derive_seed(seed, "ext-links")))
-        )
+        super().__init__(ReservoirSampler(reservoir_capacity, derive_seed(seed, "ext-links")))
         self.seed = seed
-        self.capacity = reservoir_capacity
 
     def finalize(self) -> MetricResult:
         base = self._base.result()
         plds = self._plds.contents()
+        distinct = self._plds.distinct()
         return MetricResult(
             metric=self.name,
-            value=self._value(plds, base),
+            value=self._value(plds, base, distinct),
             estimated=True,
-            parameters={"reservoir_capacity": self.capacity, "base_pld": base},
+            parameters={"reservoir_capacity": self._plds.capacity, "base_pld": base},
             counters={
                 "total_object_uris": self.total_object_uris,
                 "objects_without_pld": self.objects_without_pld,
                 "plds_sampled": len(plds),
-                "plds_offered": self._plds.seen,
+                "plds_offered": round(distinct),
                 "zero_denominator": int(self.total_object_uris == 0),
             },
             seed=self.seed,
@@ -169,7 +168,7 @@ class ExtLinksExact(_ExtLinksBase):
         base = self._base.result()
         return MetricResult(
             metric=self.name,
-            value=self._value(self._plds, base),
+            value=self._value(self._plds, base, len(self._plds)),
             estimated=False,
             parameters={"base_pld": base},
             counters={
@@ -332,11 +331,11 @@ def _tally(uris: Iterable[str], resolver: Resolver) -> tuple[int, int]:
 
 
 class DerefEstimate:
-    """Two-level sampling: a global reservoir of PLDs, and one reservoir of
-    resource URIs per retained PLD (dropped when its PLD is evicted, which
-    bounds memory by global x per-PLD capacity). Both levels hold distinct
-    elements: repeats are counted but not re-offered, so duplicate triples
-    cannot skew the sample while everything fits."""
+    """Two-level bottom-k sampling: a global sample of PLDs, and per retained
+    PLD a sample of its URIs that has seen them all, since a PLD turned
+    away never returns (memory: global x per-PLD capacity). The value is
+    sum(n_p ok_p / m_p) / sum(n_p) over those PLDs: n_p distinct URIs, m_p
+    sampled, ok_p dereferenceable (0 when the PLD's root is down)."""
 
     name = "dereferenceability"
 
@@ -347,16 +346,13 @@ class DerefEstimate:
         per_pld_capacity: int,
         seed: int,
     ):
-        if per_pld_capacity < 1:  # its samplers are built lazily, mid-stream
-            raise ValueError("per_pld_capacity must be >= 1")
+        if per_pld_capacity < 2:  # its samplers are built lazily, mid-stream
+            raise ValueError("per_pld_capacity must be >= 2")
         self.seed = seed
         self.resolver = CachedResolver(resolver)
-        self.global_capacity = global_capacity
         self.per_pld_capacity = per_pld_capacity
         self._sample_seed = derive_seed(seed, "dereferenceability")
-        self._global = ReservoirSampler(
-            global_capacity, SeededRng(derive_seed(self._sample_seed, "global"))
-        )
+        self._global = ReservoirSampler(global_capacity, derive_seed(self._sample_seed, "global"))
         self._per_pld: dict[str, ReservoirSampler] = {}
         self.uris_routed = 0
         self.uris_without_pld = 0
@@ -376,30 +372,32 @@ class DerefEstimate:
             if not (outcome.added or outcome.replaced):
                 return
             if outcome.replaced:
-                self._per_pld.pop(outcome.evicted, None)
-            self._per_pld[p] = ReservoirSampler(
-                self.per_pld_capacity, SeededRng(derive_seed(self._sample_seed, f"pld:{p}"))
-            )
+                del self._per_pld[outcome.evicted]
+            self._per_pld[p] = ReservoirSampler(self.per_pld_capacity, self._sample_seed)
         self._per_pld[p].add(uri)
 
     def finalize(self) -> MetricResult:
         deref_ok = sampled = roots_down = transport_errors = 0
+        weighted_ok = weight = 0.0
         for p, sampler in self._per_pld.items():
             uris = sampler.contents()
             sampled += len(uris)
+            n = sampler.distinct()
+            weight += n
             if not pld_alive(f"http://{p}/", self.resolver):
                 roots_down += 1
                 continue
             ok, errors = _tally(uris, self.resolver)
             deref_ok += ok
             transport_errors += errors
-        value = deref_ok / sampled if sampled else 0.0
+            weighted_ok += n * ok / len(uris)
+        value = weighted_ok / weight if weight else 0.0
         return MetricResult(
             metric=self.name,
             value=value,
             estimated=True,
             parameters={
-                "global_capacity": self.global_capacity,
+                "global_capacity": self._global.capacity,
                 "per_pld_capacity": self.per_pld_capacity,
             },
             counters={

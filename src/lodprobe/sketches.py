@@ -1,25 +1,24 @@
-"""Stream sketches: the reservoir sampler and the stable duplicate filter.
+"""Stream sketches: the distinct-item sample and the stable duplicate filter.
 
-Both are single-owner mutable structures driven entirely by a SeededRng,
-so a run is reproducible from its seed. The reservoir implements the
-classic fill-then-replace scheme in which the n-th offered element lands
-in the sample with probability capacity/n, over distinct elements. The
-duplicate filter splits its bit budget across several sub-filters,
-addresses each with one index derived from a single 128-bit Murmur3
-digest, and keeps itself useful on unbounded streams by probabilistically
-clearing bits as it fills up.
+Both are single-owner mutable structures fixed by a seed, so a run is
+reproducible from it. The sample keeps the k distinct items of smallest
+seeded hash (bottom-k). The duplicate filter splits its bit budget across
+several sub-filters, addresses each with one index derived from a single
+128-bit Murmur3 digest, and probabilistically clears bits as it fills up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Generic, TypeVar
+from heapq import heapify, heapreplace
+
+# The C BLAKE2 module itself: `hashlib` would load OpenSSL as well, which
+# adds about 3 MiB to the peak RSS of every run.
+from _blake2 import blake2b
 
 from .murmur3 import murmur3_x64_128
 from .rng import SeededRng
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,50 +31,70 @@ class AddOutcome:
 
     added: bool
     replaced: bool
-    evicted: Any = None
+    evicted: str | None = None
 
 
 _ADDED = AddOutcome(True, False)
 _DISCARDED = AddOutcome(False, False)
 
 
-class ReservoirSampler(Generic[T]):
-    """Fixed-capacity uniform sample of the distinct items of a stream of
-    unknown length: offering a held item discards it without counting it."""
+class ReservoirSampler:
+    """Bottom-k sample of the distinct items of a stream of unknown length.
 
-    def __init__(self, capacity: int, rng: SeededRng):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+    An item's rank is its 64-bit BLAKE2b keyed by the seed, and the sample
+    is the `capacity` items of smallest rank, whatever their order or
+    repeats. A held item is discarded without hashing, and so is the last
+    one turned away: the k-th rank only falls, so it stays turned away.
+    """
+
+    def __init__(self, capacity: int, seed: int):
+        if capacity < 2:  # (k-1)/U_(k) needs k >= 2
+            raise ValueError("capacity must be >= 2")
         self.capacity = capacity
-        self.rng = rng
-        self.seen = 0
-        self._items: list[T] = []
-        self._held: set[T] = set()
+        self._hasher = blake2b(digest_size=8, key=(seed % 2**64).to_bytes(8, "little"))
+        # Items in arrival order until the first overflow, then a max-heap of
+        # (-rank, item): a sample that never binds computes no rank.
+        self._sample: list = []
+        self._held: set[str] = set()
+        self._turned_away: str | None = None  # the last item refused or evicted
 
-    def add(self, item: T) -> AddOutcome:
-        if item in self._held:
+    def _rank(self, item: str) -> int:
+        h = self._hasher.copy()
+        h.update(item.encode("utf-8"))
+        return int.from_bytes(h.digest(), "little")
+
+    def add(self, item: str) -> AddOutcome:
+        if item in self._held or item == self._turned_away:
             return _DISCARDED
-        self.seen += 1
-        items = self._items
-        if len(items) < self.capacity:
-            items.append(item)
+        sample = self._sample
+        if len(sample) < self.capacity:
+            sample.append(item)
             self._held.add(item)
             return _ADDED
-        pos = self.rng.uniform_below(self.seen)
-        if pos < self.capacity:
-            evicted = items[pos]
-            items[pos] = item
-            self._held.discard(evicted)
-            self._held.add(item)
-            return AddOutcome(False, True, evicted)
-        return _DISCARDED
+        if self._turned_away is None:
+            sample[:] = [(-self._rank(x), x) for x in sample]
+            heapify(sample)
+        rank = self._rank(item)
+        if rank >= -sample[0][0]:
+            self._turned_away = item
+            return _DISCARDED
+        evicted = self._turned_away = heapreplace(sample, (-rank, item))[1]
+        self._held.discard(evicted)
+        self._held.add(item)
+        return AddOutcome(False, True, evicted)
 
-    def contents(self) -> list[T]:
-        """Current sample in position order; |result| = min(seen, capacity)."""
-        return list(self._items)
+    def distinct(self) -> float:
+        """Distinct items offered: exact until one was turned away, then the
+        bottom-k estimate (k-1)/U_(k), U_(k) the k-th rank scaled to [0, 1)."""
+        if self._turned_away is None:
+            return len(self._sample)
+        return (self.capacity - 1) * 2.0**64 / -self._sample[0][0]
 
-    def __len__(self) -> int:
-        return len(self._items)
+    def contents(self) -> list[str]:
+        """The sampled items; |result| = min(distinct offered, capacity)."""
+        if self._turned_away is None:
+            return list(self._sample)
+        return [item for _, item in self._sample]
 
 
 def derive_num_filters(fpr_threshold: float) -> int:
@@ -111,16 +130,11 @@ class StableBloomFilter:
         total_bits: int,
         fpr_threshold: float,
         rng: SeededRng,
-        num_filters: int | None = None,
         enable_resets: bool = True,
         log_resets: bool = False,
     ):
-        if not 0.0 < fpr_threshold < 1.0:
-            raise ValueError("fpr_threshold must be in (0, 1)")
         self.fpr_threshold = fpr_threshold
-        self.num_filters = num_filters if num_filters is not None else derive_num_filters(fpr_threshold)
-        if self.num_filters < 1:
-            raise ValueError("num_filters must be >= 1")
+        self.num_filters = derive_num_filters(fpr_threshold)
         self.bits_per_filter = total_bits // self.num_filters
         if self.bits_per_filter < 8:
             raise ValueError("total_bits too small for the derived filter count")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from typing import Callable
 
 from lodprobe import SeededRng, Triple, iri, literal, serialize_triple
 from lodprobe.graph import ResourceGraph
@@ -115,13 +116,14 @@ def write_ntriples(path, triples) -> None:
 
 def deref_fixture(
     n_plds: int,
-    uris_per_pld: int,
+    uris_per_pld: int | Callable[[int], int],
     verdict_of,
     dead_root_plds: set[int] = frozenset(),
 ) -> tuple[list[Triple], dict, float]:
     """Mock-backed dereferenceability fixture with a hand-computed ratio.
 
-    `verdict_of(pld_index, uri_index)` returns one of "hash-ok", "303-ok",
+    `uris_per_pld` is one count for every PLD or a function of the PLD
+    index. `verdict_of(pld_index, uri_index)` returns one of "hash-ok", "303-ok",
     "direct-200", "404", "500". Returns (triples, mock mappings, expected
     exact value) where the expectation enumerates every URI's verdict.
     """
@@ -138,7 +140,7 @@ def deref_fixture(
         mappings[f"http://{pld_name}/"] = [
             {"status": 200, "content_type": "text/html"} if root_ok else {"status": 503}
         ]
-        for u in range(uris_per_pld):
+        for u in range(uris_per_pld(p) if callable(uris_per_pld) else uris_per_pld):
             verdict = verdict_of(p, u)
             total += 1
             if verdict == "hash-ok":

@@ -64,16 +64,21 @@ def _report(n: int, description: str) -> None:
 def test_criterion_1_reservoir_uniformity():
     capacity, stream_len, seeds = 100, 10_000, 250
     counts = [0] * stream_len
+    items = [str(i) for i in range(stream_len)]
 
     start = time.perf_counter()
     for seed in range(seeds):
-        sampler = ReservoirSampler(capacity, SeededRng(seed))
-        for item in range(stream_len):
+        sampler = ReservoirSampler(capacity, seed)
+        for i, item in enumerate(items):
             sampler.add(item)
+            # One repeat per four items, always of an item from the first
+            # half: a repeat must not give its item another chance.
+            if i % 4 == 3:
+                sampler.add(items[i // 2])
         contents = sampler.contents()
         assert len(contents) == capacity
         for item in contents:
-            counts[item] += 1
+            counts[int(item)] += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"sampling took {elapsed:.1f}s"
 

@@ -49,6 +49,7 @@ BAD_VALUES = [
     (["--param", "min_steps=1000001"], None,
      "clustering-coefficient:estimate (mixing_multiplier=1.0, min_steps=1000001)"),
     (["--param", "reservoir_capacity=0"], None, "external-links:estimate (reservoir_capacity=0)"),
+    (["--param", "reservoir_capacity=1"], None, "external-links:estimate (reservoir_capacity=1)"),
     (["--param", "total_bits=10"], None,
      "extensional-conciseness:estimate (total_bits=10, fpr_threshold=0.001)"),
     (["--param", "fpr_threshold=2"], None,
@@ -57,6 +58,8 @@ BAD_VALUES = [
      "dereferenceability:estimate (global_capacity=0, per_pld_capacity=10000)"),
     (["--param", "per_pld_capacity=0"], None,
      "dereferenceability:estimate (global_capacity=50, per_pld_capacity=0)"),
+    (["--param", "per_pld_capacity=1"], None,
+     "dereferenceability:estimate (global_capacity=50, per_pld_capacity=1)"),
     ([], "abc", "LODPROBE_SEED"),
     (["--config", "malformed.json"], None, "malformed.json"),
     (["--config", "list.json"], None, "list.json: the top level must be an object"),

@@ -37,7 +37,7 @@ def _replay_walk(g: ResourceGraph, r: int, seed: int) -> tuple[float, float]:
     """Independent replay of random_walk's draw sequence: (phi_sum, psi_sum),
     summed in the walk's own order, from a path that must follow edges."""
     rng = SeededRng(seed)
-    order = sorted(g.vertices())
+    order = list(g.vertices())
     path = [order[rng.uniform_below(len(order))]]
     for _ in range(r - 1):
         ns = sorted(g.neighbors(path[-1]))

@@ -1,6 +1,8 @@
 import pytest
+from scipy import integrate, stats
 
 from lodprobe import (
+    CachedResolver,
     MetricResult,
     MockResolver,
     SeededRng,
@@ -130,12 +132,41 @@ class TestExtLinks:
         estimate = run(ExtLinksEstimate(reservoir_capacity=64, seed=9), triples)
         assert estimate.value == exact.value  # bit-for-bit float equality
 
-    def test_small_reservoir_still_bounded(self):
+    def test_small_reservoir_in_range_and_centred(self):
+        # 41 distinct PLDs through 5 slots: exact value 40/50 = 0.8. The
+        # estimate is min(1, share x 4/U / 50), U the 5th smallest of 41
+        # uniform ranks, so the clamp cuts its upper tail and its mean is
+        # the integral below (0.707, sd 0.22), not 0.8.
         externals = [f"e{k}.org" for k in range(40)]
         triples = _dataset_with_externals(10, externals)
-        result = run(ExtLinksEstimate(reservoir_capacity=5, seed=2), triples)
-        assert result.counters["plds_sampled"] == 5
-        assert 0.0 <= result.value <= 40 / 50
+        values = []
+        for seed in range(20):
+            result = run(ExtLinksEstimate(reservoir_capacity=5, seed=seed), triples)
+            assert result.counters["plds_sampled"] == 5
+            assert 0.0 <= result.value <= 1.0
+            values.append(result.value)
+        u = stats.beta(5, 37)
+
+        def clamped_mean(share):
+            c = share * 4 / 50
+            return integrate.quad(lambda x: min(1.0, c / x) * u.pdf(x), 0, 1, points=[c])[0]
+
+        # a.org is among the 5 sampled PLDs with probability 5/41
+        expected = 5 / 41 * clamped_mean(4 / 5) + 36 / 41 * clamped_mean(1.0)
+        assert abs(sum(values) / len(values) - expected) <= 3 * 0.22 / len(values) ** 0.5
+
+    def test_estimate_within_bound_when_sample_binds(self):
+        # 1,500 distinct object PLDs (a.org and 1,499 externals) through
+        # 1,000 slots: the external share is scaled by the estimated
+        # distinct count, so the value keeps within 3/sqrt(k) of exact.
+        capacity = 1_000
+        triples = _dataset_with_externals(500, [f"x{k:04d}.net" for k in range(1_499)])
+        exact = run(ExtLinksExact(), triples)
+        assert exact.counters["distinct_plds"] == 1_500
+        for seed in range(20):
+            est = run(ExtLinksEstimate(capacity, seed=seed), triples)
+            assert est.counters["plds_sampled"] == capacity
+            assert abs(est.value / exact.value - 1) <= 3 / capacity**0.5, seed
 
     def test_blank_and_literal_objects_skipped(self):
         triples = [
@@ -312,7 +343,39 @@ class TestDeref:
         for t in triples:
             processor.consume(t)
         assert len(processor._per_pld) <= 8
-        assert all(len(s) <= 5 for s in processor._per_pld.values())
+        assert all(len(s.contents()) <= 5 for s in processor._per_pld.values())
+
+    def test_estimate_unbiased_when_sample_binds(self):
+        # 201 PLDs (200 of 2-61 URIs, plus the subject's) through 50 slots.
+        # Each PLD's first URIs dereference and its later ones 404, so a
+        # PLD whose sample misses its first URIs reads low.
+        def size(p):
+            return 2 + (p * 7) % 60
+
+        triples, mappings, _ = deref_fixture(
+            200, size, lambda p, u: "hash-ok" if 5 * u < (1 + p % 3) * size(p) else "404"
+        )
+        resolver = CachedResolver(MockResolver(mappings))  # shared: resolve each URI once
+        exact = run(DerefExact(resolver), triples).value
+        errors = [
+            run(DerefEstimate(resolver, 50, 10_000, seed), triples).value - exact
+            for seed in range(20)
+        ]
+        assert max(map(abs, errors)) <= 0.1, errors
+        assert abs(sum(errors) / len(errors)) <= 0.02, errors
+
+    def test_retained_pld_sample_sees_all_its_uris(self):
+        # 200 PLDs of 30 URIs each, offered round-robin: a PLD in the final
+        # sample was in it from its first URI on, so it holds all 30.
+        triples = [
+            Triple(blank("b"), iri("http://v.org/p"), iri(f"http://pld{p:03d}.org/r{u}"))
+            for u in range(30)
+            for p in range(200)
+        ]
+        ok = MockResolver({"http://": [{"status": 200, "content_type": "text/turtle"}]})
+        result = run(DerefEstimate(ok, 50, 100, seed=8), triples)
+        assert result.counters["plds_retained"] == 50
+        assert result.counters["uris_sampled"] == 1_500
 
     def test_empty_dataset_zero(self):
         result = run(DerefExact(MockResolver({})), [])

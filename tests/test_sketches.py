@@ -1,90 +1,136 @@
+import subprocess
+import sys
+from hashlib import blake2b
+from pathlib import Path
+
 import pytest
 from scipy import stats
 
 from lodprobe import (
-    AddOutcome,
     ReservoirSampler,
     SeededRng,
     StableBloomFilter,
     derive_num_filters,
-    derive_seed,
     murmur3_x64_128,
 )
+from lodprobe.sketches import AddOutcome
 
 
-def _sampler(capacity, seed=0):
-    return ReservoirSampler(capacity, SeededRng(seed))
+def _rank(item: str, seed: int) -> int:
+    """Independent oracle for the sampler's rank: keyed 64-bit BLAKE2b."""
+    key = (seed % 2**64).to_bytes(8, "little")
+    return int.from_bytes(blake2b(item.encode(), digest_size=8, key=key).digest(), "little")
+
+
+class _CountingHasher:
+    """Stands in for a sampler's keyed hasher and counts the items it hashes."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.copies = 0
+
+    def copy(self):
+        self.copies += 1
+        return self.inner.copy()
 
 
 class TestReservoir:
     def test_fill_phase(self):
-        s = _sampler(3)
-        for position, x in enumerate("abc"):
+        s = ReservoirSampler(3, seed=0)
+        for x in "abc":
             assert s.add(x) == AddOutcome(True, False)
-            assert s.contents()[position] == x
-        assert s.seen == 3
-        assert s.contents() == ["a", "b", "c"]
-
-    def test_replacement_follows_rng(self):
-        # capacity 1: after the fill, item b replaces a iff uniform_below(2) == 0.
-        seed = next(
-            s for s in range(100)
-            if SeededRng(s).uniform_below(2) == 0
-        )
-        s = ReservoirSampler(1, SeededRng(seed))
-        assert s.add("a").added
-        outcome = s.add("b")
-        assert outcome.replaced and outcome.evicted == "a"
-        assert s.contents() == ["b"]  # at position 0
-
-    def test_discard_outcome(self):
-        seed = next(s for s in range(100) if SeededRng(s).uniform_below(2) == 1)
-        s = ReservoirSampler(1, SeededRng(seed))
-        s.add("a")
-        outcome = s.add("b")
-        assert outcome == AddOutcome(False, False)
-        assert s.contents() == ["a"]
-
-    def test_held_item_is_discarded_uncounted(self):
-        # Offering an item the sample holds draws nothing and leaves `seen`;
-        # once evicted, the same item is an ordinary offer again.
-        seed = next(s for s in range(100) if SeededRng(s).uniform_below(2) == 0)
-        s = ReservoirSampler(1, SeededRng(seed))
-        assert s.add("a").added
-        outcome = s.add("a")
-        assert not outcome.added and not outcome.replaced and s.seen == 1
-        assert s.add("b").evicted == "a"
-        assert not s.add("b").replaced and s.seen == 2
-        s.add("a")
-        assert s.seen == 3
+        assert sorted(s.contents()) == ["a", "b", "c"]
+        assert s.distinct() == 3
 
     def test_replay_matches_manual_simulation(self):
-        # Replaying the very same rng draws by hand must reproduce the state.
-        seed = 777
-        rng_live, rng_replay = SeededRng(seed), SeededRng(seed)
-        s = ReservoirSampler(4, rng_live)
-        expected = []
-        for i in range(200):
-            item = f"x{i}"
-            if len(expected) < 4:
-                expected.append(item)
-            else:
-                p = rng_replay.uniform_below(i + 1)
-                if p < 4:
-                    expected[p] = item
-            s.add(item)
-        assert s.contents() == expected
+        # The sample is the k items of smallest rank, ranked here by hand.
+        items = [f"item{i}" for i in range(300)]
+        s = ReservoirSampler(10, seed=5)
+        for x in items:
+            s.add(x)
+        assert sorted(s.contents()) == sorted(sorted(items, key=lambda x: _rank(x, 5))[:10])
+
+    def test_held_item_is_discarded_uncounted(self):
+        # Held, refused and evicted items alike: a second offer changes
+        # neither the sample nor its distinct count, in any order.
+        items = [f"u{i}" for i in range(60)]
+        s = ReservoirSampler(5, seed=1)
+        for x in items:
+            s.add(x)
+        sample, distinct = sorted(s.contents()), s.distinct()
+        for x in reversed(items + items):
+            assert s.add(x) == AddOutcome(False, False), x
+        assert sorted(s.contents()) == sample
+        assert s.distinct() == distinct
+
+    def test_eviction_returns_evicted(self):
+        s = ReservoirSampler(2, seed=2)
+        assert s.add("a").added and s.add("b").added
+        top = max("ab", key=lambda x: _rank(x, 2))
+        lower = next(f"c{i}" for i in range(1000) if _rank(f"c{i}", 2) < _rank(top, 2))
+        outcome = s.add(lower)
+        assert outcome == AddOutcome(False, True, top)
+        assert sorted(s.contents()) == sorted({"a", "b", lower} - {top})
+        assert not s.add(top).replaced
+
+    @pytest.mark.parametrize("k", [2, 3, 10])
+    def test_distinct_exact_up_to_capacity(self, k):
+        s = ReservoirSampler(k, seed=3)
+        for i in range(k):
+            s.add(f"d{i}")
+            s.add(f"d{i}")
+            assert s.distinct() == i + 1
+        assert type(s.distinct()) is int
+        for i in range(k, 5 * k + 20):
+            s.add(f"d{i}")
+        kth_rank = max(_rank(x, 3) for x in s.contents())
+        assert s.distinct() == pytest.approx((k - 1) * 2**64 / kth_rank, rel=1e-12)
+
+    def test_discard_outcome(self):
+        s = ReservoirSampler(2, seed=6)
+        s.add("a")
+        s.add("b")
+        threshold = max(_rank("a", 6), _rank("b", 6))
+        above = next(f"z{i}" for i in range(1000) if _rank(f"z{i}", 6) > threshold)
+        assert s.add(above) == AddOutcome(False, False)
+        assert sorted(s.contents()) == ["a", "b"]
 
     def test_size_invariant_random_ops(self):
         rng = SeededRng(5)
         for trial in range(30):
-            cap = 1 + rng.uniform_below(10)
-            s = ReservoirSampler(cap, SeededRng(derive_seed(rng.seed, f"t{trial}")))
+            cap = 2 + rng.uniform_below(10)
+            s = ReservoirSampler(cap, seed=trial)
             n = rng.uniform_below(300)
             for i in range(n):
-                s.add(i)
-            assert len(s) == min(n, cap)
-            assert s.seen == n
+                s.add(str(i))
+            assert len(s.contents()) == min(n, cap)
+            if n <= cap:
+                assert s.distinct() == n
+
+    def test_distinct_estimate_within_bound(self):
+        k, n = 400, 4000
+        for seed in range(10):
+            s = ReservoirSampler(k, seed=seed)
+            for i in range(n):
+                s.add(f"v{i}")
+            assert abs(s.distinct() / n - 1) <= 4 / k**0.5, seed
+
+    def test_last_refused_item_is_not_hashed_again(self):
+        s = ReservoirSampler(2, seed=4)
+        s._hasher = counter = _CountingHasher(s._hasher)
+        s.add("a")
+        s.add("b")
+        assert s.add("a") == AddOutcome(False, False)  # held: not hashed
+        assert counter.copies == 0  # ranks wait for the first overflow
+        threshold = max(_rank("a", 4), _rank("b", 4))
+        x, y = [f"r{i}" for i in range(1000) if _rank(f"r{i}", 4) > threshold][:2]
+        assert s.add(x) == AddOutcome(False, False)
+        assert counter.copies == 3  # a, b and x
+        assert s.add(x) == AddOutcome(False, False)  # the refused slot
+        assert counter.copies == 3
+        s.add(y)
+        assert s.add(x) == AddOutcome(False, False)  # slot now holds y
+        assert counter.copies == 5
 
     def test_retention_frequency_capacity2_stream4(self):
         # Each of 4 items should be retained with probability 2/4 = 0.5
@@ -93,22 +139,38 @@ class TestReservoir:
         trials = 100_000
         counts = [0, 0, 0, 0]
         for seed in range(trials):
-            s = _sampler(2, seed=seed)
-            for i in range(4):
+            s = ReservoirSampler(2, seed=seed)
+            for i in "0123":
                 s.add(i)
             for kept in s.contents():
-                counts[kept] += 1
+                counts[int(kept)] += 1
         bound = 3 * (0.5 * 0.5 / trials) ** 0.5
         for i, c in enumerate(counts):
             freq = c / trials
             assert abs(freq - 0.5) < bound, f"item {i}: {freq}"
 
     def test_empty_contents(self):
-        assert _sampler(3).contents() == []
+        s = ReservoirSampler(3, seed=0)
+        assert s.contents() == []
+        assert s.distinct() == 0
 
     def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            _sampler(0)
+        for capacity in (0, 1):  # from one rank, (1-1)/U_(1) would read 0
+            with pytest.raises(ValueError):
+                ReservoirSampler(capacity, seed=0)
+
+
+def test_cli_import_leaves_openssl_unloaded():
+    # `hashlib` loads OpenSSL's `_hashlib`, about 3 MiB of RSS in every
+    # run; the sampler takes BLAKE2b from `_blake2` to stay clear of it.
+    # The child imports the checkout under test, not an installed lodprobe.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import lodprobe.cli; "
+        "sys.exit('_hashlib' in sys.modules)"
+    )
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr or "_hashlib was imported"
 
 
 class TestDeriveNumFilters:
@@ -127,10 +189,10 @@ class TestDeriveNumFilters:
 
 
 def _positions(item: bytes, num_filters: int, bits_per_filter: int) -> list[int]:
-    """Bit index of `item` in each sub-filter of a filter of that shape."""
-    f = StableBloomFilter(
-        num_filters * bits_per_filter, 0.5, SeededRng(0), num_filters=num_filters
-    )
+    """Bit index of `item` in each sub-filter of a filter of that shape
+    (a threshold of 2^-k derives exactly k sub-filters)."""
+    f = StableBloomFilter(num_filters * bits_per_filter, 2.0**-num_filters, SeededRng(0))
+    assert f.num_filters == num_filters
     assert f.bits_per_filter == bits_per_filter
     return f._positions(item)
 
@@ -157,7 +219,7 @@ class TestHashBitIndex:
         counts = [0] * buckets
         n = 100_000
         scale = 2**64
-        f = StableBloomFilter(3 * buckets, 0.5, SeededRng(0), num_filters=3)
+        f = StableBloomFilter(3 * buckets, 2.0**-3, SeededRng(0))
         for _ in range(n):
             item = rng.next_u64().to_bytes(8, "little")
             counts[f._positions(item)[2]] += 1
@@ -281,5 +343,3 @@ class TestStableBloomFilter:
             _filter(t=0.0)
         with pytest.raises(ValueError):
             _filter(total_bits=10, t=0.001)  # too few bits per filter
-        with pytest.raises(ValueError):
-            StableBloomFilter(1000, 0.01, SeededRng(0), num_filters=0)
