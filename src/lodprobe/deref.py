@@ -124,19 +124,6 @@ def pld_alive(pld_root: str, resolver: Resolver) -> bool:
     return final is not None and not 400 <= final <= 599
 
 
-@dataclass
-class _Script:
-    """One mock mapping: URI pattern plus the hop-by-hop response list."""
-
-    pattern: str
-    responses: list[dict]
-
-    def matches(self, uri: str) -> bool:
-        if self.pattern.endswith("*"):
-            return uri.startswith(self.pattern[:-1])
-        return uri == self.pattern
-
-
 class MockResolver:
     """Scripted resolver for network-free runs.
 
@@ -148,8 +135,11 @@ class MockResolver:
 
     def __init__(self, mappings: dict[str, list[dict]], max_redirects: int = DEFAULT_MAX_REDIRECTS):
         self.max_redirects = max_redirects
-        self._scripts = [_Script(p, r) for p, r in mappings.items()]
-        self._scripts.sort(key=lambda s: (s.pattern.endswith("*"), -len(s.pattern)))
+        self._exact = {p: r for p, r in mappings.items() if not p.endswith("*")}
+        self._prefixes = sorted(
+            ((p[:-1], r) for p, r in mappings.items() if p.endswith("*")),
+            key=lambda pair: -len(pair[0]),
+        )
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockResolver":
@@ -175,19 +165,22 @@ class MockResolver:
         mappings = {m["pattern"]: m["responses"] for m in doc["mappings"]}
         return cls(mappings, max_redirects)
 
-    def _find(self, uri: str) -> _Script | None:
-        for script in self._scripts:
-            if script.matches(uri):
-                return script
+    def _find(self, uri: str) -> list[dict] | None:
+        responses = self._exact.get(uri)
+        if responses is not None:
+            return responses
+        for prefix, responses in self._prefixes:
+            if uri.startswith(prefix):
+                return responses
         return None
 
     def resolve(self, uri: str) -> Resolution:
-        script = self._find(uri)
-        if script is None:
+        responses = self._find(uri)
+        if responses is None:
             return Resolution(uri, transport_error="unmatched-uri")
         chain: list[int] = []
         content_type = None
-        for entry in script.responses:
+        for entry in responses:
             if "error" in entry:
                 return Resolution(uri, tuple(chain), None, entry["error"])
             status = int(entry["status"])

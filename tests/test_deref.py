@@ -159,6 +159,21 @@ class TestMockResolver:
         })
         assert r.resolve("http://a.org/data/x").final_status == 200
 
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_exact_then_longest_prefix_whatever_the_order(self, order):
+        patterns = [
+            ("http://a.org/*", 404),
+            ("http://a.org/x*", 410),
+            ("http://a.org/xy*", 500),
+            ("http://a.org/x", 200),  # shorter than a prefix pattern that also matches
+        ]
+        r = mock({p: [{"status": status}] for p, status in patterns[::order]})
+        assert r.resolve("http://a.org/x").final_status == 200
+        assert r.resolve("http://a.org/xy").final_status == 500
+        assert r.resolve("http://a.org/xq").final_status == 410
+        assert r.resolve("http://a.org/q").final_status == 404
+        assert r.resolve("http://b.org/").transport_error == "unmatched-uri"
+
     def test_status_chain_recorded(self):
         r = mock({
             "http://a.org/res": [

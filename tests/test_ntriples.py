@@ -1,5 +1,7 @@
 import dataclasses
 import io
+import random
+import re
 
 import pytest
 
@@ -75,6 +77,146 @@ def _oracle_decode(raw: str) -> str:
             out.append(_TABLE[tag])
             i += 2
     return "".join(out)
+
+
+# Oracle grammar: the per-character alternation form of the IRI and
+# literal pieces, (?:plain|escape)*. The parser's unrolled patterns must
+# accept the same lines and capture the same groups.
+_ORACLE_IRI = r"<(?:[^\x00-\x20<>\"{}|^`\\]|\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8})*>"
+_ORACLE_LITERAL = (
+    r"\"(?:[^\"\\\n\r]|\\[tbnrf\"'\\]|\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8})*\""
+    r"(?:\^\^" + _ORACLE_IRI + r"|@[A-Za-z]+(?:-[A-Za-z0-9]+)*)?"
+)
+_ORACLE_STATEMENT_RE = re.compile(
+    r"[ \t]*(" + _ORACLE_IRI + r"|" + ntriples._BNODE + r")"
+    r"[ \t]+(" + _ORACLE_IRI + r")"
+    r"[ \t]+(" + _ORACLE_IRI + r"|" + ntriples._BNODE + r"|" + _ORACLE_LITERAL + r")"
+    r"[ \t]*\.[ \t]*(?:#.*)?$"
+)
+_ORACLE_SUBJECT_RE = re.compile(_ORACLE_IRI + r"|" + ntriples._BNODE)
+
+# Term-body pieces: _PLAIN ones keep a term well formed in most places;
+# _TRICKY ones sit on the edges of the grammar (lone backslashes, short
+# escapes, delimiters, separators, ECHARs that only literals allow).
+_PLAIN = [
+    "u", "U", "0", "7", "a", "F", "g", "x", "/", "-", "en", "#", ".", "@", "_:",
+    "é", "二", "\U0001F600", "\\u00e9", "\\U0001F600",
+]
+_TRICKY = ["\\", "\\", '"', "<", ">", " ", "\t", "^^", "\\u12", "\\n", '\\"', "\\\\"]
+
+
+def _grammar_corpus(seed: int, n: int) -> list[str]:
+    """Statement-shaped lines whose term bodies mix _PLAIN and _TRICKY
+    pieces; on about half the lines the structure around them is broken
+    too (separators, terminator, blank-node labels, language tags)."""
+    rng = random.Random(seed)
+
+    def pick(good: list[str], bad: list[str]) -> str:
+        return rng.choice(bad if noisy and rng.random() < 0.3 else good)
+
+    def fragment(most: int) -> str:
+        return "".join(
+            rng.choice(_TRICKY if rng.random() < tricky else _PLAIN)
+            for _ in range(rng.randrange(most + 1))
+        )
+
+    def term(*kinds: str) -> str:
+        kind = rng.choice(kinds)
+        if kind == "iri":
+            return f"<{fragment(6)}>"
+        if kind == "bnode":
+            return "_:" + pick(["b", "b.1", "_x-", "b1"], ["b.", "b:", "b\\u0041", ""])
+        tag = pick(["en", "en-GB", "x-1"], ["-en", "e1", "", "en-"])
+        suffix = rng.choice(["", "", f"^^<{fragment(3)}>", f"@{tag}"])
+        return f'"{fragment(8)}"{suffix}'
+
+    lines = []
+    for _ in range(n):
+        noisy = rng.random() < 0.5
+        tricky = rng.choice([0.0, 0.03, 0.1])
+        sep = [pick([" ", "\t", "  "], [""]) for _ in range(3)]
+        end = pick([" .", ".", " . # c", "\t.\t#"], [" . x", "", " .."])
+        lines.append(
+            f"{sep[0]}{term('iri', 'bnode')}{sep[1]}{term('iri')}{sep[2]}"
+            f"{term('iri', 'bnode', 'literal')}{end}"
+        )
+    return lines
+
+
+def _groups(m):
+    return None if m is None else (m.span(), m.groups())
+
+
+def test_statement_grammar_matches_oracle_on_random_corpus():
+    corpus = _grammar_corpus(20260901, 20_000)
+    accepted = 0
+    for line in corpus:
+        want = _groups(_ORACLE_STATEMENT_RE.fullmatch(line))
+        assert _groups(ntriples._STATEMENT_RE.fullmatch(line)) == want, line
+        accepted += want is not None
+        for token in line.split():
+            want = _groups(_ORACLE_SUBJECT_RE.fullmatch(token))
+            assert _groups(ntriples._SUBJECT_RE.fullmatch(token)) == want, token
+    # Both outcomes are well represented, or the comparison shows little.
+    assert 0.1 * len(corpus) < accepted < 0.9 * len(corpus), accepted
+
+
+@pytest.mark.parametrize(
+    "term, value",
+    [
+        # an escape at the start and at the end of an IRI and of a literal
+        ("<\\u0041bc>", "Abc"),
+        ("<abc\\U0001F600>", "abc\U0001F600"),
+        ('"\\tabc"', "\tabc"),
+        ('"abc\\u0041"', "abcA"),
+        # back-to-back escapes
+        ("<\\u0041\\U0001F600\\u0042>", "A\U0001F600B"),
+        ('"\\n\\t\\u0041\\"\\\\"', '\n\tA"\\'),
+        # an escaped quote just before the closing one; a literal ending in \\"
+        ('"abc\\""', 'abc"'),
+        ('"abc\\\\"', "abc\\"),
+        ('"\\\\\\\\"', "\\\\"),
+        # an odd backslash run escapes the last quote, so the literal is open
+        ('"abc\\\\\\"', None),
+        # \u or \U one hex digit short
+        ("<a\\u004>", None),
+        ('"a\\u004"', None),
+        ('"a\\u004g"', None),
+        ("<a\\U0001F60>", None),
+        # a backslash just before >, or before a character no escape starts with
+        ("<abc\\>", None),
+        ("<abc\\ >", None),
+        ('"abc\\q"', None),
+        ("<a\\n>", None),
+    ],
+)
+def test_statement_grammar_edge_cases(term, value):
+    line = f"<http://a.org/s> <http://a.org/p> {term} ."
+    m = ntriples._STATEMENT_RE.fullmatch(line)
+    assert _groups(m) == _groups(_ORACLE_STATEMENT_RE.fullmatch(line))
+    if term.startswith("<"):
+        assert _groups(ntriples._SUBJECT_RE.fullmatch(term)) == _groups(
+            _ORACLE_SUBJECT_RE.fullmatch(term))
+    if value is None:
+        assert m is None
+        with pytest.raises(NTriplesParseError):
+            parse_line(line)
+    else:
+        assert m.group(3) == term
+        assert parse_line(line).object.lexical == value
+
+
+def test_long_tokens_parse_and_roundtrip():
+    # A 1 MiB literal and a 64 KiB IRI, each with escapes all along.
+    long_literal = literal(('say "hi"\n\\ é\t二 ' * 70_000)[: 1 << 20])
+    long_iri = iri("http://a.org/" + ("seg/é二{x}" * 8_000)[: 1 << 16])
+    t = Triple(long_iri, iri("http://a.org/p"), long_literal)
+    line = serialize_triple(t)
+    assert len(line) > (1 << 20) + (1 << 16)
+    assert parse_line(line) == t
+    assert serialize_triple(parse_line(line)) == line
+    raw = '<http://a.org/s> <http://a.org/p> "' + "\\u0041b" * 200_000 + '" .'
+    assert parse_line(raw).object.lexical == "Ab" * 200_000
 
 
 @pytest.mark.parametrize(

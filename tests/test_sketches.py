@@ -160,17 +160,35 @@ class TestReservoir:
                 ReservoirSampler(capacity, seed=0)
 
 
+def _cli_import_modules() -> tuple[set[str], set[str]]:
+    """(every module, top-level modules the import added) after a fresh
+    child imports `lodprobe.cli` from the checkout under test, not from an
+    installed lodprobe."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+        "import lodprobe.cli; "
+        "print(' '.join(sys.modules)); "
+        "print(' '.join({m.partition('.')[0] for m in set(sys.modules) - before}))"
+    )
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    loaded, added = child.stdout.splitlines()
+    return set(loaded.split()), set(added.split())
+
+
 def test_cli_import_leaves_openssl_unloaded():
     # `hashlib` loads OpenSSL's `_hashlib`, about 3 MiB of RSS in every
     # run; the sampler takes BLAKE2b from `_blake2` to stay clear of it.
-    # The child imports the checkout under test, not an installed lodprobe.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import lodprobe.cli; "
-        "sys.exit('_hashlib' in sys.modules)"
-    )
-    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert child.returncode == 0, child.stderr or "_hashlib was imported"
+    loaded, _ = _cli_import_modules()
+    assert "_hashlib" not in loaded
+
+
+def test_cli_import_loads_only_the_standard_library():
+    # The core is stdlib-only: the CLI's import chain may add lodprobe
+    # itself and standard-library modules, nothing installed beside them.
+    _, added = _cli_import_modules()
+    assert added - sys.stdlib_module_names == {"lodprobe"}
 
 
 class TestDeriveNumFilters:
