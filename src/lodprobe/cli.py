@@ -60,6 +60,7 @@ DEFAULTS = {
     "dereferenceability": {"global_capacity": 50, "per_pld_capacity": 10000},
     "clustering-coefficient": {"mixing_multiplier": 1.0, "min_steps": 3},
 }
+_PARAM_NAMES = sorted({key for params in DEFAULTS.values() for key in params})
 
 
 # Expected JSON type of each config-file key, at the top level and in a
@@ -99,7 +100,25 @@ def _normalise_metric_entry(entry) -> dict:
     variant = (variant or "estimate").strip().lower()
     if variant not in ("exact", "estimate"):
         raise UsageError(f"variant must be exact or estimate, not {variant!r}")
+    for key in parameters:
+        if key not in DEFAULTS[canonical]:
+            raise UsageError(f"metric {name!r}: unknown parameter {key!r} "
+                             f"(accepted: {', '.join(DEFAULTS[canonical])})")
     return {"name": canonical, "variant": variant, "parameters": parameters}
+
+
+def _canonical_param(key: str, where: str) -> str:
+    """`key` when it is a bare parameter name, or `metric.name` when it is
+    `scope.name` for a parameter of the metric that `scope` names (any name
+    --metric accepts); any other key is a UsageError."""
+    scope, dot, name = key.rpartition(".")
+    if not dot and name in _PARAM_NAMES:
+        return name
+    metric = METRIC_ALIASES.get(scope.lower())
+    if metric is not None and name in DEFAULTS[metric]:
+        return f"{metric}.{name}"
+    raise UsageError(f"{where}: unknown parameter {key!r} (accepted: "
+                     f"{', '.join(_PARAM_NAMES)}, each bare or as METRIC.KEY)")
 
 
 def _parse_params(pairs: list[str]) -> dict[str, str]:
@@ -108,7 +127,7 @@ def _parse_params(pairs: list[str]) -> dict[str, str]:
         key, sep, value = pair.partition("=")
         if not sep or not key:
             raise UsageError(f"--param expects key=value, got {pair!r}")
-        params[key.strip()] = value.strip()
+        params[_canonical_param(key.strip(), "--param")] = value.strip()
     return params
 
 
@@ -128,7 +147,11 @@ def _metric_params(metric: str, entry_params: dict, cli_params: dict[str, str]) 
 
 def _build_resolver(spec: str | None):
     if spec is None or spec == "live":
-        return LiveResolver()
+        try:
+            return LiveResolver()
+        except ImportError:
+            raise UsageError("--resolver live needs requests: install the 'http' extra (pip "
+                             "install 'lodprobe[http]') or use --resolver mock:SCRIPT") from None
     if spec.startswith("mock:"):
         return MockResolver.from_file(spec[len("mock:"):])
     raise UsageError(f"--resolver must be 'live' or 'mock:<script>', got {spec!r}")
@@ -226,6 +249,8 @@ def _load_config_file(path: str | None) -> dict:
     if not isinstance(config, dict):
         raise UsageError(f"--config {path}: the top level must be an object")
     _check_shape(config, _CONFIG_SHAPE, f"--config {path}")
+    for key in config.get("parameters") or {}:
+        _canonical_param(key, f"--config {path}: parameters")
     for i, entry in enumerate(config.get("metrics") or []):
         if isinstance(entry, dict):
             _check_shape(entry, _METRIC_SHAPE, f"--config {path}: metrics[{i}]")
@@ -244,10 +269,15 @@ def _merge_config(args, config_file: dict) -> None:
         args.resolver = config_file["resolver"]
     if args.out is None and config_file.get("output"):
         args.out = config_file["output"]
-    for key, value in (config_file.get("parameters") or {}).items():
-        pair = f"{key}={value}"
-        if not any(p.startswith(f"{key}=") for p in args.param):
-            args.param.append(pair)
+    # Ahead of the flags, so a flag naming the same parameter wins.
+    params = config_file.get("parameters") or {}
+    args.param[:0] = [f"{key}={value}" for key, value in params.items()]
+
+
+def _check_out_dir(flag: str, path: str | None) -> None:
+    """Fail before any work when `path` has no directory to be written in."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise UsageError(f"{flag} {path}: directory {Path(path).parent} not found")
 
 
 def _plan_run(args, compare: bool) -> tuple[int, list]:
@@ -264,6 +294,7 @@ def _plan_run(args, compare: bool) -> tuple[int, list]:
         raise UsageError(f"input not found: {args.input}")
     if not args.metric:
         raise UsageError("at least one --metric is required")
+    _check_out_dir("--out", args.out)
 
     seed = _resolve_seed(args, config_file)
     cli_params = _parse_params(args.param)
@@ -364,6 +395,8 @@ def _cmd_sort(args) -> int:
     if not Path(args.input).exists():
         print(f"error: input not found: {args.input}", file=sys.stderr)
         return 1
+    _check_out_dir("--output", args.output)
+    _check_out_dir("--out", args.out)
     summary = sort_by_subject(args.input, args.output, args.memory)
     print(
         f"sorted {summary.lines} lines in {summary.chunks or 1} chunk(s)"

@@ -246,16 +246,15 @@ class LiveResolver:
         max_redirects: int = DEFAULT_MAX_REDIRECTS,
         timeout: float = DEFAULT_TIMEOUT_SECONDS,
     ):
+        import requests  # the 'http' extra; ImportError without it
+
+        self._requests = requests
         self.max_redirects = max_redirects
         self.timeout = timeout
         self._headers = {"Accept": _ACCEPT, "User-Agent": "lodprobe/0.1"}
 
     def resolve(self, uri: str) -> Resolution:
-        try:
-            import requests
-        except ImportError as exc:
-            raise RuntimeError("live resolving needs the 'http' extra (requests)") from exc
-
+        requests = self._requests
         chain: list[int] = []
         current = uri
         method = "HEAD"

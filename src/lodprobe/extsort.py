@@ -8,7 +8,8 @@ through, keyed by their leading token, and are counted in the summary.
 
 Memory is bounded by `memory_budget` using per-line `sys.getsizeof`
 accounting: a chunk is sorted and spilled to a temp file once its strings
-would exceed the budget, and the spills are k-way merged back.
+would exceed the budget, and the spills are merged back, at most
+`_MERGE_FAN_IN` at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import heapq
 import os
 import sys
 import tempfile
-from contextlib import suppress
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .murmur3 import murmur3_x64_128
 from .ntriples import canonical_subject
 
 _LIST_SLOT_BYTES = 8
+_MERGE_FAN_IN = 64  # runs open at once, well under the usual 1,024-file limit
 _TAB, _BACKSLASH = 9, 92  # int needles: `bytes in bytes` first fails an int conversion
 
 
@@ -57,11 +59,20 @@ def subject_sort_key(line: bytes) -> tuple[bytes, bool]:
     return token, False
 
 
+def _merged(paths: list[str]):
+    """The records of the sorted runs at `paths`, merged into one order."""
+    with ExitStack() as stack:
+        readers = [stack.enter_context(open(p, "rb")) for p in paths]
+        # Compare without the record terminator: with it, a line that
+        # extends another line would sort before it whenever the extension
+        # starts with a tab.
+        yield from heapq.merge(*readers, key=lambda r: r[:-1])
+
+
 def sort_by_subject(
     input_path: str | Path,
     output_path: str | Path,
     memory_budget: int = 64 * 1024 * 1024,
-    tmp_dir: str | Path | None = None,
 ) -> SortSummary:
     """Sort `input_path` so lines sharing a subject are contiguous.
 
@@ -71,19 +82,21 @@ def sort_by_subject(
     summary = SortSummary()
     chunk: list[bytes] = []
     chunk_bytes = 0
-    spill_paths: list[str] = []
+    runs: list[str] = []
+
+    def new_run(records) -> None:
+        fd, path = tempfile.mkstemp(prefix="lodprobe-sort-")
+        runs.append(path)
+        with os.fdopen(fd, "wb") as out:
+            for rec in records:
+                out.write(rec)
 
     def spill():
         nonlocal chunk, chunk_bytes
         chunk.sort()
-        fd, path = tempfile.mkstemp(prefix="lodprobe-sort-", dir=tmp_dir)
-        with os.fdopen(fd, "wb") as out:
-            # One line at a time: joining would transiently double the
-            # chunk's memory footprint.
-            for decorated in chunk:
-                out.write(decorated)
-                out.write(b"\n")
-        spill_paths.append(path)
+        # One line at a time: joining would transiently double the chunk's
+        # memory footprint.
+        new_run(decorated + b"\n" for decorated in chunk)
         summary.chunks += 1
         chunk = []
         chunk_bytes = 0
@@ -105,34 +118,34 @@ def sort_by_subject(
                 chunk.append(decorated)
                 chunk_bytes += cost
 
+        if runs and chunk:
+            spill()
+        # At most _MERGE_FAN_IN runs open at once: merge the oldest into one
+        # new run until a single final merge remains.
+        while len(runs) > _MERGE_FAN_IN:
+            group = runs[:_MERGE_FAN_IN]
+            new_run(_merged(group))
+            del runs[:_MERGE_FAN_IN]
+            for p in group:
+                os.unlink(p)
+
         out_dir = Path(output_path).parent
         fd, tmp_out = tempfile.mkstemp(prefix="lodprobe-sorted-", dir=out_dir)
         try:
             with os.fdopen(fd, "wb") as out:
-                if not spill_paths:
-                    chunk.sort()
-                    for decorated in chunk:
-                        out.write(decorated.split(b"\t", 1)[1])
-                        out.write(b"\n")
+                if runs:
+                    records = _merged(runs)
                 else:
-                    if chunk:
-                        spill()
-                    readers = [open(p, "rb") for p in spill_paths]
-                    try:
-                        # Compare without the record terminator: with it, a
-                        # line that extends another line would sort before it
-                        # whenever the extension starts with a tab.
-                        for rec in heapq.merge(*readers, key=lambda r: r[:-1]):
-                            out.write(rec.split(b"\t", 1)[1])
-                    finally:
-                        for r in readers:
-                            r.close()
+                    chunk.sort()
+                    records = (decorated + b"\n" for decorated in chunk)
+                for rec in records:
+                    out.write(rec.split(b"\t", 1)[1])
             os.replace(tmp_out, output_path)
         except BaseException:
             os.unlink(tmp_out)
             raise
     finally:
-        for p in spill_paths:
+        for p in runs:
             if os.path.exists(p):
                 os.unlink(p)
     return summary

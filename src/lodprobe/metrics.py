@@ -352,8 +352,7 @@ class DerefEstimate:
         self.resolver = CachedResolver(resolver)
         self.per_pld_capacity = per_pld_capacity
         self._sample_seed = derive_seed(seed, "dereferenceability")
-        self._global = ReservoirSampler(global_capacity, derive_seed(self._sample_seed, "global"))
-        self._per_pld: dict[str, ReservoirSampler] = {}
+        self._plds = ReservoirSampler(global_capacity, derive_seed(self._sample_seed, "global"))
         self.uris_routed = 0
         self.uris_without_pld = 0
 
@@ -367,19 +366,18 @@ class DerefEstimate:
             self.uris_without_pld += 1
             return
         self.uris_routed += 1
-        if p not in self._per_pld:
-            outcome = self._global.add(p)
+        uris = self._plds.held.get(p)
+        if uris is None:
+            outcome = self._plds.add(p)
             if not (outcome.added or outcome.replaced):
                 return
-            if outcome.replaced:
-                del self._per_pld[outcome.evicted]
-            self._per_pld[p] = ReservoirSampler(self.per_pld_capacity, self._sample_seed)
-        self._per_pld[p].add(uri)
+            uris = self._plds.held[p] = ReservoirSampler(self.per_pld_capacity, self._sample_seed)
+        uris.add(uri)
 
     def finalize(self) -> MetricResult:
         deref_ok = sampled = roots_down = transport_errors = 0
         weighted_ok = weight = 0.0
-        for p, sampler in self._per_pld.items():
+        for p, sampler in self._plds.held.items():
             uris = sampler.contents()
             sampled += len(uris)
             n = sampler.distinct()
@@ -397,7 +395,7 @@ class DerefEstimate:
             value=value,
             estimated=True,
             parameters={
-                "global_capacity": self._global.capacity,
+                "global_capacity": self._plds.capacity,
                 "per_pld_capacity": self.per_pld_capacity,
             },
             counters={
@@ -405,7 +403,7 @@ class DerefEstimate:
                 "uris_without_pld": self.uris_without_pld,
                 "uris_sampled": sampled,
                 "deref_ok": deref_ok,
-                "plds_retained": len(self._per_pld),
+                "plds_retained": len(self._plds.held),
                 "pld_roots_down": roots_down,
                 "transport_errors": transport_errors,
                 "zero_denominator": int(sampled == 0),

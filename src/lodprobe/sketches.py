@@ -25,16 +25,16 @@ from .rng import SeededRng
 class AddOutcome:
     """What happened to an offered element.
 
-    `added` means a fill-phase append, `replaced` an eviction of `evicted`;
-    both false means discarded.
+    `added` means a fill-phase append, `replaced` an eviction of the
+    highest-ranked held item; both false means discarded.
     """
 
     added: bool
     replaced: bool
-    evicted: str | None = None
 
 
 _ADDED = AddOutcome(True, False)
+_REPLACED = AddOutcome(False, True)
 _DISCARDED = AddOutcome(False, False)
 
 
@@ -45,6 +45,9 @@ class ReservoirSampler:
     is the `capacity` items of smallest rank, whatever their order or
     repeats. A held item is discarded without hashing, and so is the last
     one turned away: the k-th rank only falls, so it stays turned away.
+
+    `held` maps each sampled item, in admission order, to a value the
+    caller may set (None until then); an evicted item's value goes with it.
     """
 
     def __init__(self, capacity: int, seed: int):
@@ -52,10 +55,10 @@ class ReservoirSampler:
             raise ValueError("capacity must be >= 2")
         self.capacity = capacity
         self._hasher = blake2b(digest_size=8, key=(seed % 2**64).to_bytes(8, "little"))
-        # Items in arrival order until the first overflow, then a max-heap of
-        # (-rank, item): a sample that never binds computes no rank.
-        self._sample: list = []
-        self._held: set[str] = set()
+        self.held: dict[str, object] = {}
+        # A max-heap of (-rank, item), built at the first overflow: a sample
+        # that never binds computes no rank.
+        self._heap: list | None = None
         self._turned_away: str | None = None  # the last item refused or evicted
 
     def _rank(self, item: str) -> int:
@@ -64,37 +67,35 @@ class ReservoirSampler:
         return int.from_bytes(h.digest(), "little")
 
     def add(self, item: str) -> AddOutcome:
-        if item in self._held or item == self._turned_away:
+        held = self.held
+        if item in held or item == self._turned_away:
             return _DISCARDED
-        sample = self._sample
-        if len(sample) < self.capacity:
-            sample.append(item)
-            self._held.add(item)
+        if len(held) < self.capacity:
+            held[item] = None
             return _ADDED
-        if self._turned_away is None:
-            sample[:] = [(-self._rank(x), x) for x in sample]
-            heapify(sample)
+        heap = self._heap
+        if heap is None:
+            heap = self._heap = [(-self._rank(x), x) for x in held]
+            heapify(heap)
         rank = self._rank(item)
-        if rank >= -sample[0][0]:
+        if rank >= -heap[0][0]:
             self._turned_away = item
             return _DISCARDED
-        evicted = self._turned_away = heapreplace(sample, (-rank, item))[1]
-        self._held.discard(evicted)
-        self._held.add(item)
-        return AddOutcome(False, True, evicted)
+        evicted = self._turned_away = heapreplace(heap, (-rank, item))[1]
+        del held[evicted]
+        held[item] = None
+        return _REPLACED
 
     def distinct(self) -> float:
         """Distinct items offered: exact until one was turned away, then the
         bottom-k estimate (k-1)/U_(k), U_(k) the k-th rank scaled to [0, 1)."""
-        if self._turned_away is None:
-            return len(self._sample)
-        return (self.capacity - 1) * 2.0**64 / -self._sample[0][0]
+        if self._heap is None:
+            return len(self.held)
+        return (self.capacity - 1) * 2.0**64 / -self._heap[0][0]
 
     def contents(self) -> list[str]:
         """The sampled items; |result| = min(distinct offered, capacity)."""
-        if self._turned_away is None:
-            return list(self._sample)
-        return [item for _, item in self._sample]
+        return list(self.held)
 
 
 def derive_num_filters(fpr_threshold: float) -> int:

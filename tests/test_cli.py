@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -69,6 +70,14 @@ BAD_VALUES = [
      "mock script empty-mock.json: 'mappings' must be a list"),
     (["--resolver", "mock:pattern-mock.json"], None,
      "mock script pattern-mock.json: mappings[0]: 'pattern' must be a string"),
+    (["--param", "reservoir_capcity=5"], None, "--param: unknown parameter 'reservoir_capcity'"),
+    (["--param", "cc.reservoir_capacity=5"], None,
+     "--param: unknown parameter 'cc.reservoir_capacity'"),
+    (["--param", "links.min_steps=5"], None, "--param: unknown parameter 'links.min_steps'"),
+    (["--config", "typo.json"], None, "typo.json: parameters: unknown parameter 'total_bit'"),
+    (["--out", "missing/r.json"], None, "--out missing/r.json: directory missing not found"),
+    # requests is blocked for every case, as on an install without the 'http' extra
+    (["--resolver", "live"], None, "--resolver live needs requests"),
 ]
 
 
@@ -152,6 +161,42 @@ class TestAssess:
         report = json.loads(out.read_text())
         assert report["results"][0]["parameters"]["reservoir_capacity"] == 5
 
+    def test_param_scoped_by_alias(self, tiny_dataset, tmp_path):
+        # A scope may be any name --metric accepts, and beats the bare key.
+        out = tmp_path / "r.json"
+        main([
+            "assess", "--input", str(tiny_dataset),
+            "--metric", "ext-links:estimate", "--metric", "cc",
+            "--param", "ext-links.reservoir_capacity=7",
+            "--param", "reservoir_capacity=5", "--param", "CC.min_steps=9",
+            "--seed", "1", "--out", str(out),
+        ])
+        ext, cc = json.loads(out.read_text())["results"]
+        assert ext["parameters"]["reservoir_capacity"] == 7
+        assert cc["parameters"]["min_steps"] == 9
+
+    def test_config_flag_wins_over_aliased_parameter(self, tiny_dataset, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"parameters": {"external-links.reservoir_capacity": 8}}))
+        out = tmp_path / "r.json"
+        main([
+            "assess", "--input", str(tiny_dataset), "--metric", "ext-links",
+            "--config", str(cfg), "--param", "ext_links.reservoir_capacity=7",
+            "--seed", "1", "--out", str(out),
+        ])
+        assert json.loads(out.read_text())["results"][0]["parameters"]["reservoir_capacity"] == 7
+
+    def test_unknown_metric_entry_parameter(self, tiny_dataset, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "input": str(tiny_dataset),
+            "metrics": [{"name": "cc", "parameters": {"min_step": 4}}],
+        }))
+        assert main(["assess", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "unknown parameter 'min_step' (accepted: mixing_multiplier, min_steps)" in err
+
     def test_config_file_with_flag_override(self, tiny_dataset, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -180,7 +225,9 @@ class TestAssess:
         (tmp_path / "mock.json").write_text('{"mappings": []}')
         (tmp_path / "empty-mock.json").write_text("{}")
         (tmp_path / "pattern-mock.json").write_text('{"mappings": [{"pattern": 1, "responses": []}]}')
+        (tmp_path / "typo.json").write_text('{"parameters": {"total_bit": 5}}')
         monkeypatch.chdir(tmp_path)
+        monkeypatch.setitem(sys.modules, "requests", None)
         if seed_env is None:
             monkeypatch.delenv("LODPROBE_SEED", raising=False)
         else:
@@ -384,6 +431,25 @@ class TestSort:
             "sort", "--input", str(tmp_path / "none.nt"), "--output", str(tmp_path / "o.nt")
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("flag", ["--output", "--out"])
+    def test_sort_missing_directory_fails_before_sorting(
+        self, flag, tmp_path, monkeypatch, capsys
+    ):
+        src = tmp_path / "in.nt"
+        src.write_text("<http://a.org/s> <http://a.org/p> <http://a.org/o> .\n")
+        paths = {"--output": str(tmp_path / "o.nt"), "--out": None}
+        paths[flag] = str(tmp_path / "missing" / "f.json")
+
+        def must_not_sort(*args):
+            raise AssertionError("sorted despite a bad output path")
+
+        monkeypatch.setattr(cli, "sort_by_subject", must_not_sort)
+        argv = ["sort", "--input", str(src)]
+        argv += [arg for f, p in paths.items() if p is not None for arg in (f, p)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} {paths[flag]}: directory {tmp_path / 'missing'} not found\n"
 
     def test_sort_summary_json(self, tmp_path):
         src = tmp_path / "in.nt"

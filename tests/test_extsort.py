@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 from lodprobe import SeededRng, sort_by_subject, verify_subject_contiguous
 from lodprobe.extsort import subject_sort_key
@@ -88,6 +91,27 @@ def test_single_chunk_matches_oracle(tmp_path):
     _write(src, lines)
     summary = sort_by_subject(src, dst, memory_budget=1 << 26)
     assert summary.chunks == 0
+    assert _read(dst) == _oracle_sort(lines)
+
+
+def test_more_runs_than_open_files_allowed(tmp_path):
+    # A child process allowed 128 open files sorts into more than 200 runs:
+    # the merge must never hold every run open at once.
+    rng = SeededRng(406)
+    lines = [serialize_triple(random_triple(rng)).encode() for _ in range(600)]
+    src, dst = tmp_path / "in.nt", tmp_path / "out.nt"
+    _write(src, lines)
+    checkout = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        f"import resource, sys; sys.path.insert(0, {checkout!r}); "
+        "resource.setrlimit(resource.RLIMIT_NOFILE, "
+        "(128, resource.getrlimit(resource.RLIMIT_NOFILE)[1])); "
+        "from lodprobe.extsort import sort_by_subject; "
+        f"print(sort_by_subject({str(src)!r}, {str(dst)!r}, memory_budget=300).chunks)"
+    )
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert int(child.stdout) > 200
     assert _read(dst) == _oracle_sort(lines)
 
 

@@ -5,6 +5,7 @@ from lodprobe import (
     CachedResolver,
     MetricResult,
     MockResolver,
+    ReservoirSampler,
     SeededRng,
     SortOrderViolation,
     Triple,
@@ -342,8 +343,36 @@ class TestDeref:
         processor = DerefEstimate(MockResolver({"http://": mappings["http://*"]}), 8, 5, seed=3)
         for t in triples:
             processor.consume(t)
-        assert len(processor._per_pld) <= 8
-        assert all(len(s.contents()) <= 5 for s in processor._per_pld.values())
+        held = processor._plds.held
+        assert len(held) <= 8
+        assert all(len(s.contents()) <= 5 for s in held.values())
+
+    def test_evicted_pld_takes_its_uri_sample_along(self):
+        # Global capacity 2 and three PLDs of three triples each, the third
+        # chosen so that it evicts one of the first two: each PLD's URI
+        # sample lives in the PLD sample and leaves it with its PLD.
+        ok = MockResolver({"http://": [{"status": 200, "content_type": "text/turtle"}]})
+
+        def routed(third):
+            processor = DerefEstimate(ok, 2, 10, seed=4)
+            for pld in ("a.org", "b.org", third):
+                for u in range(3):
+                    processor.consume(
+                        _t(f"http://{pld}/s{u}", "http://v.org/p", f"http://{pld}/o{u}"))
+            return processor
+
+        candidates = (f"c{i}.org" for i in range(100))
+        third = next(c for c in candidates if c in routed(c)._plds.held)
+        processor = routed(third)
+        held = processor._plds.held
+        assert len(held) == 2 and third in held
+        assert all(isinstance(v, ReservoirSampler) for v in held.values())
+        for pld, uris in held.items():
+            assert sorted(uris.contents()) == sorted(
+                f"http://{pld}/{kind}{u}" for kind in "so" for u in range(3))
+        result = processor.finalize()
+        assert result.counters["plds_retained"] == 2
+        assert result.counters["uris_sampled"] == 12
 
     def test_estimate_unbiased_when_sample_binds(self):
         # 201 PLDs (200 of 2-61 URIs, plus the subject's) through 50 slots.

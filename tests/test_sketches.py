@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 from hashlib import blake2b
 from pathlib import Path
 
@@ -64,14 +65,34 @@ class TestReservoir:
         assert s.distinct() == distinct
 
     def test_eviction_returns_evicted(self):
+        # An eviction drops the highest-ranked item from the sample, and
+        # that item stays out when offered again.
         s = ReservoirSampler(2, seed=2)
         assert s.add("a").added and s.add("b").added
         top = max("ab", key=lambda x: _rank(x, 2))
         lower = next(f"c{i}" for i in range(1000) if _rank(f"c{i}", 2) < _rank(top, 2))
-        outcome = s.add(lower)
-        assert outcome == AddOutcome(False, True, top)
+        assert s.add(lower) == AddOutcome(False, True)
         assert sorted(s.contents()) == sorted({"a", "b", lower} - {top})
-        assert not s.add(top).replaced
+        assert top not in s.contents() and top not in s.held
+        assert s.add(top) == AddOutcome(False, False)
+
+    @pytest.mark.parametrize("offers, max_bytes_per_slot", [(20_000, 32), (25_000, 170)])
+    def test_memory_per_slot(self, offers, max_bytes_per_slot):
+        # One dict entry per held item until the sample binds, then a
+        # (-rank, item) heap beside it. Items are built before the trace, so
+        # only the sampler's own structures count.
+        k = 20_000
+        items = [f"http://pld{i}.example.org" for i in range(offers)]
+        s = ReservoirSampler(k, seed=1)
+        tracemalloc.start()
+        try:
+            for x in items:
+                s.add(x)
+            held_bytes = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(s.contents()) == k
+        assert held_bytes / k <= max_bytes_per_slot
 
     @pytest.mark.parametrize("k", [2, 3, 10])
     def test_distinct_exact_up_to_capacity(self, k):
