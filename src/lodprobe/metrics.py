@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Iterable
 
+# pld_alive is unused here; it stays bound because perfbench/tracer.py patches it.
 from .deref import CachedResolver, Resolver, classify, pld_alive
 from .graph import (
     ResourceGraph,
@@ -243,20 +244,11 @@ class _ConcisenessBase:
 class ConcisenessEstimate(_ConcisenessBase):
     """Duplicate detection through the stable Bloom filter."""
 
-    def __init__(
-        self,
-        total_bits: int,
-        fpr_threshold: float,
-        seed: int,
-        enable_resets: bool = True,
-    ):
+    def __init__(self, total_bits: int, fpr_threshold: float, seed: int):
         super().__init__()
         self.seed = seed
         self._filter = StableBloomFilter(
-            total_bits,
-            fpr_threshold,
-            SeededRng(derive_seed(seed, "conciseness")),
-            enable_resets=enable_resets,
+            total_bits, fpr_threshold, SeededRng(derive_seed(seed, "conciseness"))
         )
 
     def _is_duplicate(self, signature: str) -> bool:
@@ -311,13 +303,6 @@ class ConcisenessExact(_ConcisenessBase):
 # Dereferenceability
 
 
-def _route_iris(t: Triple):
-    if t.subject.kind is TermKind.IRI:
-        yield t.subject.lexical
-    if t.object.kind is TermKind.IRI:
-        yield t.object.lexical
-
-
 def _tally(uris: Iterable[str], resolver: Resolver) -> tuple[int, int]:
     """(dereferenceable, transport errors) among `uris`."""
     ok = transport_errors = 0
@@ -330,106 +315,66 @@ def _tally(uris: Iterable[str], resolver: Resolver) -> tuple[int, int]:
     return ok, transport_errors
 
 
-class DerefEstimate:
-    """Two-level bottom-k sampling: a global sample of PLDs, and per retained
-    PLD a sample of its URIs that has seen them all, since a PLD turned
-    away never returns (memory: global x per-PLD capacity). The value is
-    sum(n_p ok_p / m_p) / sum(n_p) over those PLDs: n_p distinct URIs, m_p
-    sampled, ok_p dereferenceable (0 when the PLD's root is down)."""
+class _DerefBase:
+    """Routes each subject/object IRI that has a PLD into `uris`, a set or
+    a sample; both variants classify what that holds."""
 
     name = "dereferenceability"
 
-    def __init__(
-        self,
-        resolver: Resolver,
-        global_capacity: int,
-        per_pld_capacity: int,
-        seed: int,
-    ):
-        if per_pld_capacity < 2:  # its samplers are built lazily, mid-stream
-            raise ValueError("per_pld_capacity must be >= 2")
-        self.seed = seed
+    def __init__(self, resolver: Resolver, uris):
         self.resolver = CachedResolver(resolver)
-        self.per_pld_capacity = per_pld_capacity
-        self._sample_seed = derive_seed(seed, "dereferenceability")
-        self._plds = ReservoirSampler(global_capacity, derive_seed(self._sample_seed, "global"))
+        self._uris = uris
         self.uris_routed = 0
         self.uris_without_pld = 0
 
     def consume(self, t: Triple) -> None:
-        for uri in _route_iris(t):
-            self._route(uri)
+        for term in (t.subject, t.object):
+            if term.kind is not TermKind.IRI:
+                continue
+            if try_pld(term.lexical) is None:
+                self.uris_without_pld += 1
+            else:
+                self.uris_routed += 1
+                self._uris.add(term.lexical)
 
-    def _route(self, uri: str) -> None:
-        p = try_pld(uri)
-        if p is None:
-            self.uris_without_pld += 1
-            return
-        self.uris_routed += 1
-        uris = self._plds.held.get(p)
-        if uris is None:
-            outcome = self._plds.add(p)
-            if not (outcome.added or outcome.replaced):
-                return
-            uris = self._plds.held[p] = ReservoirSampler(self.per_pld_capacity, self._sample_seed)
-        uris.add(uri)
+
+class DerefEstimate(_DerefBase):
+    """Bottom-k sample of the distinct routed URIs; the value is the
+    dereferenceable share of the sample, an unbiased estimate of the
+    exact ratio, at most `sample_capacity` classifications."""
+
+    def __init__(self, resolver: Resolver, sample_capacity: int, seed: int):
+        super().__init__(
+            resolver, ReservoirSampler(sample_capacity, derive_seed(seed, "dereferenceability"))
+        )
+        self.seed = seed
 
     def finalize(self) -> MetricResult:
-        deref_ok = sampled = roots_down = transport_errors = 0
-        weighted_ok = weight = 0.0
-        for p, sampler in self._plds.held.items():
-            uris = sampler.contents()
-            sampled += len(uris)
-            n = sampler.distinct()
-            weight += n
-            if not pld_alive(f"http://{p}/", self.resolver):
-                roots_down += 1
-                continue
-            ok, errors = _tally(uris, self.resolver)
-            deref_ok += ok
-            transport_errors += errors
-            weighted_ok += n * ok / len(uris)
-        value = weighted_ok / weight if weight else 0.0
+        uris = self._uris.contents()
+        deref_ok, transport_errors = _tally(uris, self.resolver)
         return MetricResult(
             metric=self.name,
-            value=value,
+            value=deref_ok / len(uris) if uris else 0.0,
             estimated=True,
-            parameters={
-                "global_capacity": self._plds.capacity,
-                "per_pld_capacity": self.per_pld_capacity,
-            },
+            parameters={"sample_capacity": self._uris.capacity},
             counters={
                 "uris_routed": self.uris_routed,
                 "uris_without_pld": self.uris_without_pld,
-                "uris_sampled": sampled,
+                "uris_sampled": len(uris),
                 "deref_ok": deref_ok,
-                "plds_retained": len(self._plds.held),
-                "pld_roots_down": roots_down,
                 "transport_errors": transport_errors,
-                "zero_denominator": int(sampled == 0),
+                "zero_denominator": int(not uris),
             },
             seed=self.seed,
         )
 
 
-class DerefExact:
+class DerefExact(_DerefBase):
     """Classifies every distinct subject/object URI. Only practical against
     the mock or tiny datasets; the approximate variant is the point."""
 
-    name = "dereferenceability"
-
     def __init__(self, resolver: Resolver):
-        self.resolver = CachedResolver(resolver)
-        self._uris: set[str] = set()
-        self.uris_without_pld = 0
-
-    def consume(self, t: Triple) -> None:
-        for uri in _route_iris(t):
-            p = try_pld(uri)
-            if p is None:
-                self.uris_without_pld += 1
-            else:
-                self._uris.add(uri)
+        super().__init__(resolver, set())
 
     def finalize(self) -> MetricResult:
         deref_ok, transport_errors = _tally(sorted(self._uris), self.resolver)

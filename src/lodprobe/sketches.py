@@ -46,8 +46,8 @@ class ReservoirSampler:
     repeats. A held item is discarded without hashing, and so is the last
     one turned away: the k-th rank only falls, so it stays turned away.
 
-    `held` maps each sampled item, in admission order, to a value the
-    caller may set (None until then); an evicted item's value goes with it.
+    `held` holds the sampled items in admission order, as the keys of a
+    dict whose values are all None.
     """
 
     def __init__(self, capacity: int, seed: int):
@@ -55,7 +55,7 @@ class ReservoirSampler:
             raise ValueError("capacity must be >= 2")
         self.capacity = capacity
         self._hasher = blake2b(digest_size=8, key=(seed % 2**64).to_bytes(8, "little"))
-        self.held: dict[str, object] = {}
+        self.held: dict[str, None] = {}
         # A max-heap of (-rank, item), built at the first overflow: a sample
         # that never binds computes no rank.
         self._heap: list | None = None
@@ -122,8 +122,7 @@ class StableBloomFilter:
     the target is reached.
 
     `enable_resets=False` freezes the bit arrays for oracle runs in which
-    false negatives must be impossible; `log_resets=True` records every
-    cleared (filter, bit) pair for instrumentation.
+    false negatives must be impossible.
     """
 
     def __init__(
@@ -132,7 +131,6 @@ class StableBloomFilter:
         fpr_threshold: float,
         rng: SeededRng,
         enable_resets: bool = True,
-        log_resets: bool = False,
     ):
         self.fpr_threshold = fpr_threshold
         self.num_filters = derive_num_filters(fpr_threshold)
@@ -143,7 +141,6 @@ class StableBloomFilter:
         self.rng = rng
         self.enable_resets = enable_resets
         self.resets = 0
-        self.reset_log: list[tuple[int, int]] | None = [] if log_resets else None
         self._arrays = [bytearray(-(-self.bits_per_filter // 8)) for _ in range(self.num_filters)]
         self._set_counts = [0] * self.num_filters
 
@@ -209,8 +206,6 @@ class StableBloomFilter:
         array[pos >> 3] &= ~(1 << (pos & 7))
         self._set_counts[target] -= 1
         self.resets += 1
-        if self.reset_log is not None:
-            self.reset_log.append((target, pos))
 
     def set_bit_counts(self) -> list[int]:
         """Per-sub-filter set-bit counts (diagnostics)."""

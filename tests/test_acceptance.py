@@ -236,10 +236,10 @@ def test_criterion_5_dereferenceability_mock():
     exact = run(DerefExact(MockResolver(resolver_mappings)), triples)
     assert exact.value == pytest.approx(expected, abs=1e-12)
 
-    # P3 capacities (global 50, per-PLD 10000) over 20 seeds.
+    # The default sample of 1,000 URIs over 20 seeds.
     max_delta = 0.0
     for seed in range(20):
-        est = run(DerefEstimate(MockResolver(resolver_mappings), 50, 10_000, seed), triples)
+        est = run(DerefEstimate(MockResolver(resolver_mappings), 1000, seed), triples)
         max_delta = max(max_delta, abs(est.value - expected))
     assert max_delta <= 0.1, f"max |estimate - exhaustive| = {max_delta}"
 
@@ -248,7 +248,7 @@ def test_criterion_5_dereferenceability_mock():
         6, 10, lambda p, u: "500", dead_root_plds=set(range(6))
     )
     assert dead_expected == 0.0
-    dead_est = run(DerefEstimate(MockResolver(dead_mappings), 50, 10_000, seed=3), dead_triples)
+    dead_est = run(DerefEstimate(MockResolver(dead_mappings), 1000, seed=3), dead_triples)
     dead_exact = run(DerefExact(MockResolver(dead_mappings)), dead_triples)
     assert dead_est.value == 0.0
     assert dead_exact.value == 0.0

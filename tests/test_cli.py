@@ -55,12 +55,8 @@ BAD_VALUES = [
      "extensional-conciseness:estimate (total_bits=10, fpr_threshold=0.001)"),
     (["--param", "fpr_threshold=2"], None,
      "extensional-conciseness:estimate (total_bits=100000, fpr_threshold=2.0)"),
-    (["--param", "global_capacity=0"], None,
-     "dereferenceability:estimate (global_capacity=0, per_pld_capacity=10000)"),
-    (["--param", "per_pld_capacity=0"], None,
-     "dereferenceability:estimate (global_capacity=50, per_pld_capacity=0)"),
-    (["--param", "per_pld_capacity=1"], None,
-     "dereferenceability:estimate (global_capacity=50, per_pld_capacity=1)"),
+    (["--param", "sample_capacity=1"], None, "dereferenceability:estimate (sample_capacity=1)"),
+    (["--param", "per_pld_capacity=10"], None, "--param: unknown parameter 'per_pld_capacity'"),
     ([], "abc", "LODPROBE_SEED"),
     (["--config", "malformed.json"], None, "malformed.json"),
     (["--config", "list.json"], None, "list.json: the top level must be an object"),
@@ -75,6 +71,8 @@ BAD_VALUES = [
      "--param: unknown parameter 'cc.reservoir_capacity'"),
     (["--param", "links.min_steps=5"], None, "--param: unknown parameter 'links.min_steps'"),
     (["--config", "typo.json"], None, "typo.json: parameters: unknown parameter 'total_bit'"),
+    (["--metric", "cc", "--config", "bogus.json"], None,
+     "bogus.json: metrics[0]: unknown metric 'bogus'"),
     (["--out", "missing/r.json"], None, "--out missing/r.json: directory missing not found"),
     # requests is blocked for every case, as on an install without the 'http' extra
     (["--resolver", "live"], None, "--resolver live needs requests"),
@@ -226,6 +224,7 @@ class TestAssess:
         (tmp_path / "empty-mock.json").write_text("{}")
         (tmp_path / "pattern-mock.json").write_text('{"mappings": [{"pattern": 1, "responses": []}]}')
         (tmp_path / "typo.json").write_text('{"parameters": {"total_bit": 5}}')
+        (tmp_path / "bogus.json").write_text('{"metrics": [{"name": "bogus"}]}')
         monkeypatch.chdir(tmp_path)
         monkeypatch.setitem(sys.modules, "requests", None)
         if seed_env is None:

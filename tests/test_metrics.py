@@ -5,14 +5,15 @@ from lodprobe import (
     CachedResolver,
     MetricResult,
     MockResolver,
-    ReservoirSampler,
     SeededRng,
     SortOrderViolation,
+    StableBloomFilter,
     Triple,
     blank,
     iri,
     literal,
 )
+from lodprobe.cli import DEFAULTS
 from lodprobe.metrics import (
     BaseUriTracker,
     ClusteringMetric,
@@ -36,6 +37,7 @@ from synth import (
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 VOID_DATASET = "http://rdfs.org/ns/void#Dataset"
 OWL_ONTOLOGY = "http://www.w3.org/2002/07/owl#Ontology"
+DEREF_CAPACITY = DEFAULTS["dereferenceability"]["sample_capacity"]
 
 
 def _t(s, p, o):
@@ -255,8 +257,9 @@ class TestConciseness:
         triples, _ = conciseness_stream(1500, 150, seed=11, triples_per_instance=4)
         exact = run(ConcisenessExact(), triples)
         for seed in (1, 2, 3):
-            est = run(ConcisenessEstimate(20_000, 0.01, seed, enable_resets=False), triples)
-            assert exact.value >= est.value
+            est = ConcisenessEstimate(20_000, 0.01, seed)
+            est._filter = StableBloomFilter(20_000, 0.01, SeededRng(seed), enable_resets=False)
+            assert exact.value >= run(est, triples).value
 
     def test_counters_and_runs(self):
         triples, _ = conciseness_stream(50, 10, seed=4, triples_per_instance=2)
@@ -285,9 +288,19 @@ class TestDeref:
         triples, mappings, _ = deref_fixture(
             4, 5, lambda p, u: "500", dead_root_plds={0, 1, 2, 3}
         )
-        result = run(DerefEstimate(MockResolver(mappings), 50, 100, seed=1), triples)
+        result = run(DerefEstimate(MockResolver(mappings), 100, seed=1), triples)
         assert result.value == 0.0
-        assert result.counters["pld_roots_down"] == 4
+        assert result.counters["uris_sampled"] == 21  # each URI classified, no root shortcut
+
+    def test_dead_root_with_live_uris_matches_exact(self):
+        # A PLD root that 503s says nothing about the URIs under it.
+        triples, mappings, expected = deref_fixture(
+            4, 5, lambda p, u: "hash-ok", dead_root_plds={0, 1, 2, 3}
+        )
+        exact = run(DerefExact(MockResolver(mappings)), triples)
+        estimate = run(DerefEstimate(MockResolver(mappings), 100, seed=1), triples)
+        assert expected == pytest.approx(20 / 21)
+        assert estimate.value == exact.value == pytest.approx(expected)
 
     def test_all_hash_uris_ok(self):
         triples, mappings, _ = deref_fixture(3, 4, lambda p, u: "hash-ok")
@@ -296,7 +309,7 @@ class TestDeref:
             {"status": 303, "location": "http://base.org/data"},
             {"status": 200, "content_type": "text/turtle"},
         ]
-        result = run(DerefEstimate(MockResolver(mappings), 50, 100, seed=2), triples)
+        result = run(DerefEstimate(MockResolver(mappings), 100, seed=2), triples)
         assert result.value == 1.0
         assert run(DerefExact(MockResolver(mappings)), triples).value == 1.0
 
@@ -312,7 +325,7 @@ class TestDeref:
         verdicts = ["hash-ok", "303-ok", "404"]
         triples, mappings, expected = deref_fixture(5, 3, lambda p, u: verdicts[u % 3])
         exact = run(DerefExact(MockResolver(mappings)), triples)
-        estimate = run(DerefEstimate(MockResolver(mappings), 50, 1000, seed=5), triples)
+        estimate = run(DerefEstimate(MockResolver(mappings), 1000, seed=5), triples)
         assert exact.value == pytest.approx(expected)
         assert estimate.value == exact.value
 
@@ -320,8 +333,8 @@ class TestDeref:
         verdicts = ["hash-ok", "404"]
         triples, mappings, _ = deref_fixture(3, 2, lambda p, u: verdicts[u])
         doubled = [t for t in triples for _ in range(3)]
-        base = run(DerefEstimate(MockResolver(mappings), 50, 100, seed=6), triples)
-        dup = run(DerefEstimate(MockResolver(mappings), 50, 100, seed=6), doubled)
+        base = run(DerefEstimate(MockResolver(mappings), 100, seed=6), triples)
+        dup = run(DerefEstimate(MockResolver(mappings), 100, seed=6), doubled)
         assert base.value == dup.value
         assert base.counters["uris_sampled"] == dup.counters["uris_sampled"]
 
@@ -340,44 +353,15 @@ class TestDeref:
                 _t(f"http://{pld_name}/s{i}", "http://v.org/p", f"http://{pld_name}/o{i}")
             )
         mappings = {"http://*": [{"status": 200, "content_type": "text/turtle"}]}
-        processor = DerefEstimate(MockResolver({"http://": mappings["http://*"]}), 8, 5, seed=3)
+        processor = DerefEstimate(MockResolver({"http://": mappings["http://*"]}), 8, seed=3)
         for t in triples:
             processor.consume(t)
-        held = processor._plds.held
-        assert len(held) <= 8
-        assert all(len(s.contents()) <= 5 for s in held.values())
-
-    def test_evicted_pld_takes_its_uri_sample_along(self):
-        # Global capacity 2 and three PLDs of three triples each, the third
-        # chosen so that it evicts one of the first two: each PLD's URI
-        # sample lives in the PLD sample and leaves it with its PLD.
-        ok = MockResolver({"http://": [{"status": 200, "content_type": "text/turtle"}]})
-
-        def routed(third):
-            processor = DerefEstimate(ok, 2, 10, seed=4)
-            for pld in ("a.org", "b.org", third):
-                for u in range(3):
-                    processor.consume(
-                        _t(f"http://{pld}/s{u}", "http://v.org/p", f"http://{pld}/o{u}"))
-            return processor
-
-        candidates = (f"c{i}.org" for i in range(100))
-        third = next(c for c in candidates if c in routed(c)._plds.held)
-        processor = routed(third)
-        held = processor._plds.held
-        assert len(held) == 2 and third in held
-        assert all(isinstance(v, ReservoirSampler) for v in held.values())
-        for pld, uris in held.items():
-            assert sorted(uris.contents()) == sorted(
-                f"http://{pld}/{kind}{u}" for kind in "so" for u in range(3))
-        result = processor.finalize()
-        assert result.counters["plds_retained"] == 2
-        assert result.counters["uris_sampled"] == 12
+        assert len(processor._uris.contents()) <= 8
 
     def test_estimate_unbiased_when_sample_binds(self):
-        # 201 PLDs (200 of 2-61 URIs, plus the subject's) through 50 slots.
-        # Each PLD's first URIs dereference and its later ones 404, so a
-        # PLD whose sample misses its first URIs reads low.
+        # 6,261 URIs over 201 PLDs (200 of 2-61 URIs, plus the subject's)
+        # through the default 1,000 slots. Each PLD's first URIs
+        # dereference and its later ones 404.
         def size(p):
             return 2 + (p * 7) % 60
 
@@ -387,24 +371,28 @@ class TestDeref:
         resolver = CachedResolver(MockResolver(mappings))  # shared: resolve each URI once
         exact = run(DerefExact(resolver), triples).value
         errors = [
-            run(DerefEstimate(resolver, 50, 10_000, seed), triples).value - exact
+            run(DerefEstimate(resolver, DEREF_CAPACITY, seed), triples).value - exact
             for seed in range(20)
         ]
         assert max(map(abs, errors)) <= 0.1, errors
         assert abs(sum(errors) / len(errors)) <= 0.02, errors
 
-    def test_retained_pld_sample_sees_all_its_uris(self):
-        # 200 PLDs of 30 URIs each, offered round-robin: a PLD in the final
-        # sample was in it from its first URI on, so it holds all 30.
-        triples = [
-            Triple(blank("b"), iri("http://v.org/p"), iri(f"http://pld{p:03d}.org/r{u}"))
-            for u in range(30)
-            for p in range(200)
+    def test_one_large_pld_does_not_decide_the_estimate(self):
+        # PLD 0 holds a third of the URIs, all dereferenceable; the other 99
+        # alternate 303-ok and 404. A sample of URIs, not of PLDs, weighs
+        # each URI alike.
+        triples, mappings, expected = deref_fixture(
+            100,
+            lambda p: 1000 if p == 0 else 20,
+            lambda p, u: "hash-ok" if p == 0 else ("303-ok", "404")[u % 2],
+        )
+        assert expected == pytest.approx(0.6676, abs=1e-4)
+        resolver = CachedResolver(MockResolver(mappings))  # shared: resolve each URI once
+        errors = [
+            run(DerefEstimate(resolver, DEREF_CAPACITY, seed), triples).value - expected
+            for seed in range(20)
         ]
-        ok = MockResolver({"http://": [{"status": 200, "content_type": "text/turtle"}]})
-        result = run(DerefEstimate(ok, 50, 100, seed=8), triples)
-        assert result.counters["plds_retained"] == 50
-        assert result.counters["uris_sampled"] == 1_500
+        assert max(map(abs, errors)) <= 0.1, errors
 
     def test_empty_dataset_zero(self):
         result = run(DerefExact(MockResolver({})), [])

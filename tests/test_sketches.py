@@ -270,6 +270,33 @@ def _filter(total_bits=8192, t=0.01, seed=0, **kw):
     return StableBloomFilter(total_bits, t, SeededRng(seed), **kw)
 
 
+def _tracked(f: StableBloomFilter):
+    """A `check_and_add` for `f` that records, per call, the (sub-filter,
+    bit) pairs its reset step cleared, read off the arrays around that
+    step (the insertion after it may set a cleared bit again)."""
+    cleared: list[set[tuple[int, int]]] = []
+    maybe_reset = f._maybe_reset
+
+    def diffed_reset():
+        before = [bytes(a) for a in f._arrays]
+        maybe_reset()
+        cleared[-1].update(
+            (i, 8 * j + bit)
+            for i, (old, now) in enumerate(zip(before, f._arrays))
+            for j in range(len(old))
+            for bit in range(8)
+            if (old[j] & ~now[j]) >> bit & 1
+        )
+
+    f._maybe_reset = diffed_reset
+
+    def check(item: bytes) -> bool:
+        cleared.append(set())
+        return f.check_and_add(item)
+
+    return check, cleared
+
+
 class TestStableBloomFilter:
     def test_fresh_add_not_duplicate(self):
         f = _filter()
@@ -325,29 +352,35 @@ class TestStableBloomFilter:
         assert f.resets == 0
 
     def test_no_false_negative_when_reset_missed_its_bits(self):
-        # With the reset log we can verify the contract exactly: an item is
-        # reported new on re-query only if a reset cleared one of its bits.
-        f = _filter(total_bits=512, t=0.25, seed=3, log_resets=True)
+        # An item is reported new on re-query only if a reset cleared one of
+        # its bits after it was inserted (by a call before the re-query).
+        f = _filter(total_bits=512, t=0.25, seed=3)
+        check, cleared = _tracked(f)
         items = [f"v{i}".encode() for i in range(400)]
-        inserted_at: dict[bytes, int] = {}
         for item in items:
-            resets_before = len(f.reset_log)
-            f.check_and_add(item)
-            inserted_at[item] = resets_before
-        for item in items:
-            positions = {(i, pos) for i, pos in enumerate(f._positions(item))}
-            cleared_since = set(f.reset_log[inserted_at[item] :])
-            if not (positions & cleared_since):
-                assert f.check_and_add(item) is True, item
+            check(item)
+        new_again = 0
+        for n, item in enumerate(items):
+            if not check(item):
+                new_again += 1
+                positions = set(enumerate(f._positions(item)))
+                assert positions & set().union(*cleared[n + 1 : -1]), item
+        assert new_again > 0
+        assert sum(map(len, cleared)) == f.resets
 
     def test_reset_log_and_counter_agree(self):
-        f = _filter(total_bits=256, t=0.3, log_resets=True)
+        # The arrays around each reset step are the log: every call clears
+        # at most one set bit, and the cleared bits add up to `resets`.
+        f = _filter(total_bits=256, t=0.3)
+        check, cleared = _tracked(f)
         for i in range(500):
-            f.check_and_add(f"z{i}".encode())
-        assert f.resets == len(f.reset_log) > 0
-        for target, pos in f.reset_log:
-            assert 0 <= target < f.num_filters
-            assert 0 <= pos < f.bits_per_filter
+            check(f"z{i}".encode())
+        assert all(len(bits) <= 1 for bits in cleared)
+        assert sum(map(len, cleared)) == f.resets > 0
+        for bits in cleared:
+            for target, pos in bits:
+                assert 0 <= target < f.num_filters
+                assert 0 <= pos < f.bits_per_filter
 
     def test_resets_throttle_overload(self):
         # 3x the per-filter bit count in distinct items: without resets the
