@@ -18,7 +18,6 @@ from .deref import (
     Verdict,
     VerdictKind,
     classify,
-    pld_alive,
 )
 from .extsort import SortSummary, sort_by_subject, verify_subject_contiguous
 from .graph import (
@@ -31,7 +30,6 @@ from .graph import (
     random_walk,
 )
 from .metrics import MetricResult, SortOrderViolation
-from .murmur3 import murmur3_x64_128
 from .ntriples import (
     DatasetReadError,
     NTriplesParseError,
@@ -81,10 +79,8 @@ __all__ = [
     "iri",
     "literal",
     "mixing_time",
-    "murmur3_x64_128",
     "parse_line",
     "pld",
-    "pld_alive",
     "random_walk",
     "registrable_domain",
     "serialize_term",

@@ -22,8 +22,10 @@ from contextlib import ExitStack, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
+# murmur3_x64_128 is unused here; it stays bound because perfbench/tracer.py patches it.
 from .murmur3 import murmur3_x64_128
 from .ntriples import canonical_subject
+from .sketches import hash128
 
 _LIST_SLOT_BYTES = 8
 _MERGE_FAN_IN = 64  # runs open at once, well under the usual 1,024-file limit
@@ -160,10 +162,7 @@ def verify_subject_contiguous(path: str | Path) -> int | None:
     """
     closed: set[int] = set()
     current: bytes | None = None
-
-    def digest(key: bytes) -> int:
-        h1, h2 = murmur3_x64_128(key)
-        return (h1 << 64) | h2
+    current_digest = 0
 
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -171,8 +170,8 @@ def verify_subject_contiguous(path: str | Path) -> int | None:
             if key == current:
                 continue
             if current is not None:
-                closed.add(digest(current))
-            current = key
-            if digest(key) in closed:
+                closed.add(current_digest)
+            current, current_digest = key, hash128(key)
+            if current_digest in closed:
                 return line_no
     return None

@@ -22,12 +22,13 @@ from .graph import (
     mixing_time,
     random_walk,
 )
+# murmur3_x64_128 is unused here; it stays bound because perfbench/tracer.py patches it.
 from .murmur3 import murmur3_x64_128
 from .ntriples import serialize_term
 from .pld import try_pld
 from .rng import derive_seed, SeededRng
-from .sketches import ReservoirSampler, StableBloomFilter
-from .terms import TermKind, Triple
+from .sketches import ReservoirSampler, StableBloomFilter, hash128
+from .terms import Term, TermKind, Triple
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 VOID_DATASET = "http://rdfs.org/ns/void#Dataset"
@@ -69,14 +70,22 @@ class BaseUriTracker:
     Heuristic 1 (wins, first match sticks): a triple typing the dataset as
     void:Dataset or owl:Ontology donates its subject's PLD. Heuristic 2:
     the most frequent subject PLD, ties broken lexicographically.
+
+    A subject's PLD is derived once per run of triples sharing its `Term`.
     """
 
     def __init__(self):
         self.declared: str | None = None
         self.frequency: dict[str, int] = {}
+        self._subject: Term | None = None
+        self._subject_pld: str | None = None
 
     def offer(self, t: Triple) -> None:
-        subject_pld = try_pld(t.subject.lexical) if t.subject.kind is TermKind.IRI else None
+        subject = t.subject
+        if subject is not self._subject:
+            self._subject = subject
+            self._subject_pld = try_pld(subject.lexical) if subject.kind is TermKind.IRI else None
+        subject_pld = self._subject_pld
         if (
             self.declared is None
             and subject_pld is not None
@@ -215,8 +224,7 @@ class _ConcisenessBase:
 
     @staticmethod
     def _digest(subject: str) -> int:
-        h1, h2 = murmur3_x64_128(subject.encode("utf-8"))
-        return (h1 << 64) | h2
+        return hash128(subject.encode("utf-8"))
 
     def _flush(self) -> None:
         signature = "\n".join(sorted(self._statements))
@@ -317,7 +325,12 @@ def _tally(uris: Iterable[str], resolver: Resolver) -> tuple[int, int]:
 
 class _DerefBase:
     """Routes each subject/object IRI that has a PLD into `uris`, a set or
-    a sample; both variants classify what that holds."""
+    a sample; both variants classify what that holds.
+
+    A subject is routed once per run of triples sharing its `Term`: offering
+    it again would change neither the set nor the sample, since an item
+    once held, evicted or turned away by a bottom-k sample never enters it
+    again. The counters still count every triple."""
 
     name = "dereferenceability"
 
@@ -326,16 +339,38 @@ class _DerefBase:
         self._uris = uris
         self.uris_routed = 0
         self.uris_without_pld = 0
+        self._subject: Term | None = None
+        self._subject_routed: bool | None = None
+
+    def _route(self, term: Term) -> bool | None:
+        """Offer `term` to `uris` if it is an IRI with a PLD; None for a
+        non-IRI, else whether it had a PLD."""
+        if term.kind is not TermKind.IRI:
+            return None
+        if try_pld(term.lexical) is None:
+            return False
+        self._uris.add(term.lexical)
+        return True
 
     def consume(self, t: Triple) -> None:
-        for term in (t.subject, t.object):
-            if term.kind is not TermKind.IRI:
-                continue
-            if try_pld(term.lexical) is None:
-                self.uris_without_pld += 1
-            else:
-                self.uris_routed += 1
-                self._uris.add(term.lexical)
+        subject = t.subject
+        if subject is not self._subject:
+            self._subject = subject
+            self._subject_routed = self._route(subject)
+        routed = self._subject_routed
+        if routed:
+            self.uris_routed += 1
+        elif routed is False:
+            self.uris_without_pld += 1
+        # The object, as `_route` would, without its call on every triple.
+        obj = t.object
+        if obj.kind is not TermKind.IRI:
+            return
+        if try_pld(obj.lexical) is None:
+            self.uris_without_pld += 1
+        else:
+            self.uris_routed += 1
+            self._uris.add(obj.lexical)
 
 
 class DerefEstimate(_DerefBase):

@@ -4,7 +4,7 @@ Both are single-owner mutable structures fixed by a seed, so a run is
 reproducible from it. The sample keeps the k distinct items of smallest
 seeded hash (bottom-k). The duplicate filter splits its bit budget across
 several sub-filters, addresses each with one index derived from a single
-128-bit Murmur3 digest, and probabilistically clears bits as it fills up.
+128-bit BLAKE2b digest, and probabilistically clears bits as it fills up.
 """
 
 from __future__ import annotations
@@ -17,8 +17,16 @@ from heapq import heapify, heapreplace
 # adds about 3 MiB to the peak RSS of every run.
 from _blake2 import blake2b
 
+# murmur3_x64_128 is unused here; it stays bound because perfbench/tracer.py patches it.
 from .murmur3 import murmur3_x64_128
 from .rng import SeededRng
+
+_MASK64 = (1 << 64) - 1
+
+
+def hash128(data: bytes) -> int:
+    """Unkeyed 128-bit BLAKE2b digest of `data`, read little-endian."""
+    return int.from_bytes(blake2b(data, digest_size=16).digest(), "little")
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,7 +153,8 @@ class StableBloomFilter:
         self._set_counts = [0] * self.num_filters
 
     def _positions(self, item: bytes) -> list[int]:
-        h1, h2 = murmur3_x64_128(item)
+        h = hash128(item)
+        h1, h2 = h & _MASK64, h >> 64
         bpf = self.bits_per_filter
         return [(h1 + i * h2) % bpf for i in range(self.num_filters)]
 

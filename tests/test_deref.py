@@ -10,8 +10,8 @@ from lodprobe import (
     Resolution,
     VerdictKind,
     classify,
-    pld_alive,
 )
+from lodprobe.deref import pld_alive
 
 from synth import CountingResolver
 

@@ -1,3 +1,8 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from scipy import integrate, stats
 
@@ -8,10 +13,12 @@ from lodprobe import (
     SeededRng,
     SortOrderViolation,
     StableBloomFilter,
+    TermKind,
     Triple,
     blank,
     iri,
     literal,
+    try_pld,
 )
 from lodprobe.cli import DEFAULTS
 from lodprobe.metrics import (
@@ -261,6 +268,34 @@ class TestConciseness:
             est._filter = StableBloomFilter(20_000, 0.01, SeededRng(seed), enable_resets=False)
             assert exact.value >= run(est, triples).value
 
+    def test_estimate_identical_across_hash_seeds(self):
+        # The filter positions and the closed-subject digests come from
+        # BLAKE2b, never from `hash()`, so the estimate is the same bytes
+        # in processes whose string hashing differs.
+        root = Path(__file__).resolve().parent.parent
+        paths = [str(root / "src"), str(root / "tests")]
+        snippet = (
+            f"import json, sys; sys.path[:0] = {paths!r}; "
+            "from synth import conciseness_stream, run; "
+            "from lodprobe.metrics import ConcisenessEstimate; "
+            "triples, _ = conciseness_stream(3000, 400, seed=5, triples_per_instance=3); "
+            "r = run(ConcisenessEstimate(8_000, 0.01, seed=9), triples); "
+            "print(json.dumps([r.value, r.counters, r.parameters]))"
+        )
+        outputs = set()
+        for hash_seed in ("1", "2", "3"):
+            child = subprocess.run(
+                [sys.executable, "-c", snippet],
+                capture_output=True, text=True,
+                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
+                cwd=str(root),
+            )
+            assert child.returncode == 0, child.stderr
+            outputs.add(child.stdout)
+        assert len(outputs) == 1, outputs
+        value, counters, _ = json.loads(outputs.pop())
+        assert counters["filter_resets"] > 0 and 0 < value < 1
+
     def test_counters_and_runs(self):
         triples, _ = conciseness_stream(50, 10, seed=4, triples_per_instance=2)
         result = run(ConcisenessExact(), triples)
@@ -411,6 +446,137 @@ class TestDeref:
         result = run(DerefExact(mock), triples)
         assert result.value == 1.0
         assert mock.calls["http://a.org/doc"] == 1  # cache collapsed the probes
+
+
+# Subjects of every kind the PLD rule treats apart: http(s) IRIs over a few
+# PLDs, IRIs without a PLD (urn:, mailto:, IP hosts) and blank nodes.
+_REUSE_SUBJECTS = [
+    *(f"http://s{i % 4}.org/r{i}" for i in range(8)),
+    "https://data.example.co.uk/x",
+    "urn:isbn:0451450523",
+    "mailto:someone@example.org",
+    "http://192.168.0.1/thing",
+    "http://[::1]/v6",
+]
+
+
+def _reuse_stream(seed: int, shared: bool) -> list[Triple]:
+    """Subject runs of 1-6 triples whose objects, mostly fresh IRIs, churn a
+    small sample between one triple of a run and the next. Subjects recur
+    in later runs. `shared` gives every triple of a subject one `Term`, as
+    the reader's memo does; otherwise each triple gets an equal copy."""
+    rng = SeededRng(seed)
+    memo: dict[tuple, object] = {}
+
+    def term(kind, value):
+        if not shared:
+            return kind(value)
+        return memo.setdefault((kind, value), kind(value))
+
+    triples = []
+    for run_no in range(120):
+        pick = rng.uniform_below(len(_REUSE_SUBJECTS) + 3)
+        if pick < len(_REUSE_SUBJECTS):
+            subject = term(iri, _REUSE_SUBJECTS[pick])
+        else:
+            subject = term(blank, f"b{pick}")
+        for j in range(1 + rng.uniform_below(6)):
+            if j == 2 and run_no % 7 == 3:  # a dataset declaration inside a run
+                declared = iri(VOID_DATASET if run_no % 2 else OWL_ONTOLOGY)
+                triples.append(Triple(subject, iri(RDF_TYPE), declared))
+                continue
+            roll = rng.uniform_below(10)
+            if roll < 5:
+                obj = iri(f"http://o{rng.uniform_below(30)}.example.net/{rng.uniform_below(10**6)}")
+            elif roll == 5:
+                obj = iri(f"http://10.0.0.{rng.uniform_below(9)}/x")
+            elif roll == 6:
+                obj = iri(f"urn:uuid:{rng.uniform_below(100)}")
+            elif roll == 7:
+                obj = blank(f"o{rng.uniform_below(20)}")
+            elif roll == 8:
+                obj = literal(f"v{run_no}")
+            else:  # a subject as object, so it is offered from both positions
+                obj = term(iri, _REUSE_SUBJECTS[rng.uniform_below(len(_REUSE_SUBJECTS))])
+            triples.append(Triple(subject, iri("http://v.org/p"), obj))
+    return triples
+
+
+def _per_term_deref_consume(proc, t: Triple) -> None:
+    """The per-term loop that routed the subject anew on every triple: the
+    oracle for per-subject-run reuse."""
+    for term in (t.subject, t.object):
+        if term.kind is not TermKind.IRI:
+            continue
+        if try_pld(term.lexical) is None:
+            proc.uris_without_pld += 1
+        else:
+            proc.uris_routed += 1
+            proc._uris.add(term.lexical)
+
+
+def _per_term_base_offer(tracker: BaseUriTracker, t: Triple) -> None:
+    """`BaseUriTracker.offer` deriving the subject's PLD on every triple."""
+    subject_pld = try_pld(t.subject.lexical) if t.subject.kind is TermKind.IRI else None
+    if (
+        tracker.declared is None
+        and subject_pld is not None
+        and t.predicate.lexical == RDF_TYPE
+        and t.object.kind is TermKind.IRI
+        and t.object.lexical in (VOID_DATASET, OWL_ONTOLOGY)
+    ):
+        tracker.declared = subject_pld
+    if subject_pld is not None:
+        tracker.frequency[subject_pld] = tracker.frequency.get(subject_pld, 0) + 1
+
+
+class TestSubjectReuse:
+    """Deriving a subject's PLD and sample offer once per subject run leaves
+    the same state, counter for counter, as deriving them on every triple."""
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "equal-copies"])
+    @pytest.mark.parametrize("capacity", [2, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_deref_estimate_matches_per_term_loop(self, seed, capacity, shared):
+        reused = DerefEstimate(MockResolver({}), capacity, seed)
+        oracle = DerefEstimate(MockResolver({}), capacity, seed)
+        let_go = 0  # re-offers of a run's subject after the sample let it go
+        previous = None
+        for t in _reuse_stream(seed, shared):
+            if t.subject == previous and t.subject.lexical not in oracle._uris.held:
+                let_go += try_pld(t.subject.lexical) is not None
+            previous = t.subject
+            reused.consume(t)
+            _per_term_deref_consume(oracle, t)
+            assert reused._uris.contents() == oracle._uris.contents()
+        assert let_go > 0  # the stream exercises evicted and turned-away subjects
+        assert reused._uris.distinct() == oracle._uris.distinct()
+        assert (reused.uris_routed, reused.uris_without_pld) == (
+            oracle.uris_routed, oracle.uris_without_pld)
+        assert reused.finalize() == oracle.finalize()
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "equal-copies"])
+    def test_deref_exact_matches_per_term_loop(self, shared):
+        reused = DerefExact(MockResolver({}))
+        oracle = DerefExact(MockResolver({}))
+        for t in _reuse_stream(4, shared):
+            reused.consume(t)
+            _per_term_deref_consume(oracle, t)
+        assert reused._uris == oracle._uris
+        assert (reused.uris_routed, reused.uris_without_pld) == (
+            oracle.uris_routed, oracle.uris_without_pld)
+        assert reused.finalize() == oracle.finalize()
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "equal-copies"])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_base_tracker_matches_per_triple_derivation(self, seed, shared):
+        reused, oracle = BaseUriTracker(), BaseUriTracker()
+        for t in _reuse_stream(seed, shared):
+            reused.offer(t)
+            _per_term_base_offer(oracle, t)
+        assert reused.frequency == oracle.frequency
+        assert reused.declared == oracle.declared
+        assert reused.result() == oracle.result()
 
 
 class TestCcMetric:

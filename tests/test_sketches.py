@@ -12,9 +12,8 @@ from lodprobe import (
     SeededRng,
     StableBloomFilter,
     derive_num_filters,
-    murmur3_x64_128,
 )
-from lodprobe.sketches import AddOutcome
+from lodprobe.sketches import AddOutcome, hash128
 
 
 def _rank(item: str, seed: int) -> int:
@@ -243,13 +242,20 @@ class TestHashBitIndex:
     def test_filters_get_distinct_functions(self):
         assert len(set(_positions(b"item", 8, 10**6))) == 8
 
+    @pytest.mark.parametrize("data", [b"", b"payload", bytes(range(256)) * 3])
+    def test_hash128_is_unkeyed_blake2b_128(self, data):
+        digest = blake2b(data, digest_size=16).digest()
+        assert hash128(data) == int.from_bytes(digest, "little")
+
     def test_empty_input_is_h1_mod(self):
-        h1, _ = murmur3_x64_128(b"")
+        # h1 is the first 8 digest bytes read little-endian
+        h1 = int.from_bytes(blake2b(b"", digest_size=16).digest()[:8], "little")
         assert _positions(b"", 1, 64)[0] == h1 % 64
-        assert _positions(b"", 1, 64)[0] == 0  # empty-input digest is all zeros
+        assert _positions(b"", 1, 12289)[0] == h1 % 12289
 
     def test_double_hash_derivation(self):
-        h1, h2 = murmur3_x64_128(b"payload")
+        digest = blake2b(b"payload", digest_size=16).digest()
+        h1, h2 = int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:], "little")
         assert _positions(b"payload", 5, 12289) == [(h1 + i * h2) % 12289 for i in range(5)]
 
     def test_uniformity_chi_square(self):
