@@ -40,7 +40,7 @@ from .ntriples import (
     serialize_term,
     serialize_triple,
 )
-from .pld import NoPldError, pld, registrable_domain, try_pld
+from .pld import registrable_domain, try_pld
 from .rng import SeededRng, derive_seed
 from .sketches import ReservoirSampler, StableBloomFilter, derive_num_filters
 from .terms import Term, TermKind, Triple, blank, iri, literal
@@ -53,7 +53,6 @@ __all__ = [
     "MockResolver",
     "NTriplesParseError",
     "NTriplesReader",
-    "NoPldError",
     "ParseFailure",
     "Resolution",
     "ResourceGraph",
@@ -80,7 +79,6 @@ __all__ = [
     "literal",
     "mixing_time",
     "parse_line",
-    "pld",
     "random_walk",
     "registrable_domain",
     "serialize_term",

@@ -76,8 +76,15 @@ class UsageError(ValueError):
 
 
 def _convert(kind: type, value, source: str):
-    """kind(value), or a UsageError that names where the value came from."""
+    """kind(value), or a UsageError that names where the value came from.
+
+    A boolean is never a number here, and an int is never rounded from a
+    fractional one (JSON `2.7`); `20000.0` is the int 20000 wherever given.
+    """
     try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
         raise UsageError(f"{source}: expected {kind.__name__}, got {value!r}") from None
@@ -132,17 +139,16 @@ def _parse_params(pairs: list[str]) -> dict[str, str]:
     return params
 
 
-def _metric_params(metric: str, entry_params: dict, cli_params: dict[str, str]) -> dict:
-    """Defaults, then the entry's own parameters, then CLI --param overrides
-    (`metric.key` beats bare `key`)."""
+def _metric_params(metric: str, sources: list[tuple[str, dict]]) -> dict:
+    """Defaults, then each (label, parameters) source in turn, a later one
+    winning; within a source `metric.key` beats bare `key`."""
     merged = dict(DEFAULTS[metric])
     for key, default in DEFAULTS[metric].items():
-        if key in entry_params:
-            merged[key] = _convert(type(default), entry_params[key], f"{metric} parameter {key}")
-        for candidate in (f"{metric}.{key}", key):
-            if candidate in cli_params:
-                merged[key] = _convert(type(default), cli_params[candidate], f"parameter {candidate}")
-                break
+        for label, params in sources:
+            for candidate in (f"{metric}.{key}", key):
+                if candidate in params:
+                    merged[key] = _convert(type(default), params[candidate], f"{label} {candidate}")
+                    break
     return merged
 
 
@@ -250,8 +256,10 @@ def _load_config_file(path: str | None) -> dict:
     if not isinstance(config, dict):
         raise UsageError(f"--config {path}: the top level must be an object")
     _check_shape(config, _CONFIG_SHAPE, f"--config {path}")
-    for key in config.get("parameters") or {}:
-        _canonical_param(key, f"--config {path}: parameters")
+    config["parameters"] = {
+        _canonical_param(key, f"--config {path}: parameters"): value
+        for key, value in (config.get("parameters") or {}).items()
+    }
     for i, entry in enumerate(config.get("metrics") or []):
         if isinstance(entry, dict):
             _check_shape(entry, _METRIC_SHAPE, f"--config {path}: metrics[{i}]")
@@ -274,9 +282,6 @@ def _merge_config(args, config_file: dict) -> None:
         args.resolver = config_file["resolver"]
     if args.out is None and config_file.get("output"):
         args.out = config_file["output"]
-    # Ahead of the flags, so a flag naming the same parameter wins.
-    params = config_file.get("parameters") or {}
-    args.param[:0] = [f"{key}={value}" for key, value in params.items()]
 
 
 def _check_out_dir(flag: str, path: str | None) -> None:
@@ -319,7 +324,11 @@ def _plan_run(args, compare: bool) -> tuple[int, list]:
     timed = []
     for entry in entries:
         name, variant = entry["name"], entry["variant"]
-        merged = _metric_params(name, entry["parameters"], cli_params)
+        merged = _metric_params(name, [
+            (f"{name} parameter", entry["parameters"]),
+            (f"--config {args.config}: parameter", config_file.get("parameters", {})),
+            ("parameter", cli_params),
+        ])
         try:
             processor = _build_processor(name, variant, merged, seed, resolver)
         except ValueError as exc:

@@ -202,7 +202,7 @@ class _ConcisenessBase:
     name = "extensional-conciseness"
 
     def __init__(self):
-        self._current: str | None = None
+        self._current: Term | None = None
         self._statements: set[str] = set()
         self._closed: set[int] = set()
         self.total_instances = 0
@@ -211,13 +211,16 @@ class _ConcisenessBase:
 
     def consume(self, t: Triple) -> None:
         self._triple_number += 1
-        subject = serialize_term(t.subject)
-        if subject != self._current:
+        # The reader's memo may hand out equal but distinct Terms in one
+        # run, so identity is only the fast path.
+        subject = t.subject
+        if subject is not self._current and subject != self._current:
             if self._current is not None:
                 self._flush()
-            digest = self._digest(subject)
+            text = serialize_term(subject)
+            digest = self._digest(text)
             if digest in self._closed:
-                raise SortOrderViolation(subject, self._triple_number)
+                raise SortOrderViolation(text, self._triple_number)
             self._closed.add(digest)
             self._current = subject
         self._statements.add(f"{serialize_term(t.predicate)} {serialize_term(t.object)}")

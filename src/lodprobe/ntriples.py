@@ -2,10 +2,11 @@
 
 The parser is line-oriented: one statement per physical line, UTF-8 text,
 `\\n` or `\\r\\n` endings. A compiled statement regex handles well-formed
-lines in one pass; only lines it rejects go through the slower diagnostic
-scanner that pins down a byte offset and reason. Malformed lines never
-abort a stream; the reader records them and moves on, because real-world
-dumps are dirty and a quality assessor has to survive them.
+lines in one pass; only a line it rejects, or one whose terms fail their
+checks, is walked again through the regex's pieces to find the first piece
+that fails and where it starts. Malformed lines never abort a stream; the
+reader records them and moves on, because real-world dumps are dirty and a
+quality assessor has to survive them.
 
 Within one reader pass a repeated IRI or blank-node token yields one
 shared `Term`: the pass keeps a bounded token-to-Term memo, cleared when
@@ -53,6 +54,20 @@ _STATEMENT_RE = re.compile(
 )
 _BLANK_RE = re.compile(r"[ \t]*(?:#.*)?$")
 _SUBJECT_RE = re.compile(_IRI + r"|" + _BNODE)
+# The same pieces, one at a time, for _diagnose: each term kind is told by
+# its first character, and each role names the kinds it takes and the
+# characters that may follow its token ("" is the end of the line).
+_SPACE_RE = re.compile(r"[ \t]*")
+_TERM_PIECES = {
+    "<": ("IRI", re.compile(_IRI)),
+    "_": ("blank node", re.compile(_BNODE)),
+    '"': ("literal", re.compile(_LITERAL)),
+}
+_ROLES = (
+    ("subject", ("IRI", "blank node"), " \t"),
+    ("predicate", ("IRI",), " \t"),
+    ("object", ("IRI", "blank node", "literal"), " \t."),
+)
 # A token is canonical as written unless it holds an escape or a character serialize_term escapes.
 _NON_CANONICAL_RE = re.compile(r"[\\\x00-\x1f\x7f]")
 _ESCAPE_RE = re.compile(_STRING_ESCAPE)
@@ -95,9 +110,9 @@ class StreamSummary:
     parse_errors: int = 0
 
 
-def _decode_escapes(raw: str, allow_echar: bool) -> str:
+def _decode_escapes(raw: str) -> str:
     # The statement regex guarantees every backslash starts a valid escape,
-    # so only numeric escapes still need a range check here.
+    # a numeric one in IRIs, so only numeric escapes need a range check.
     if "\\" not in raw:
         return raw
 
@@ -107,10 +122,8 @@ def _decode_escapes(raw: str, allow_echar: bool) -> str:
         if tag in ("u", "U"):
             cp = int(esc[2:], 16)
             if 0xD800 <= cp <= 0xDFFF or cp > 0x10FFFF:
-                raise NTriplesParseError(f"escape \\{tag}{esc[2:]} is not a scalar value")
+                raise ValueError(f"escape \\{tag}{esc[2:]} is not a scalar value")
             return chr(cp)
-        if not allow_echar:
-            raise NTriplesParseError(f"escape \\{tag} not allowed in IRIs")
         return _ECHAR_TABLE[tag]
 
     return _ESCAPE_RE.sub(repl, raw)
@@ -118,17 +131,17 @@ def _decode_escapes(raw: str, allow_echar: bool) -> str:
 
 def _term_from_token(token: str) -> Term:
     if token.startswith("<"):
-        parts = (TermKind.IRI, _decode_escapes(token[1:-1], allow_echar=False))
+        parts = (TermKind.IRI, _decode_escapes(token[1:-1]))
     elif token.startswith("_:"):
         return Term(TermKind.BLANK_NODE, token[2:], token=token)
     else:
         # literal, optionally suffixed with ^^<datatype> or @lang; neither
         # suffix can hold a quote, so the last quote closes the value
         end = token.rindex('"')
-        value = _decode_escapes(token[1:end], allow_echar=True)
+        value = _decode_escapes(token[1:end])
         suffix = token[end + 1 :]
         if suffix.startswith("^^"):
-            parts = (TermKind.LITERAL, value, _decode_escapes(suffix[3:-1], False), None)
+            parts = (TermKind.LITERAL, value, _decode_escapes(suffix[3:-1]), None)
         elif suffix.startswith("@"):
             parts = (TermKind.LITERAL, value, None, suffix[1:])
         else:
@@ -180,78 +193,45 @@ def parse_line(line: str, terms: dict[str, Term] | None = None) -> Triple | None
             terms.get(p) or _remember(p, terms),
             _term_from_token(o) if o[0] == '"' else terms.get(o) or _remember(o, terms),
         )
-    except NTriplesParseError:
-        raise
-    except ValueError as exc:
-        raise NTriplesParseError(str(exc)) from exc
+    except ValueError:  # a term check: the walk finds which token and why
+        raise _diagnose(line) from None
 
 
 def _diagnose(line: str) -> NTriplesParseError:
-    """Re-scan a rejected line to report where it stops being a statement."""
-    pos = 0
+    """Walk a line that is not a statement through the statement's pieces.
 
-    def byte_at(p: int) -> int:
-        return len(line[:p].encode("utf-8"))
+    The reason names the first piece that fails, at the byte where that
+    piece starts: a term whose pattern or check fails, or the terminator.
+    Text after the terminator that is not a comment is reported at its
+    first character.
+    """
+    pos = _SPACE_RE.match(line).end()
+    for role, kinds, follow in _ROLES:
+        if pos == len(line):
+            return _error(line, pos, f"missing {role}")
+        if line[pos] not in _TERM_PIECES:
+            return _error(line, pos, f"unexpected character {line[pos]!r} in {role}")
+        kind, piece = _TERM_PIECES[line[pos]]
+        if kind not in kinds:
+            return _error(line, pos, f"{kind} not allowed as {role}")
+        m = piece.match(line, pos)
+        # a token the grammar ends early, as in `"x"@ .`, is malformed too
+        if m is None or line[m.end() : m.end() + 1] not in follow:
+            return _error(line, pos, f"malformed {kind} in {role}")
+        try:
+            _term_from_token(m.group())
+        except ValueError as exc:
+            return _error(line, pos, str(exc))
+        pos = _SPACE_RE.match(line, m.end()).end()
+    if line[pos : pos + 1] != ".":
+        return _error(line, pos, "missing statement terminator '.'")
+    # only a comment may follow the '.', so what is left is not one
+    pos = _SPACE_RE.match(line, pos + 1).end()
+    return _error(line, pos, f"unexpected character {line[pos : pos + 1]!r} after '.'")
 
-    def skip_ws(p: int) -> int:
-        while p < len(line) and line[p] in " \t":
-            p += 1
-        return p
 
-    def scan_term(p: int, role: str, allow_literal: bool, allow_bnode: bool):
-        if p >= len(line):
-            return None, NTriplesParseError(f"missing {role}", byte_at(p))
-        ch = line[p]
-        if ch == "<":
-            end = line.find(">", p)
-            if end < 0:
-                return None, NTriplesParseError(f"unterminated IRI in {role}", byte_at(p))
-            return end + 1, None
-        if ch == "_" and line[p : p + 2] == "_:" and allow_bnode:
-            q = p + 2
-            while q < len(line) and line[q] not in " \t":
-                q += 1
-            return q, None
-        if ch == '"':
-            if not allow_literal:
-                return None, NTriplesParseError(f"literal not allowed as {role}", byte_at(p))
-            q = p + 1
-            while q < len(line):
-                if line[q] == "\\":
-                    q += 2
-                elif line[q] == '"':
-                    break
-                else:
-                    q += 1
-            if q >= len(line):
-                return None, NTriplesParseError("unterminated literal", byte_at(p))
-            q += 1
-            if line[q : q + 2] == "^^":
-                end = line.find(">", q)
-                if end < 0:
-                    return None, NTriplesParseError("unterminated datatype IRI", byte_at(q))
-                q = end + 1
-            elif q < len(line) and line[q] == "@":
-                while q < len(line) and line[q] not in " \t":
-                    q += 1
-            return q, None
-        return None, NTriplesParseError(f"unexpected character {ch!r} in {role}", byte_at(p))
-
-    pos = skip_ws(pos)
-    for role, allow_lit, allow_bn in (
-        ("subject", False, True),
-        ("predicate", False, False),
-        ("object", True, True),
-    ):
-        nxt, err = scan_term(pos, role, allow_lit, allow_bn)
-        if err:
-            return err
-        pos = skip_ws(nxt)
-    if pos >= len(line) or line[pos] != ".":
-        return NTriplesParseError("missing statement terminator '.'", byte_at(pos))
-    # Structure scans clean, so the failure is lexical (bad escape, bad
-    # character inside a term, malformed language tag, ...).
-    return NTriplesParseError("malformed term", byte_at(skip_ws(0)))
+def _error(line: str, pos: int, reason: str) -> NTriplesParseError:
+    return NTriplesParseError(reason, len(line[:pos].encode("utf-8")))
 
 
 _KEPT_FAILURES = 10  # failures kept with their line; all of them are counted

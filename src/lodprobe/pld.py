@@ -17,12 +17,8 @@ from urllib.parse import urlsplit
 _SNAPSHOT_NAME = "public_suffix_snapshot.dat"
 _IPV4_RE = re.compile(r"^\d{1,3}(?:\.\d{1,3}){3}$")
 # `scheme://authority`: up to the first `/`, `?` or `#` after the first
-# `://`, where urlsplit ends the authority. `pld` reads nothing after it.
+# `://`, where urlsplit ends the authority. `_pld` reads nothing after it.
 _AUTHORITY_PREFIX_RE = re.compile(r".*?://[^/?#]*", re.DOTALL)
-
-
-class NoPldError(ValueError):
-    """The term has no pay-level domain (blank node, non-http, IP, bare suffix)."""
 
 
 class _SuffixRules:
@@ -62,51 +58,40 @@ def _rules() -> _SuffixRules:
     return _SuffixRules(text.splitlines())
 
 
-def registrable_domain(host: str) -> str:
-    """Registrable domain of a bare hostname (no scheme, no port)."""
+def registrable_domain(host: str) -> str | None:
+    """Registrable domain of a bare hostname (no scheme, no port); None for
+    an empty or IP host, a malformed one, or a bare public suffix."""
     host = host.strip().rstrip(".").lower()
-    if not host or _IPV4_RE.fullmatch(host) or ":" in host:
-        raise NoPldError(f"no registrable domain for host {host!r}")
     labels = host.split(".")
-    if "" in labels:
-        raise NoPldError(f"malformed host {host!r}")
+    if _IPV4_RE.fullmatch(host) or ":" in host or "" in labels:
+        return None
     ps_len = _rules().public_suffix_length(labels)
     if len(labels) <= ps_len:
-        raise NoPldError(f"host {host!r} is itself a public suffix")
+        return None
     return ".".join(labels[-(ps_len + 1) :])
 
 
-def pld(iri: str) -> str:
-    """Pay-level domain of an absolute http(s) IRI.
+def try_pld(iri: str) -> str | None:
+    """Pay-level domain of an absolute http(s) IRI, memoised by authority.
 
-    Raises NoPldError for anything else (blank node labels, other schemes,
-    hostless IRIs, IP literals) so callers can skip the term.
+    None for anything else (blank node labels, other schemes, hostless
+    IRIs, IP literals), so callers can skip the term.
     """
+    prefix = _AUTHORITY_PREFIX_RE.match(iri)
+    return _pld(iri) if prefix is None else _memo_pld(prefix.group())
+
+
+def _pld(iri: str) -> str | None:
     try:
         split = urlsplit(iri)
         host = split.hostname
-    except ValueError as exc:
-        raise NoPldError(f"unparseable IRI {iri!r}: {exc}") from exc
-    if split.scheme not in ("http", "https"):
-        raise NoPldError(f"not an http(s) IRI: {iri!r}")
-    if not host:
-        raise NoPldError(f"no host in IRI: {iri!r}")
-    return registrable_domain(host)
-
-
-def try_pld(iri: str) -> str | None:
-    """`pld` as a query: None instead of NoPldError; memoised by authority."""
-    prefix = _AUTHORITY_PREFIX_RE.match(iri)
-    return _pld_or_none(iri) if prefix is None else _memo_pld_or_none(prefix.group())
-
-
-def _pld_or_none(iri: str) -> str | None:
-    try:
-        return pld(iri)
-    except ValueError:  # NoPldError included
+    except ValueError:
         return None
+    if split.scheme not in ("http", "https") or not host:
+        return None
+    return registrable_domain(host)
 
 
 # Bounded: a dump links to far fewer authorities than IRIs, and a miss
 # only costs the uncached lookup.
-_memo_pld_or_none = lru_cache(maxsize=8192)(_pld_or_none)
+_memo_pld = lru_cache(maxsize=8192)(_pld)

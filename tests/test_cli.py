@@ -74,6 +74,10 @@ BAD_VALUES = [
     (["--metric", "cc", "--config", "bogus.json"], None,
      "bogus.json: metrics[0]: unknown metric 'bogus'"),
     (["--out", "missing/r.json"], None, "--out missing/r.json: directory missing not found"),
+    (["--config", "fraction.json"], None,
+     "fraction.json: parameter reservoir_capacity: expected int, got 2.7"),
+    (["--config", "boolean.json"], None,
+     "boolean.json: parameter mixing_multiplier: expected float, got True"),
     # requests is blocked for every case, as on an install without the 'http' extra
     (["--resolver", "live"], None, "--resolver live needs requests"),
 ]
@@ -184,6 +188,46 @@ class TestAssess:
         ])
         assert json.loads(out.read_text())["results"][0]["parameters"]["reservoir_capacity"] == 7
 
+    @pytest.mark.parametrize("entry, config, flags, expected", [
+        ({}, {}, [], 20000),
+        ({"reservoir_capacity": 3}, {}, [], 3),
+        ({"reservoir_capacity": 3}, {"reservoir_capacity": 4}, [], 4),
+        ({}, {"reservoir_capacity": 4, "ext-links.reservoir_capacity": 5}, [], 5),
+        ({}, {"ext-links.reservoir_capacity": 5}, ["reservoir_capacity=10"], 10),
+        ({}, {}, ["ext-links.reservoir_capacity=11", "reservoir_capacity=10"], 11),
+        ({"reservoir_capacity": 20000.0}, {}, [], 20000),
+        ({}, {"reservoir_capacity": 20000.0}, [], 20000),
+    ])
+    def test_parameter_precedence(self, tiny_dataset, tmp_path, entry, config, flags, expected):
+        # defaults < metric entry < config parameters < flags; within one
+        # source METRIC.KEY beats the bare key.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "input": str(tiny_dataset),
+            "metrics": [{"name": "ext-links", "parameters": entry}],
+            "parameters": config,
+        }))
+        out = tmp_path / "r.json"
+        param_flags = [arg for flag in flags for arg in ("--param", flag)]
+        assert main(["assess", "--config", str(cfg), *param_flags,
+                     "--seed", "1", "--out", str(out)]) == 0
+        got = json.loads(out.read_text())["results"][0]["parameters"]["reservoir_capacity"]
+        assert got == expected and isinstance(got, int)
+
+    @pytest.mark.parametrize("value, expected", [
+        (2.7, "external-links parameter reservoir_capacity: expected int, got 2.7"),
+        (True, "external-links parameter reservoir_capacity: expected int, got True"),
+    ])
+    def test_bad_metric_entry_value(self, tiny_dataset, tmp_path, capsys, value, expected):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "input": str(tiny_dataset),
+            "metrics": [{"name": "ext-links", "parameters": {"reservoir_capacity": value}}],
+        }))
+        assert main(["assess", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and expected in err, err
+
     def test_unknown_metric_entry_parameter(self, tiny_dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -225,6 +269,8 @@ class TestAssess:
         (tmp_path / "pattern-mock.json").write_text('{"mappings": [{"pattern": 1, "responses": []}]}')
         (tmp_path / "typo.json").write_text('{"parameters": {"total_bit": 5}}')
         (tmp_path / "bogus.json").write_text('{"metrics": [{"name": "bogus"}]}')
+        (tmp_path / "fraction.json").write_text('{"parameters": {"reservoir_capacity": 2.7}}')
+        (tmp_path / "boolean.json").write_text('{"parameters": {"mixing_multiplier": true}}')
         monkeypatch.chdir(tmp_path)
         monkeypatch.setitem(sys.modules, "requests", None)
         if seed_env is None:

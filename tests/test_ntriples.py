@@ -556,3 +556,76 @@ def test_parsed_token_is_canonical(spelling, term):
     assert parse_line(f"<http://a.org/s> <http://a.org/p> {spelling} .").predicate.token == (
         "<http://a.org/p>"
     )
+
+
+# Rejected lines of each shape the benchmark plants in its dirty dump: the
+# reason names the first piece of the statement that fails, and the byte
+# offset is where that piece starts.
+REJECTED = [
+    (b'<http://bad.example/a> <http://bad.example/p> "unterminated .',
+     46, "malformed literal in object"),
+    (b"<http://bad.example/a> <http://bad.example/p> <http://bad.example/o>",
+     68, "missing statement terminator '.'"),
+    (b'"literal" <http://bad.example/p> <http://bad.example/o> .',
+     0, "literal not allowed as subject"),
+    (b'<http://bad.example/a> <http://bad.example/p> "lone \\uD800 surrogate" .',
+     46, "escape \\uD800 is not a scalar value"),
+    (b'<http://bad.example/a b> <http://bad.example/p> "x" .',
+     0, "malformed IRI in subject"),
+    (b'<http://bad.example/\xff> <http://bad.example/p> "invalid utf-8" .',
+     0, "invalid UTF-8"),
+    (b'<http://bad.example/a> <http://bad.example/p> "x"@ .',
+     46, "malformed literal in object"),
+    (b"<http://bad.example/a> <http://bad.example/p> <http://bad.example/o> . junk",
+     71, "unexpected character 'j' after '.'"),
+    (b'<http://bad.example/a> <http://bad.example/p> "bad \\q escape" .',
+     46, "malformed literal in object"),
+    (b'<http://bad.example/a\\u0020b> <http://bad.example/p> "x" .',
+     0, "IRI contains whitespace"),
+    # pieces the shapes above leave out; offsets count bytes, not characters
+    ("<http://a/é> <http://a/p> .".encode(), 27, "unexpected character '.' in object"),
+    (b"<http://a/s> <http://a/p>", 25, "missing object"),
+    (b"<http://a/s> _:p <http://a/o> .", 13, "blank node not allowed as predicate"),
+    (b'<http://a/s> "p" <http://a/o> .', 13, "literal not allowed as predicate"),
+    (b"_:b. <http://a/p> <http://a/o> .", 0, "malformed blank node in subject"),
+    (b"<http://a/s> <> <http://a/o> .", 13, "empty iri term"),
+    (b"<http://a/s> <http://a/p> <http://a/o> # c", 39, "missing statement terminator '.'"),
+]
+
+
+@pytest.mark.parametrize("raw, byte_offset, reason", REJECTED)
+def test_rejected_line_names_failing_piece(raw, byte_offset, reason):
+    reader = NTriplesReader(io.BytesIO(raw + b"\n"))
+    assert list(reader) == []
+    [failure] = reader.failures
+    assert (failure.reason, failure.byte_offset) == (reason, byte_offset)
+
+
+def test_single_byte_edits_are_judged_by_the_statement_regex():
+    """Every one-character deletion or insertion in a valid statement is
+    accepted exactly when the statement regex (or the blank-line rule)
+    accepts it, and a rejection points inside the line."""
+    statements = [
+        '<http://a.org/s> <http://a.org/p> "x\\ty é"@en-GB .',
+        '_:b1 <http://a.org/p> "v"^^<http://a.org/t> . # note',
+        "\t<http://a.org/s>  <http://a.org/p>\t_:o.1 .",
+    ]
+    inserts = ' \t.<>"\\_:@^#-xu'
+    rejected = 0
+    for statement in statements:
+        edits = {statement[:i] + statement[i + 1 :] for i in range(len(statement))}
+        edits |= {statement[:i] + c + statement[i:]
+                  for i in range(len(statement) + 1) for c in inserts}
+        for line in sorted(edits):
+            accepted = bool(ntriples._STATEMENT_RE.fullmatch(line)
+                            or ntriples._BLANK_RE.fullmatch(line))
+            try:
+                parse_line(line)
+            except NTriplesParseError as exc:
+                assert not accepted, line
+                assert 0 <= exc.byte_offset <= len(line.encode()), line
+                assert exc.reason != "malformed term"
+                rejected += 1
+            else:
+                assert accepted, line
+    assert rejected > 500, rejected
