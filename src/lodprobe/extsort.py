@@ -1,10 +1,12 @@
 """External merge sort that groups an N-Triples file by subject.
 
-Works on raw lines, not parsed triples: the key is the subject token (first
-`<...>` or `_:label`) in the canonical form the parser gives it, so escaped
-spellings of one subject sort together; the full line breaks ties.
-Lines whose subject cannot be scanned (junk, comments, blanks) still pass
-through, keyed by their leading token, and are counted in the summary.
+Works on raw lines, not parsed triples: the key is the subject token in
+the canonical form the parser gives it, so escaped spellings of one subject
+sort together; the full line breaks ties. A subject is recognised exactly
+when the parser would take it: the statement grammar's IRI or blank-node
+piece, then a blank or tab, then the parser's term checks. Other lines
+(junk, comments, blanks, malformed subjects) still pass through, keyed by
+their leading token, and are counted in the summary.
 
 Memory is bounded by `memory_budget` using per-line `sys.getsizeof`
 accounting: a chunk is sorted and spilled to a temp file once its strings
@@ -16,20 +18,25 @@ from __future__ import annotations
 
 import heapq
 import os
+import re
 import sys
 import tempfile
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
 # murmur3_x64_128 is unused here; it stays bound because perfbench/tracer.py patches it.
 from .murmur3 import murmur3_x64_128
-from .ntriples import canonical_subject
+from .ntriples import _BNODE, _IRI, canonical_subject
 from .sketches import hash128
 
 _LIST_SLOT_BYTES = 8
 _MERGE_FAN_IN = 64  # runs open at once, well under the usual 1,024-file limit
-_TAB, _BACKSLASH = 9, 92  # int needles: `bytes in bytes` first fails an int conversion
+_BACKSLASH = 92  # an int needle: `bytes in bytes` first fails an int conversion
+# The parser's subject pieces over bytes: each byte of a UTF-8 encoded
+# non-ASCII character is above the IRI piece's excluded range, as the
+# character is in the parser's str match.
+_SUBJECT_TOKEN_RE = re.compile(rb"[ \t]*(" + f"{_IRI}|{_BNODE}".encode("ascii") + rb")[ \t]")
 
 
 @dataclass
@@ -41,21 +48,17 @@ class SortSummary:
 
 def subject_sort_key(line: bytes) -> tuple[bytes, bool]:
     """(sort key, subject recognised). Key never contains a tab or newline."""
-    stripped = line.lstrip(b" \t")
-    if stripped.startswith(b"<"):
-        end = stripped.find(b">")
-        key = stripped[: end + 1]
-        if end > 0 and _TAB not in key:
-            if _BACKSLASH in key:  # escaped: key on the canonical form if it decodes
-                with suppress(ValueError):
-                    key = canonical_subject(key.decode("utf-8")).encode("utf-8")
+    m = _SUBJECT_TOKEN_RE.match(line)
+    if m is not None:
+        key = m[1]
+        if key.isascii() and _BACKSLASH not in key and key != b"<>":
             return key, True
-    elif stripped.startswith(b"_:"):
-        end = 2
-        while end < len(stripped) and stripped[end : end + 1] not in (b" ", b"\t"):
-            end += 1
-        if end > 2:
-            return stripped[:end], True
+        # escapes, `<>` and non-ASCII bytes take the parser's term checks,
+        # and an escaped key becomes its canonical form
+        try:
+            return canonical_subject(key.decode("utf-8")).encode("utf-8"), True
+        except ValueError:  # UnicodeDecodeError included
+            pass
     # raw prefix fallback: leading token of the line as-is
     token = line.split(b" ", 1)[0].split(b"\t", 1)[0]
     return token, False

@@ -1,18 +1,22 @@
 """Undirected resource graph with exact and walk-based clustering measures.
 
 Vertices are the serialized subject/object terms of non-literal triples;
-the predicate contributes the edge. Parallel edges collapse into neighbor
-sets and self-description loops are dropped, so every vertex exists only
-because some edge created it. The exact coefficient averages the local
-triangle density over all vertices; the estimator reproduces that average
-from a single random walk, trading accuracy for walk length.
+the predicate contributes the edge. Self-description loops are dropped, so
+every vertex exists only because some edge created it. Each vertex is
+interned once to an int id in first-seen order, and an edge appends each
+end's id to the other's int array with no duplicate check, so a hub never
+pays O(degree) per edge: parallel and reversed edges stay in the arrays
+and collapse into a neighbor set only when one is read. The exact
+coefficient averages the local triangle density over all vertices; the
+estimator reproduces that average from a single random walk, trading
+accuracy for walk length.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import islice
 
 from .ntriples import serialize_term
 from .rng import SeededRng
@@ -20,11 +24,16 @@ from .terms import TermKind, Triple
 
 
 class ResourceGraph:
-    """Symmetric adjacency over resource identifiers."""
+    """Symmetric adjacency over resource identifiers, interned to ids.
+
+    `_ids` maps a vertex name to its id, `_names[id]` is that name, and
+    `_adj[id]` holds one neighbor id per edge added, repeats included.
+    """
 
     def __init__(self):
-        self._adj: dict[str, set[str]] = {}
-        self._edge_count = 0
+        self._ids: dict[str, int] = {}
+        self._names: list[str] = []
+        self._adj: list[array] = []
 
     def add_triple(self, t: Triple) -> None:
         """Add the edge a triple describes; literal objects add nothing."""
@@ -35,52 +44,69 @@ class ResourceGraph:
     def add_edge(self, u: str, v: str) -> None:
         if u == v:
             return
-        adj = self._adj
-        nu = adj.setdefault(u, set())
-        if v in nu:
-            return
-        nu.add(v)
-        adj.setdefault(v, set()).add(u)
-        self._edge_count += 1
+        ids, adj = self._ids, self._adj
+        iu = ids.get(u)
+        if iu is None:
+            iu = self._intern(u)
+        iv = ids.get(v)
+        if iv is None:
+            iv = self._intern(v)
+        adj[iu].append(iv)
+        adj[iv].append(iu)
+
+    def _intern(self, v: str) -> int:
+        i = self._ids[v] = len(self._names)
+        self._names.append(v)
+        self._adj.append(array("i"))
+        return i
 
     @property
     def vertex_count(self) -> int:
-        return len(self._adj)
+        return len(self._names)
 
     @property
     def edge_count(self) -> int:
-        return self._edge_count
+        """Distinct edges. Builds every neighbor set in turn: read it once."""
+        return sum(map(len, map(set, self._adj))) // 2
 
-    def vertices(self):
-        return self._adj.keys()
+    def vertices(self) -> list[str]:
+        """Vertex names in first-seen order; the graph's own list, not a copy."""
+        return self._names
 
     def neighbors(self, v: str) -> set[str]:
-        return self._adj[v]
+        names = self._names
+        return {names[j] for j in self._adj[self._ids[v]]}
 
-    def frozen_neighbors(self, v: str) -> tuple[str, ...]:
-        """v's neighbors as an indexable tuple for walkers.
+    def frozen_neighbors(self, i: int) -> tuple[int, ...]:
+        """Vertex i's distinct neighbor ids, as an indexable tuple for walkers.
 
-        Sorted so a seeded walk picks the same neighbors in every process:
-        raw set order varies with string-hash randomisation.
+        Sorted by the neighbors' serialized names, so a seeded walk picks the
+        same neighbors in every process and whatever order edges came in.
         """
-        return tuple(sorted(self._adj[v]))
+        return tuple(sorted(set(self._adj[i]), key=self._names.__getitem__))
+
+
+def _local_cc(nv: set, neighbor_set) -> float:
+    d = len(nv)
+    if d <= 1:
+        return 0.0
+    links = sum(len(nv & neighbor_set(u)) for u in nv) // 2
+    return links / (d * (d - 1) / 2)
 
 
 def exact_local_cc(g: ResourceGraph, v: str) -> float:
     """Fraction of realised links among v's neighbors; 0 when degree <= 1."""
-    nv = g.neighbors(v)
-    d = len(nv)
-    if d <= 1:
-        return 0.0
-    links = sum(len(nv & g.neighbors(u)) for u in nv) // 2
-    return links / (d * (d - 1) / 2)
+    return _local_cc(g.neighbors(v), g.neighbors)
 
 
 def exact_global_cc(g: ResourceGraph) -> float:
     """Arithmetic mean of the local coefficients over all vertices."""
     if g.vertex_count == 0:
         raise ValueError("clustering coefficient of an empty graph")
-    return sum(exact_local_cc(g, v) for v in g.vertices()) / g.vertex_count
+    # Every set holds the one int object per id, not a boxed copy per edge end.
+    ids = list(range(g.vertex_count))
+    sets = [set(map(ids.__getitem__, a)) for a in g._adj]
+    return sum(_local_cc(nv, sets.__getitem__) for nv in sets) / g.vertex_count
 
 
 def mixing_time(vertex_count: int, m: float, min_steps: int = 3) -> int:
@@ -114,34 +140,41 @@ def random_walk(g: ResourceGraph, r: int, seed: int) -> WalkAccumulators:
 
     The graph is undirected, so a dead end is never terminal: the walker
     can always step back the way it came. Only the visited vertices'
-    neighbor sets are sorted, each once, however often the walk returns.
+    neighbor sets are built and sorted, each once, however often the walk
+    returns.
     """
-    if g.edge_count == 0:
+    if g.vertex_count == 0:  # every vertex was created by an edge
         raise ValueError("random walk requires a graph with at least one edge")
     if r < 3:
         raise ValueError("walk length must be >= 3")
     rng = SeededRng(seed)
     below = rng.uniform_below
-    adj = g._adj
-    visited: dict[str, tuple[str, ...]] = {}
-    # Insertion order is first-seen order, the same in every process.
-    current = next(islice(adj, below(len(adj)), None))
-    psi_sum = 1.0 / len(adj[current])
+    visited: dict[int, tuple[tuple[int, ...], set[int]]] = {}
+
+    def visit(i: int) -> tuple[tuple[int, ...], set[int]]:
+        pair = visited.get(i)
+        if pair is None:
+            ns = g.frozen_neighbors(i)
+            pair = visited[i] = (ns, set(ns))
+        return pair
+
+    # Ids are first-seen order, the same in every process.
+    current = below(g.vertex_count)
+    psi_sum = 0.0
     phi_sum = 0.0
     # The interior term at position k needs the successor, so each new step
     # settles the contribution of the vertex it just left behind.
-    prev = None
+    prev_set = None
     for _ in range(r - 1):
-        ns = visited.get(current)
-        if ns is None:
-            ns = visited[current] = g.frozen_neighbors(current)
-        nxt = ns[below(len(ns))]
+        ns, ns_set = visit(current)
         d = len(ns)
-        if prev is not None and d > 1 and nxt in adj[prev]:
+        psi_sum += 1.0 / d
+        nxt = ns[below(d)]
+        if prev_set is not None and d > 1 and nxt in prev_set:
             phi_sum += 1.0 / (d - 1)
-        psi_sum += 1.0 / len(adj[nxt])
-        prev = current
+        prev_set = ns_set
         current = nxt
+    psi_sum += 1.0 / len(visit(current)[0])
     return WalkAccumulators(r, phi_sum, psi_sum)
 
 

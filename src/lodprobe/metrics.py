@@ -469,9 +469,10 @@ class ClusteringMetric:
 
     def finalize(self) -> MetricResult:
         g = self._graph
-        counters = {"vertices": g.vertex_count, "edges": g.edge_count}
+        edges = g.edge_count  # counts every neighbor set, so read once
+        counters = {"vertices": g.vertex_count, "edges": edges}
         parameters: dict = {}
-        if g.edge_count == 0:
+        if edges == 0:
             cc = 0.0
             counters["edgeless_graph"] = 1
         elif self.estimated:

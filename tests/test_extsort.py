@@ -5,6 +5,7 @@ from pathlib import Path
 
 from lodprobe import SeededRng, sort_by_subject, verify_subject_contiguous
 from lodprobe.extsort import subject_sort_key
+from lodprobe.ntriples import NTriplesParseError, parse_line, serialize_term
 
 from synth import random_triple
 from lodprobe import serialize_triple
@@ -164,12 +165,63 @@ def test_subject_sort_key_forms():
     assert subject_sort_key("<http://a/caf\\u00E9> <http://a/p> \"x\" .".encode()) == (
         "<http://a/café>".encode(), True
     )
-    # a key that does not decode stays raw
+    # a subject the parser rejects is keyed on the raw leading token
     assert subject_sort_key(b"<http://a/\\uD800> <http://a/p> <http://a/o> .") == (
-        b"<http://a/\\uD800>", True
+        b"<http://a/\\uD800>", False
     )
     assert subject_sort_key(b"<http://a/\\q> <http://a/p> <http://a/o> .") == (
-        b"<http://a/\\q>", True
+        b"<http://a/\\q>", False
+    )
+    assert subject_sort_key(b"<http://a/\\u0020> <http://a/p> <http://a/o> .") == (
+        b"<http://a/\\u0020>", False
+    )
+    assert subject_sort_key(b"<> <http://a/p> <http://a/o> .") == (b"<>", False)
+    assert subject_sort_key(b"_:b. <http://a/p> <http://a/o> .") == (b"_:b.", False)
+    assert subject_sort_key(b"_:b:c <http://a/p> <http://a/o> .") == (b"_:b:c", False)
+    assert subject_sort_key(b"<http://a/s b> <http://a/p> <http://a/o> .") == (
+        b"<http://a/s", False
+    )
+    assert subject_sort_key(b"<http://a/\xff> <http://a/p> <http://a/o> .") == (
+        b"<http://a/\xff>", False
     )
     # a tab inside `<...>` is no IRI; keying on it would split the line apart
     assert subject_sort_key(b"<a\tb> <http://a/p> <http://a/o> .") == (b"<a", False)
+
+
+def _parser_takes_subject(line: str) -> bool:
+    """Oracle: the line parses, or the parser's first failing piece lies past
+    the subject, which starts after the leading blanks."""
+    start = len(line.encode()) - len(line.lstrip(" \t").encode())
+    try:
+        return parse_line(line) is not None
+    except NTriplesParseError as exc:
+        return exc.byte_offset > start
+
+
+def test_subject_recognised_exactly_when_the_parser_takes_it():
+    # Every one-character deletion or insertion in a few valid statements.
+    statements = [
+        "<http://a.org/s> <http://a.org/p> <http://a.org/o> .",
+        "_:b1.x <http://a.org/p> \"v\" .",
+        "\t<http://a.org/caf\\u00E9>  <http://a.org/p>\t_:o .",
+        "<http://a.org/é> <http://a.org/p> \"x\" .",
+    ]
+    inserts = " \t.<>\"\\_:#-u0é"
+    recognised = rejected = 0
+    for statement in statements:
+        edits = {statement[:i] + statement[i + 1 :] for i in range(len(statement))}
+        edits |= {statement[:i] + c + statement[i:]
+                  for i in range(len(statement) + 1) for c in inserts}
+        for line in sorted(edits):
+            key, ok = subject_sort_key(line.encode())
+            assert ok == _parser_takes_subject(line), line
+            if ok:
+                recognised += 1
+                try:
+                    triple = parse_line(line)
+                except NTriplesParseError:
+                    continue
+                assert key == serialize_term(triple.subject).encode(), line
+            else:
+                rejected += 1
+    assert recognised > 500 and rejected > 100, (recognised, rejected)

@@ -18,6 +18,7 @@ from lodprobe import (
     literal,
     mixing_time,
     random_walk,
+    serialize_term,
 )
 
 from synth import complete_graph, er_graph, path_graph, random_triple
@@ -52,6 +53,58 @@ def _replay_walk(g: ResourceGraph, r: int, seed: int) -> tuple[float, float]:
     for v in path:
         psi += 1.0 / len(g.neighbors(v))
     return phi, psi
+
+
+class _SetGraph:
+    """Oracle: a dict of neighbor-name sets in first-seen order, with the
+    graph's `vertices()` and `neighbors()` interface."""
+
+    def __init__(self, triples):
+        self.adj: dict[str, set[str]] = {}
+        for t in triples:
+            if t.object.kind is TermKind.LITERAL:
+                continue
+            u, v = serialize_term(t.subject), serialize_term(t.object)
+            if u != v:
+                self.adj.setdefault(u, set()).add(v)
+                self.adj.setdefault(v, set()).add(u)
+
+    def vertices(self):
+        return self.adj.keys()
+
+    def neighbors(self, v: str) -> set[str]:
+        return self.adj[v]
+
+
+def _multigraph_triples(seed: int, n: int = 3000) -> list[Triple]:
+    """Random triples over IRIs and blank nodes, with one hub, repeated and
+    reversed edges, self-loops and literal objects."""
+    rng = SeededRng(seed)
+    pool = [iri(f"http://m.org/r{i}") for i in range(150)] + [blank(f"b{i}") for i in range(50)]
+    hub = iri("http://m.org/hub")
+    pred = iri("http://m.org/p")
+    triples: list[Triple] = []
+    for _ in range(n):
+        roll = rng.uniform_below(100)
+        if roll < 15 and triples:  # repeat an earlier statement, either way round
+            t = triples[rng.uniform_below(len(triples))]
+            if t.object.kind is not TermKind.LITERAL and rng.uniform_below(2):
+                t = Triple(t.object, pred, t.subject)
+            triples.append(t)
+            continue
+        s = pool[rng.uniform_below(len(pool))]
+        if roll < 40:
+            o = hub
+        elif roll < 45:
+            o = s
+        elif roll < 55:
+            o = literal(f"v{rng.uniform_below(10)}")
+        else:
+            o = pool[rng.uniform_below(len(pool))]
+        if o.kind is not TermKind.LITERAL and rng.uniform_below(2):
+            s, o = o, s
+        triples.append(Triple(s, pred, o))
+    return triples
 
 
 class TestGraphBuild:
@@ -105,6 +158,59 @@ class TestGraphBuild:
             for u in g.neighbors(v):
                 assert v in g.neighbors(u)
             assert len(g.neighbors(v)) >= 1
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_multigraph_matches_set_oracle(self, seed):
+        triples = _multigraph_triples(seed)
+        g = ResourceGraph()
+        for t in triples:
+            g.add_triple(t)
+        oracle = _SetGraph(triples)
+        assert list(g.vertices()) == list(oracle.vertices())
+        for v in oracle.vertices():
+            assert g.neighbors(v) == oracle.neighbors(v)
+        assert g.edge_count == sum(map(len, oracle.adj.values())) // 2
+        assert len(oracle.neighbors("<http://m.org/hub>")) > 150
+        r = 400
+        walk = random_walk(g, r, seed)
+        assert (walk.phi_sum, walk.psi_sum) == _replay_walk(oracle, r, seed)
+
+    def test_memory_envelope_against_set_graph(self):
+        # Interned int arrays against a dict of name sets over the same
+        # edges and the same vertex strings, which neither side counts.
+        n = 20_000
+        rng = SeededRng(62)
+        names = [f"<http://m.org/v{i}>" for i in range(n)]
+        edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
+        edges += [(names[i], names[rng.uniform_below(n)]) for i in range(n) for _ in "ab"]
+
+        def traced_size(build) -> tuple[int, object]:
+            tracemalloc.start()
+            try:
+                built = build()
+                return tracemalloc.get_traced_memory()[0], built
+            finally:
+                tracemalloc.stop()
+
+        def build_graph():
+            g = ResourceGraph()
+            for u, v in edges:
+                g.add_edge(u, v)
+            return g
+
+        def build_sets():
+            adj: dict[str, set[str]] = {}
+            for u, v in edges:
+                if u != v:
+                    adj.setdefault(u, set()).add(v)
+                    adj.setdefault(v, set()).add(u)
+            return adj
+
+        graph_bytes, g = traced_size(build_graph)
+        set_bytes, adj = traced_size(build_sets)
+        assert g.vertex_count == len(adj) == n
+        assert 2 * g.edge_count / n >= 4
+        assert graph_bytes <= set_bytes / 2, (graph_bytes, set_bytes)
 
 
 class TestExactCc:
@@ -244,9 +350,9 @@ class TestRandomWalk:
 
     def test_walk_memory_envelope(self):
         # The walk reads the graph in place: it holds only the neighbor
-        # tuples of the vertices it visits, never a per-vertex structure
-        # (20,000 pointers alone would be 160 KB), and keeps nothing once
-        # it returns.
+        # tuples and sets of the vertices it visits, never a per-vertex
+        # structure (20,000 pointers alone would be 160 KB), and keeps
+        # nothing once it returns.
         n, r = 20_000, 121
         rng = SeededRng(61)
         names = [f"v{i}" for i in range(n)]

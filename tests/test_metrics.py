@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from lodprobe import (
     SeededRng,
     SortOrderViolation,
     StableBloomFilter,
+    Term,
     TermKind,
     Triple,
     blank,
@@ -644,6 +646,30 @@ class TestCcMetric:
         assert result.counters["edges"] == g.edge_count
         assert result.counters["walk_steps"] >= 3
         assert result.seed == 1
+
+    def test_estimate_peak_within_exact_peak(self):
+        # In the style of criterion 8: tracemalloc's peak over consume and
+        # finalize, with the vertex strings pre-built and shared by both runs.
+        n = 20_000
+        rng = SeededRng(63)
+        nodes = [Term(TermKind.IRI, f"http://g.org/v{i}", token=f"<http://g.org/v{i}>")
+                 for i in range(n)]
+        link = iri("http://g.org/link")
+        triples = [Triple(nodes[i], link, nodes[(i + 1) % n]) for i in range(n)]
+        triples += [Triple(nodes[i], link, nodes[rng.uniform_below(n)]) for i in range(n)]
+
+        def peak(estimated: bool):
+            tracemalloc.start()
+            try:
+                result = run(ClusteringMetric(estimated, seed=3), triples)
+                return tracemalloc.get_traced_memory()[1], result
+            finally:
+                tracemalloc.stop()
+
+        estimate_peak, estimate = peak(True)
+        exact_peak, exact = peak(False)
+        assert estimate.counters["vertices"] == exact.counters["vertices"] == n
+        assert estimate_peak <= exact_peak, (estimate_peak, exact_peak)
 
     def test_walk_parameter_validation(self):
         for bad in (
