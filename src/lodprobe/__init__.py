@@ -25,7 +25,6 @@ from .graph import (
     WalkAccumulators,
     estimate_cc,
     exact_global_cc,
-    exact_local_cc,
     mixing_time,
     random_walk,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "derive_seed",
     "estimate_cc",
     "exact_global_cc",
-    "exact_local_cc",
     "iri",
     "literal",
     "mixing_time",

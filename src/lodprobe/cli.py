@@ -187,8 +187,7 @@ def _stream_into(reader: NTriplesReader, timed_processors: list) -> None:
         for entry in timed_processors:
             consume = entry["processor"].consume
             t0 = clock()
-            for triple in chunk:
-                consume(triple)
+            consume(chunk)
             entry["elapsed"] += clock() - t0
 
 

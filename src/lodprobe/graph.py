@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .ntriples import serialize_term
 from .rng import SeededRng
-from .terms import TermKind, Triple
+from .terms import LITERAL, Triple
 
 
 class ResourceGraph:
@@ -37,7 +37,7 @@ class ResourceGraph:
 
     def add_triple(self, t: Triple) -> None:
         """Add the edge a triple describes; literal objects add nothing."""
-        if t.object.kind is TermKind.LITERAL:
+        if t.object.kind is LITERAL:
             return
         self.add_edge(serialize_term(t.subject), serialize_term(t.object))
 

@@ -1,7 +1,10 @@
 """The four quality metrics, each as a streaming processor in two variants.
 
-Every metric is a processor with `consume(triple)` / `finalize()`, so one
-pass over a dataset can feed any number of them.
+Every metric is a processor with `consume(triples)` / `finalize()`, so one
+pass over a dataset can feed any number of them. `consume` takes any
+iterable of triples, a chunk of the stream: the state after a stream does
+not depend on how it was cut into chunks. Each processor runs its own loop
+over a chunk, so the pass makes one call per chunk, not one per triple.
 
 Value conventions on empty input: conciseness 1 (vacuous uniqueness),
 dereferenceability 0, external links 0, clustering metric 1: each the
@@ -28,7 +31,7 @@ from .ntriples import serialize_term
 from .pld import try_pld
 from .rng import derive_seed, SeededRng
 from .sketches import ReservoirSampler, StableBloomFilter, hash128
-from .terms import Term, TermKind, Triple
+from .terms import IRI, Term, Triple
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 VOID_DATASET = "http://rdfs.org/ns/void#Dataset"
@@ -64,71 +67,68 @@ class SortOrderViolation(RuntimeError):
         self.triple_number = triple_number
 
 
-class BaseUriTracker:
-    """Streaming base-PLD detection.
+# --------------------------------------------------------------------------
+# Existence of links to external data providers
 
-    Heuristic 1 (wins, first match sticks): a triple typing the dataset as
-    void:Dataset or owl:Ontology donates its subject's PLD. Heuristic 2:
-    the most frequent subject PLD, ties broken lexicographically.
 
-    A subject's PLD is derived once per run of triples sharing its `Term`.
-    """
+class _ExtLinksBase:
+    """Routes each object IRI's PLD into `plds`, a set or a sample, and
+    finds the dataset's own (base) PLD in the same loop.
 
-    def __init__(self):
+    Base PLD detection: a triple typing its subject as void:Dataset or
+    owl:Ontology donates the subject's PLD (the first such triple wins);
+    failing that, the most frequent subject PLD wins, ties broken
+    lexicographically. A subject's PLD is derived once per run of triples
+    sharing its `Term`."""
+
+    name = "external-links"
+
+    def __init__(self, plds):
+        self._plds = plds
+        self.total_object_uris = 0
+        self.objects_without_pld = 0
         self.declared: str | None = None
         self.frequency: dict[str, int] = {}
         self._subject: Term | None = None
         self._subject_pld: str | None = None
 
-    def offer(self, t: Triple) -> None:
-        subject = t.subject
-        if subject is not self._subject:
-            self._subject = subject
-            self._subject_pld = try_pld(subject.lexical) if subject.kind is TermKind.IRI else None
-        subject_pld = self._subject_pld
-        if (
-            self.declared is None
-            and subject_pld is not None
-            and t.predicate.lexical == RDF_TYPE
-            and t.object.kind is TermKind.IRI
-            and t.object.lexical in (VOID_DATASET, OWL_ONTOLOGY)
-        ):
-            self.declared = subject_pld
-        if subject_pld is not None:
-            self.frequency[subject_pld] = self.frequency.get(subject_pld, 0) + 1
+    def consume(self, triples: Iterable[Triple]) -> None:
+        add, frequency, declared = self._plds.add, self.frequency, self.declared
+        subject, subject_pld = self._subject, self._subject_pld
+        object_uris = without_pld = 0
+        for s, p, o in triples:
+            if s is not subject:
+                subject = s
+                subject_pld = try_pld(s.lexical) if s.kind is IRI else None
+            if subject_pld is not None:
+                frequency[subject_pld] = frequency.get(subject_pld, 0) + 1
+                if (
+                    declared is None
+                    and p.lexical == RDF_TYPE
+                    and o.kind is IRI
+                    and o.lexical in (VOID_DATASET, OWL_ONTOLOGY)
+                ):
+                    declared = subject_pld
+            if o.kind is not IRI:
+                continue
+            pld = try_pld(o.lexical)
+            if pld is None:
+                without_pld += 1
+            else:
+                object_uris += 1
+                add(pld)
+        self.declared, self._subject, self._subject_pld = declared, subject, subject_pld
+        self.total_object_uris += object_uris
+        self.objects_without_pld += without_pld
 
-    def result(self) -> str | None:
+    def base_pld(self) -> str | None:
+        """The declared base PLD, else the most frequent subject PLD."""
         if self.declared is not None:
             return self.declared
         if not self.frequency:
             return None
         # max count first, then lexicographically smallest PLD
         return min(self.frequency, key=lambda p: (-self.frequency[p], p))
-
-
-# --------------------------------------------------------------------------
-# Existence of links to external data providers
-
-
-class _ExtLinksBase:
-    name = "external-links"
-
-    def __init__(self, plds):
-        self._base = BaseUriTracker()
-        self._plds = plds
-        self.total_object_uris = 0
-        self.objects_without_pld = 0
-
-    def consume(self, t: Triple) -> None:
-        self._base.offer(t)
-        if t.object.kind is not TermKind.IRI:
-            return
-        p = try_pld(t.object.lexical)
-        if p is None:
-            self.objects_without_pld += 1
-            return
-        self.total_object_uris += 1
-        self._plds.add(p)
 
     def _value(self, plds: Collection[str], base: str | None, distinct: float) -> float:
         """External share of `plds`, scaled to `distinct` PLDs, per object URI."""
@@ -149,7 +149,7 @@ class ExtLinksEstimate(_ExtLinksBase):
         self.seed = seed
 
     def finalize(self) -> MetricResult:
-        base = self._base.result()
+        base = self.base_pld()
         plds = self._plds.contents()
         distinct = self._plds.distinct()
         return MetricResult(
@@ -175,7 +175,7 @@ class ExtLinksExact(_ExtLinksBase):
         super().__init__(set())
 
     def finalize(self) -> MetricResult:
-        base = self._base.result()
+        base = self.base_pld()
         return MetricResult(
             metric=self.name,
             value=self._value(self._plds, base, len(self._plds)),
@@ -209,36 +209,38 @@ class _ConcisenessBase:
         self.duplicate_instances = 0
         self._triple_number = 0
 
-    def consume(self, t: Triple) -> None:
-        self._triple_number += 1
-        # The reader's memo may hand out equal but distinct Terms in one
-        # run, so identity is only the fast path.
-        subject = t.subject
-        if subject is not self._current and subject != self._current:
-            if self._current is not None:
-                self._flush()
-            text = serialize_term(subject)
-            digest = self._digest(text)
-            if digest in self._closed:
-                raise SortOrderViolation(text, self._triple_number)
-            self._closed.add(digest)
-            self._current = subject
-        self._statements.add(f"{serialize_term(t.predicate)} {serialize_term(t.object)}")
+    def consume(self, triples: Iterable[Triple]) -> None:
+        current, statements, closed = self._current, self._statements, self._closed
+        number = self._triple_number
+        try:
+            for s, p, o in triples:
+                number += 1
+                # The reader's memo may hand out equal but distinct Terms in
+                # one run, so identity is only the fast path.
+                if s is not current and s != current:
+                    if current is not None:
+                        self._flush(statements)
+                        statements = set()
+                    text = serialize_term(s)
+                    digest = hash128(text.encode("utf-8"))
+                    if digest in closed:
+                        raise SortOrderViolation(text, number)
+                    closed.add(digest)
+                    current = s
+                statements.add(f"{serialize_term(p)} {serialize_term(o)}")
+        finally:
+            self._current, self._statements, self._triple_number = current, statements, number
 
-    @staticmethod
-    def _digest(subject: str) -> int:
-        return hash128(subject.encode("utf-8"))
-
-    def _flush(self) -> None:
-        signature = "\n".join(sorted(self._statements))
+    def _flush(self, statements: set[str]) -> None:
+        signature = "\n".join(sorted(statements))
         if self._is_duplicate(signature):
             self.duplicate_instances += 1
         self.total_instances += 1
-        self._statements = set()
 
     def _finish_value(self) -> float:
         if self._current is not None:
-            self._flush()
+            self._flush(self._statements)
+            self._statements = set()
             self._current = None
         if self.total_instances == 0:
             return 1.0
@@ -348,32 +350,35 @@ class _DerefBase:
     def _route(self, term: Term) -> bool | None:
         """Offer `term` to `uris` if it is an IRI with a PLD; None for a
         non-IRI, else whether it had a PLD."""
-        if term.kind is not TermKind.IRI:
+        if term.kind is not IRI:
             return None
         if try_pld(term.lexical) is None:
             return False
         self._uris.add(term.lexical)
         return True
 
-    def consume(self, t: Triple) -> None:
-        subject = t.subject
-        if subject is not self._subject:
-            self._subject = subject
-            self._subject_routed = self._route(subject)
-        routed = self._subject_routed
-        if routed:
-            self.uris_routed += 1
-        elif routed is False:
-            self.uris_without_pld += 1
-        # The object, as `_route` would, without its call on every triple.
-        obj = t.object
-        if obj.kind is not TermKind.IRI:
-            return
-        if try_pld(obj.lexical) is None:
-            self.uris_without_pld += 1
-        else:
-            self.uris_routed += 1
-            self._uris.add(obj.lexical)
+    def consume(self, triples: Iterable[Triple]) -> None:
+        add, subject, subject_routed = self._uris.add, self._subject, self._subject_routed
+        routed = without_pld = 0
+        for s, _, o in triples:
+            if s is not subject:
+                subject = s
+                subject_routed = self._route(s)
+            if subject_routed:
+                routed += 1
+            elif subject_routed is False:
+                without_pld += 1
+            # The object, as `_route` would, without its call on every triple.
+            if o.kind is not IRI:
+                continue
+            if try_pld(o.lexical) is None:
+                without_pld += 1
+            else:
+                routed += 1
+                add(o.lexical)
+        self._subject, self._subject_routed = subject, subject_routed
+        self.uris_routed += routed
+        self.uris_without_pld += without_pld
 
 
 class DerefEstimate(_DerefBase):
@@ -464,8 +469,10 @@ class ClusteringMetric:
         self.seed = seed
         self._graph = ResourceGraph()
 
-    def consume(self, t: Triple) -> None:
-        self._graph.add_triple(t)
+    def consume(self, triples: Iterable[Triple]) -> None:
+        add_triple = self._graph.add_triple
+        for t in triples:
+            add_triple(t)
 
     def finalize(self) -> MetricResult:
         g = self._graph

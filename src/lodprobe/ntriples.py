@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
-from .terms import Term, TermKind, Triple
+from .terms import BLANK_NODE, IRI, LITERAL, Term, Triple
 
 # Statement grammar pieces. IRIs may contain \uXXXX/\UXXXXXXXX escapes;
 # literals additionally take the single-character ECHAR escapes.
@@ -131,9 +131,9 @@ def _decode_escapes(raw: str) -> str:
 
 def _term_from_token(token: str) -> Term:
     if token.startswith("<"):
-        parts = (TermKind.IRI, _decode_escapes(token[1:-1]))
+        parts = (IRI, _decode_escapes(token[1:-1]))
     elif token.startswith("_:"):
-        return Term(TermKind.BLANK_NODE, token[2:], token=token)
+        return Term(BLANK_NODE, token[2:], token=token)
     else:
         # literal, optionally suffixed with ^^<datatype> or @lang; neither
         # suffix can hold a quote, so the last quote closes the value
@@ -141,11 +141,11 @@ def _term_from_token(token: str) -> Term:
         value = _decode_escapes(token[1:end])
         suffix = token[end + 1 :]
         if suffix.startswith("^^"):
-            parts = (TermKind.LITERAL, value, _decode_escapes(suffix[3:-1]), None)
+            parts = (LITERAL, value, _decode_escapes(suffix[3:-1]), None)
         elif suffix.startswith("@"):
-            parts = (TermKind.LITERAL, value, None, suffix[1:])
+            parts = (LITERAL, value, None, suffix[1:])
         else:
-            parts = (TermKind.LITERAL, value, None, None)
+            parts = (LITERAL, value, None, None)
     if _NON_CANONICAL_RE.search(token) is None:
         return Term(*parts, token=token)
     return Term(*parts, token=serialize_term(Term(*parts)))
@@ -188,11 +188,13 @@ def parse_line(line: str, terms: dict[str, Term] | None = None) -> Triple | None
     if terms is None:
         terms = {}
     try:
-        return Triple(
+        # The grammar admits only an IRI or blank node as subject and an IRI
+        # as predicate, so Triple's own checks are skipped.
+        return tuple.__new__(Triple, (
             terms.get(s) or _remember(s, terms),
             terms.get(p) or _remember(p, terms),
             _term_from_token(o) if o[0] == '"' else terms.get(o) or _remember(o, terms),
-        )
+        ))
     except ValueError:  # a term check: the walk finds which token and why
         raise _diagnose(line) from None
 
@@ -316,9 +318,9 @@ def serialize_term(term: Term) -> str:
     """Canonical N-Triples form; the parser's token when the term has one."""
     if term.token is not None:
         return term.token
-    if term.kind is TermKind.IRI:
+    if term.kind is IRI:
         return f"<{_escape_iri(term.lexical)}>"
-    if term.kind is TermKind.BLANK_NODE:
+    if term.kind is BLANK_NODE:
         return f"_:{term.lexical}"
     body = f'"{_escape_literal(term.lexical)}"'
     if term.datatype_iri is not None:

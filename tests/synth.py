@@ -11,8 +11,7 @@ from lodprobe.graph import ResourceGraph
 
 def run(processor, triples):
     """Feed every triple to a metric processor, then finalize it."""
-    for t in triples:
-        processor.consume(t)
+    processor.consume(triples)
     return processor.finalize()
 
 

@@ -13,13 +13,13 @@ from lodprobe import (
     blank,
     estimate_cc,
     exact_global_cc,
-    exact_local_cc,
     iri,
     literal,
     mixing_time,
     random_walk,
     serialize_term,
 )
+from lodprobe.graph import exact_local_cc
 
 from synth import complete_graph, er_graph, path_graph, random_triple
 

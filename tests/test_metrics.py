@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,6 @@ from lodprobe import (
 )
 from lodprobe.cli import DEFAULTS
 from lodprobe.metrics import (
-    BaseUriTracker,
     ClusteringMetric,
     ConcisenessEstimate,
     ConcisenessExact,
@@ -55,10 +55,9 @@ def _t(s, p, o):
 
 
 def _base(triples):
-    tracker = BaseUriTracker()
-    for t in triples:
-        tracker.offer(t)
-    return tracker.result()
+    processor = ExtLinksExact()
+    processor.consume(triples)
+    return processor.base_pld()
 
 
 class TestDetectBaseUri:
@@ -405,8 +404,7 @@ class TestDeref:
             )
         mappings = {"http://*": [{"status": 200, "content_type": "text/turtle"}]}
         processor = DerefEstimate(MockResolver({"http://": mappings["http://*"]}), 8, seed=3)
-        for t in triples:
-            processor.consume(t)
+        processor.consume(triples)
         assert len(processor._uris.contents()) <= 8
 
     def test_estimate_unbiased_when_sample_binds(self):
@@ -531,8 +529,8 @@ def _per_term_deref_consume(proc, t: Triple) -> None:
             proc._uris.add(term.lexical)
 
 
-def _per_term_base_offer(tracker: BaseUriTracker, t: Triple) -> None:
-    """`BaseUriTracker.offer` deriving the subject's PLD on every triple."""
+def _per_term_base_offer(tracker: ExtLinksExact, t: Triple) -> None:
+    """Base PLD detection deriving the subject's PLD on every triple."""
     subject_pld = try_pld(t.subject.lexical) if t.subject.kind is TermKind.IRI else None
     if (
         tracker.declared is None
@@ -562,7 +560,7 @@ class TestSubjectReuse:
             if t.subject == previous and t.subject.lexical not in oracle._uris.held:
                 let_go += try_pld(t.subject.lexical) is not None
             previous = t.subject
-            reused.consume(t)
+            reused.consume([t])
             _per_term_deref_consume(oracle, t)
             assert reused._uris.contents() == oracle._uris.contents()
         assert let_go > 0  # the stream exercises evicted and turned-away subjects
@@ -575,8 +573,9 @@ class TestSubjectReuse:
     def test_deref_exact_matches_per_term_loop(self, shared):
         reused = DerefExact(MockResolver({}))
         oracle = DerefExact(MockResolver({}))
-        for t in _reuse_stream(4, shared):
-            reused.consume(t)
+        stream = _reuse_stream(4, shared)
+        reused.consume(stream)
+        for t in stream:
             _per_term_deref_consume(oracle, t)
         assert reused._uris == oracle._uris
         assert (reused.uris_routed, reused.uris_without_pld) == (
@@ -586,13 +585,14 @@ class TestSubjectReuse:
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "equal-copies"])
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_base_tracker_matches_per_triple_derivation(self, seed, shared):
-        reused, oracle = BaseUriTracker(), BaseUriTracker()
-        for t in _reuse_stream(seed, shared):
-            reused.offer(t)
+        reused, oracle = ExtLinksExact(), ExtLinksExact()
+        stream = _reuse_stream(seed, shared)
+        reused.consume(stream)
+        for t in stream:
             _per_term_base_offer(oracle, t)
         assert reused.frequency == oracle.frequency
         assert reused.declared == oracle.declared
-        assert reused.result() == oracle.result()
+        assert reused.base_pld() == oracle.base_pld()
 
 
 class TestCcMetric:
@@ -711,3 +711,131 @@ class TestMetricResultContract:
             run(ClusteringMetric(False), triples).value
             == run(ClusteringMetric(False), reversed_triples).value
         )
+
+
+# --------------------------------------------------------------------------
+# consume takes a chunk: how the stream is cut must not show in any result
+
+_CHUNKINGS = [None, 1, 3, 256, 1000]  # None: the whole stream in one call
+_FIRST = iri("http://s0.org/first")  # the first run's subject, one triple long
+
+
+def _chunking_stream(seed: int) -> list[Triple]:
+    """A subject-sorted stream of about 1,800 triples: IRI and blank-node
+    subjects in runs of 1-8 triples, some runs sharing one subject `Term`
+    and some holding equal copies; about one instance in eight repeats an
+    earlier one's statements; objects are IRIs with and without a PLD,
+    links back to earlier subjects, blank nodes and literals of each form;
+    one run declares the dataset."""
+    rng = SeededRng(seed)
+    triples = [Triple(_FIRST, iri("http://v.org/p"), literal("first"))]
+    subjects: list[Term] = []
+    bodies: list[list[tuple[Term, Term]]] = []
+    for run_no in range(400):
+        if rng.uniform_below(10) == 0 and run_no != 17:
+            make_subject = lambda: blank(f"b{run_no}")  # noqa: E731
+        else:
+            name = f"http://s{1 + rng.uniform_below(6)}.org/r{run_no:04d}"
+            make_subject = lambda: iri(name)  # noqa: E731
+        if bodies and rng.uniform_below(8) == 0:
+            body = bodies[rng.uniform_below(len(bodies))]
+        else:
+            body = []
+            for _ in range(1 + rng.uniform_below(8)):
+                roll = rng.uniform_below(10)
+                if roll < 3:
+                    obj = iri(f"http://example{rng.uniform_below(40)}.net/{rng.uniform_below(50)}")
+                elif roll == 3 and subjects:
+                    obj = subjects[rng.uniform_below(len(subjects))]
+                elif roll == 4:
+                    obj = iri(f"urn:uuid:{rng.uniform_below(30)}")
+                elif roll == 5:
+                    obj = blank(f"o{rng.uniform_below(20)}")
+                elif roll == 6:
+                    obj = literal(f"v{rng.uniform_below(100)}", language_tag="en")
+                elif roll == 7:
+                    obj = literal(str(rng.uniform_below(100)),
+                                  datatype_iri="http://www.w3.org/2001/XMLSchema#integer")
+                else:
+                    obj = literal(f"v{rng.uniform_below(100)}")
+                body.append((iri(f"http://v.org/p{rng.uniform_below(5)}"), obj))
+            bodies.append(body)
+        if run_no == 17:
+            body = [*body, (iri(RDF_TYPE), iri(VOID_DATASET))]
+        shared = make_subject() if run_no % 2 else None
+        for predicate, obj in body:
+            triples.append(Triple(shared or make_subject(), predicate, obj))
+        subjects.append(make_subject())
+    return triples
+
+
+def _chunking_resolver() -> MockResolver:
+    return MockResolver({
+        "http://*": [{"status": 303, "location": "http://d.org/doc"},
+                     {"status": 200, "content_type": "text/turtle"}],
+        "http://s2.org/*": [{"status": 404}],
+        "http://example1.net/*": [{"error": "timeout"}],
+    })
+
+
+_VARIANTS = {
+    "ext-links-estimate": lambda: ExtLinksEstimate(8, seed=5),
+    "ext-links-exact": ExtLinksExact,
+    "extcon-estimate": lambda: ConcisenessEstimate(20_000, 0.01, seed=5),
+    "extcon-exact": ConcisenessExact,
+    "deref-estimate": lambda: DerefEstimate(_chunking_resolver(), 16, seed=5),
+    "deref-exact": lambda: DerefExact(_chunking_resolver()),
+    "cc-estimate": lambda: ClusteringMetric(True, seed=5),
+    "cc-exact": lambda: ClusteringMetric(False),
+}
+
+
+def _feed(processor, triples: list[Triple], size: int | None) -> None:
+    if size is None:
+        processor.consume(triples)
+        return
+    it = iter(triples)
+    while chunk := list(islice(it, size)):
+        processor.consume(chunk)
+
+
+class TestChunking:
+    @pytest.mark.parametrize("variant", sorted(_VARIANTS))
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_result_independent_of_chunking(self, variant, seed):
+        triples = _chunking_stream(seed)
+        assert len(triples) > 1000
+        results = []
+        for size in _CHUNKINGS:
+            processor = _VARIANTS[variant]()
+            _feed(processor, triples, size)
+            results.append(processor.finalize())
+        assert all(r == results[0] for r in results[1:]), variant
+
+    def test_stream_exercises_every_path(self):
+        triples = _chunking_stream(1)
+        ext = run(ExtLinksEstimate(8, seed=5), triples)
+        assert ext.counters["plds_offered"] > 8 and ext.counters["objects_without_pld"] > 0
+        exact = ExtLinksExact()
+        exact.consume(triples)
+        assert exact.declared == ext.parameters["base_pld"]
+        assert run(ConcisenessExact(), triples).counters["duplicate_instances"] > 10
+        deref = run(DerefExact(_chunking_resolver()), triples)
+        assert deref.counters["distinct_uris"] > 16  # the estimate's sample binds
+        assert deref.counters["transport_errors"] > 0 and 0 < deref.value < 1
+        assert run(ClusteringMetric(False), triples).counters["edges"] > 100
+
+    @pytest.mark.parametrize("variant", ["extcon-estimate", "extcon-exact"])
+    @pytest.mark.parametrize("at", [3, 255, 256, 999])
+    def test_sort_order_violation_number_independent_of_chunking(self, variant, at):
+        # The first subject comes back as triple `at + 1`: the first of a
+        # chunk for 3-triple chunks at 3 and 256-triple chunks at 256.
+        triples = _chunking_stream(1)
+        triples.insert(at, Triple(_FIRST, iri("http://v.org/p"), literal("again")))
+        numbers = []
+        for size in _CHUNKINGS:
+            with pytest.raises(SortOrderViolation) as exc_info:
+                _feed(_VARIANTS[variant](), triples, size)
+            assert exc_info.value.subject == "<http://s0.org/first>"
+            numbers.append(exc_info.value.triple_number)
+        assert numbers == [at + 1] * len(_CHUNKINGS)

@@ -590,6 +590,11 @@ REJECTED = [
     (b"_:b. <http://a/p> <http://a/o> .", 0, "malformed blank node in subject"),
     (b"<http://a/s> <> <http://a/o> .", 13, "empty iri term"),
     (b"<http://a/s> <http://a/p> <http://a/o> # c", 39, "missing statement terminator '.'"),
+    # a literal's datatype IRI is checked as an IRI term is, at the literal
+    (b'<http://a/s> <http://a/p> "x"^^<http://a/d\\u0020t> .', 26,
+     "datatype IRI contains whitespace"),
+    (b'<http://a/s> <http://a/p> "x"^^<> .', 26, "empty datatype IRI"),
+    ('<http://a/é> <http://a/p> "x"^^<> .'.encode(), 27, "empty datatype IRI"),
 ]
 
 
