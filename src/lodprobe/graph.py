@@ -18,6 +18,7 @@ import math
 from array import array
 from dataclasses import dataclass
 
+# serialize_term is unused here; it stays bound because perfbench/tracer.py patches it.
 from .ntriples import serialize_term
 from .rng import SeededRng
 from .terms import LITERAL, Triple
@@ -39,7 +40,7 @@ class ResourceGraph:
         """Add the edge a triple describes; literal objects add nothing."""
         if t.object.kind is LITERAL:
             return
-        self.add_edge(serialize_term(t.subject), serialize_term(t.object))
+        self.add_edge(t.subject.token, t.object.token)
 
     def add_edge(self, u: str, v: str) -> None:
         if u == v:

@@ -27,6 +27,7 @@ from .graph import (
 )
 # murmur3_x64_128 is unused here; it stays bound because perfbench/tracer.py patches it.
 from .murmur3 import murmur3_x64_128
+# serialize_term is unused here; it stays bound because perfbench/tracer.py patches it.
 from .ntriples import serialize_term
 from .pld import try_pld
 from .rng import derive_seed, SeededRng
@@ -221,13 +222,13 @@ class _ConcisenessBase:
                     if current is not None:
                         self._flush(statements)
                         statements = set()
-                    text = serialize_term(s)
+                    text = s.token
                     digest = hash128(text.encode("utf-8"))
                     if digest in closed:
                         raise SortOrderViolation(text, number)
                     closed.add(digest)
                     current = s
-                statements.add(f"{serialize_term(p)} {serialize_term(o)}")
+                statements.add(f"{p.token} {o.token}")
         finally:
             self._current, self._statements, self._triple_number = current, statements, number
 

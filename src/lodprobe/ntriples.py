@@ -68,7 +68,8 @@ _ROLES = (
     ("predicate", ("IRI",), " \t"),
     ("object", ("IRI", "blank node", "literal"), " \t."),
 )
-# A token is canonical as written unless it holds an escape or a character serialize_term escapes.
+# A literal token is canonical as written unless it holds an escape or a
+# character that the canonical form escapes.
 _NON_CANONICAL_RE = re.compile(r"[\\\x00-\x1f\x7f]")
 _ESCAPE_RE = re.compile(_STRING_ESCAPE)
 _ECHAR_TABLE = {
@@ -129,26 +130,40 @@ def _decode_escapes(raw: str) -> str:
     return _ESCAPE_RE.sub(repl, raw)
 
 
+# Builds a Term or Triple without its constructor's checks, for tokens whose
+# grammar already guarantees them.
+_new_tuple = tuple.__new__
+
+
 def _term_from_token(token: str) -> Term:
-    if token.startswith("<"):
-        parts = (IRI, _decode_escapes(token[1:-1]))
-    elif token.startswith("_:"):
-        return Term(BLANK_NODE, token[2:], token=token)
-    else:
-        # literal, optionally suffixed with ^^<datatype> or @lang; neither
-        # suffix can hold a quote, so the last quote closes the value
-        end = token.rindex('"')
-        value = _decode_escapes(token[1:end])
-        suffix = token[end + 1 :]
-        if suffix.startswith("^^"):
-            parts = (LITERAL, value, _decode_escapes(suffix[3:-1]), None)
-        elif suffix.startswith("@"):
-            parts = (LITERAL, value, None, suffix[1:])
-        else:
-            parts = (LITERAL, value, None, None)
-    if _NON_CANONICAL_RE.search(token) is None:
-        return Term(*parts, token=token)
-    return Term(*parts, token=serialize_term(Term(*parts)))
+    # A token that the grammar matched and that needs no decoding is the
+    # term's canonical form as written, and passes every check Term makes,
+    # so it becomes the term's tuple directly. Any other token takes Term's
+    # checked constructor once, which computes the canonical token.
+    first = token[0]
+    if first == "<":
+        if "\\" not in token and token != "<>":
+            return _new_tuple(Term, (IRI, token[1:-1], None, None, token))
+        return Term(IRI, _decode_escapes(token[1:-1]))
+    if first == "_":
+        return _new_tuple(Term, (BLANK_NODE, token[2:], None, None, token))
+    # literal, optionally suffixed with ^^<datatype> or @lang; neither
+    # suffix can hold a quote, so the last quote closes the value
+    end = token.rindex('"')
+    suffix = token[end + 1 :]
+    if _NON_CANONICAL_RE.search(token) is None and suffix != "^^<>":
+        value = token[1:end]
+        if not suffix:
+            return _new_tuple(Term, (LITERAL, value, None, None, token))
+        if suffix[0] == "@":
+            return _new_tuple(Term, (LITERAL, value, None, suffix[1:], token))
+        return _new_tuple(Term, (LITERAL, value, suffix[3:-1], None, token))
+    value = _decode_escapes(token[1:end])
+    if suffix.startswith("^^"):
+        return Term(LITERAL, value, _decode_escapes(suffix[3:-1]))
+    if suffix.startswith("@"):
+        return Term(LITERAL, value, None, suffix[1:])
+    return Term(LITERAL, value)
 
 
 def canonical_subject(token: str) -> str:
@@ -190,7 +205,7 @@ def parse_line(line: str, terms: dict[str, Term] | None = None) -> Triple | None
     try:
         # The grammar admits only an IRI or blank node as subject and an IRI
         # as predicate, so Triple's own checks are skipped.
-        return tuple.__new__(Triple, (
+        return _new_tuple(Triple, (
             terms.get(s) or _remember(s, terms),
             terms.get(p) or _remember(p, terms),
             _term_from_token(o) if o[0] == '"' else terms.get(o) or _remember(o, terms),
@@ -288,48 +303,11 @@ class NTriplesReader:
             ))
 
 
-_LITERAL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-_NEEDS_LITERAL_ESCAPE = re.compile(r'[\x00-\x1f"\\\x7f]')
-_IRI_FORBIDDEN = set('<>"{}|^`\\') | {chr(c) for c in range(0x21)}
-
-
-def _escape_literal(value: str) -> str:
-    if _NEEDS_LITERAL_ESCAPE.search(value) is None:
-        return value
-    out = []
-    for ch in value:
-        esc = _LITERAL_ESCAPES.get(ch)
-        if esc is not None:
-            out.append(esc)
-        elif ord(ch) < 0x20 or ord(ch) == 0x7F:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def _escape_iri(value: str) -> str:
-    if _IRI_FORBIDDEN.isdisjoint(value):
-        return value
-    return "".join(f"\\u{ord(c):04X}" if c in _IRI_FORBIDDEN else c for c in value)
-
-
 def serialize_term(term: Term) -> str:
-    """Canonical N-Triples form; the parser's token when the term has one."""
-    if term.token is not None:
-        return term.token
-    if term.kind is IRI:
-        return f"<{_escape_iri(term.lexical)}>"
-    if term.kind is BLANK_NODE:
-        return f"_:{term.lexical}"
-    body = f'"{_escape_literal(term.lexical)}"'
-    if term.datatype_iri is not None:
-        return f"{body}^^<{_escape_iri(term.datatype_iri)}>"
-    if term.language_tag is not None:
-        return f"{body}@{term.language_tag}"
-    return body
+    """Canonical N-Triples form of a term: its token."""
+    return term.token
 
 
 def serialize_triple(t: Triple) -> str:
     """Canonical one-line form; parse_line round-trips it exactly."""
-    return f"{serialize_term(t.subject)} {serialize_term(t.predicate)} {serialize_term(t.object)} ."
+    return f"{t.subject.token} {t.predicate.token} {t.object.token} ."

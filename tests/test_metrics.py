@@ -256,17 +256,18 @@ class TestConciseness:
         assert exc_info.value.triple_number == 3
 
     def test_subject_serialised_once_per_run(self, monkeypatch):
-        # Equal but distinct subject Terms continue one run, and a subject
-        # is serialised when its run opens, not on every triple.
-        serialised = []
-        real = metrics.serialize_term
-        monkeypatch.setattr(metrics, "serialize_term",
-                            lambda term: serialised.append(term.lexical) or real(term))
+        # Equal but distinct subject Terms continue one run, and a subject's
+        # digest is taken when its run opens, not on every triple.
+        digested = []
+        real = metrics.hash128
+        monkeypatch.setattr(metrics, "hash128", lambda data: digested.append(data) or real(data))
         triples = [_t("http://a.org/s1", f"http://p.org/p{i}", "http://a.org/o") for i in range(4)]
         triples.append(_t("http://a.org/s2", "http://p.org/p0", "http://a.org/o"))
+        assert triples[0].subject == triples[1].subject
+        assert triples[0].subject is not triples[1].subject
         result = run(ConcisenessExact(), triples)
         assert result.counters["total_instances"] == 2
-        assert [s for s in serialised if "/s" in s] == ["http://a.org/s1", "http://a.org/s2"]
+        assert digested == [b"<http://a.org/s1>", b"<http://a.org/s2>"]
 
     def test_estimate_within_tolerance_at_moderate_size(self):
         triples, exact_value = conciseness_stream(2000, 300, seed=7, triples_per_instance=5)

@@ -549,13 +549,102 @@ def test_parsed_token_is_canonical(spelling, term):
         line = (f"{spelling} <http://a.org/p> <http://a.org/o> ." if position == "subject"
                 else f"<http://a.org/s> <http://a.org/p> {spelling} .")
         parsed = getattr(parse_line(line), position)
-        assert term.token is None
-        assert parsed.token == serialize_term(term)
+        assert type(parsed) is Term
+        assert parsed.token == term.token == serialize_term(term)
         assert parsed == term
         assert hash(parsed) == hash(term)
     assert parse_line(f"<http://a.org/s> <http://a.org/p> {spelling} .").predicate.token == (
         "<http://a.org/p>"
     )
+
+
+# Term spellings with what Term's checked constructor makes of them: the
+# fields (kind, lexical, datatype IRI, language tag) and whether the parser
+# takes that constructor for the spelling, or the reason both reject it.
+I, B, L = TermKind.IRI, TermKind.BLANK_NODE, TermKind.LITERAL
+SPELLINGS = [
+    ("<http://a.org/x>", (I, "http://a.org/x", None, None), False),
+    ("_:b1", (B, "b1", None, None), False),
+    ('"plain"', (L, "plain", None, None), False),
+    ("<http://a.org/\\u0078>", (I, "http://a.org/x", None, None), True),
+    ("<http://a.org/caf\\u00E9>", (I, "http://a.org/café", None, None), True),
+    ("<http://a.org/\\U0001F600>", (I, "http://a.org/\U0001F600", None, None), True),
+    ("<http://a.org/del\x7f>", (I, "http://a.org/del\x7f", None, None), False),
+    ('"caf\\u00e9 \\U0001F600"', (L, "café \U0001F600", None, None), True),
+    ('"\\t\\b\\n\\r\\f\\"\\\'\\\\"', (L, "\t\b\n\r\f\"'\\", None, None), True),
+    ('"\\u0009"', (L, "\t", None, None), True),
+    ('"raw\ttab"', (L, "raw\ttab", None, None), True),
+    ('"raw\x7fdel"', (L, "raw\x7fdel", None, None), True),
+    ('"v"@en-GB', (L, "v", None, "en-GB"), False),
+    ('"v"^^<http://dt.org/type>', (L, "v", "http://dt.org/type", None), False),
+    ('"v"^^<http://dt.org/t\\u00FFpe>', (L, "v", "http://dt.org/tÿpe", None), True),
+    ('"a\\"b"^^<http://dt.org/\\u0074>', (L, 'a"b', "http://dt.org/t", None), True),
+    ("<http://a.org/café>", (I, "http://a.org/café", None, None), False),
+    ('"café ü"', (L, "café ü", None, None), False),
+    ('"v"^^<http://dt.org/café>', (L, "v", "http://dt.org/café", None), False),
+    ("_:b.x", (B, "b.x", None, None), False),
+    ("<>", "empty iri term", None),
+    ('"x"^^<>', "empty datatype IRI", None),
+    ("<http://a.org/\\uD800>", "escape \\uD800 is not a scalar value", None),
+    ('"\\uD800"', "escape \\uD800 is not a scalar value", None),
+    ("<http://a.org/a\\u0020b>", "IRI contains whitespace", None),
+    ('"x"^^<http://dt.org/a\\u0020b>', "datatype IRI contains whitespace", None),
+    ("<http://a.org/raw\ttab>", "malformed IRI in", None),
+]
+
+
+def _checked_term_from_token(token: str) -> Term:
+    """The parser's term for a token, always through Term's constructor."""
+    decode = ntriples._decode_escapes
+    if token[0] == "<":
+        return Term(TermKind.IRI, decode(token[1:-1]))
+    if token[0] == "_":
+        return Term(TermKind.BLANK_NODE, token[2:])
+    end = token.rindex('"')
+    value, suffix = decode(token[1:end]), token[end + 1 :]
+    if suffix.startswith("^^"):
+        return Term(TermKind.LITERAL, value, decode(suffix[3:-1]))
+    return Term(TermKind.LITERAL, value, None, suffix[1:] or None)
+
+
+def _outcome(line: str):
+    try:
+        return parse_line(line)
+    except NTriplesParseError as exc:
+        return exc.reason, exc.byte_offset
+
+
+@pytest.mark.parametrize("spelling, expected, checked", SPELLINGS)
+def test_direct_terms_equal_checked_terms(spelling, expected, checked, monkeypatch):
+    """The parser builds a term directly only where Term's checked
+    constructor would build the same five fields; other spellings take that
+    constructor once, and a spelling one path rejects the other rejects
+    with the same reason at the same byte."""
+    lines = [f"<http://a.org/s> <http://a.org/p> {spelling} ."]
+    if spelling[0] != '"':
+        lines.append(f"{spelling} <http://a.org/p> <http://a.org/o> .")
+    init, constructed = Term.__init__, []
+    monkeypatch.setattr(
+        Term, "__init__", lambda self, *a, **k: constructed.append(a) or init(self, *a, **k))
+    direct = [_outcome(line) for line in lines]
+    calls = len(constructed)
+    monkeypatch.setattr(ntriples, "_term_from_token", _checked_term_from_token)
+    via_constructor = [_outcome(line) for line in lines]
+    for line, got, want in zip(lines, direct, via_constructor):
+        if isinstance(expected, str):
+            assert got == want, line
+            assert got[0].startswith(expected), line
+            assert got[1] == (0 if line.startswith(spelling) else 34), line
+            continue
+        term = got.object if line.endswith(f"{spelling} .") else got.subject
+        by_hand = Term(*expected)
+        assert type(term) is Term and type(by_hand) is Term
+        for field in Term._fields:
+            assert getattr(term, field) == getattr(by_hand, field), (line, field)
+        assert term == by_hand and hash(term) == hash(by_hand)
+        assert got == want
+    if not isinstance(expected, str):
+        assert calls == (len(lines) if checked else 0)
 
 
 # Rejected lines of each shape the benchmark plants in its dirty dump: the
