@@ -154,8 +154,9 @@ class StableBloomFilter:
 
     def _positions(self, item: bytes) -> list[int]:
         h = hash128(item)
-        h1, h2 = h & _MASK64, h >> 64
         bpf = self.bits_per_filter
+        # (h1 + i*h2) mod m, reduced first: every term stays a small int.
+        h1, h2 = (h & _MASK64) % bpf, (h >> 64) % bpf
         return [(h1 + i * h2) % bpf for i in range(self.num_filters)]
 
     def check_and_add(self, item: bytes) -> bool:
@@ -192,9 +193,11 @@ class StableBloomFilter:
             return
         if p < 1.0 and self.rng.next_float() >= p:
             return
-        # Clear one uniformly chosen set bit in the most-loaded sub-filter.
-        target = max(range(self.num_filters), key=lambda i: (self._set_counts[i], -i))
-        if self._set_counts[target] == 0:
+        # Clear one uniformly chosen set bit in the most-loaded sub-filter,
+        # the lowest-indexed one on a tie.
+        counts = self._set_counts
+        target = counts.index(max(counts))
+        if counts[target] == 0:
             return
         array = self._arrays[target]
         bpf = self.bits_per_filter
@@ -213,7 +216,7 @@ class StableBloomFilter:
                     pos = cand
                     break
         array[pos >> 3] &= ~(1 << (pos & 7))
-        self._set_counts[target] -= 1
+        counts[target] -= 1
         self.resets += 1
 
     def set_bit_counts(self) -> list[int]:

@@ -107,6 +107,33 @@ def _multigraph_triples(seed: int, n: int = 3000) -> list[Triple]:
     return triples
 
 
+def _ring_plus_random_edges(n: int, seed: int) -> list[tuple[str, str]]:
+    """A ring over n pre-built vertex names plus two random edges per
+    vertex: 3n edge adds, a few of them self-loops or repeats."""
+    rng = SeededRng(seed)
+    names = [f"<http://m.org/v{i}>" for i in range(n)]
+    edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
+    edges += [(names[i], names[rng.uniform_below(n)]) for i in range(n) for _ in "ab"]
+    return edges
+
+
+def _build_graph(edges) -> ResourceGraph:
+    g = ResourceGraph()
+    for u, v in edges:
+        g.add_edge(u, v)
+    return g
+
+
+def _traced_size(build) -> tuple[int, object]:
+    """Bytes `build()` leaves allocated under tracemalloc, and its result."""
+    tracemalloc.start()
+    try:
+        built = build()
+        return tracemalloc.get_traced_memory()[0], built
+    finally:
+        tracemalloc.stop()
+
+
 class TestGraphBuild:
     def test_literal_objects_ignored(self):
         g = ResourceGraph()
@@ -179,24 +206,7 @@ class TestGraphBuild:
         # Interned int arrays against a dict of name sets over the same
         # edges and the same vertex strings, which neither side counts.
         n = 20_000
-        rng = SeededRng(62)
-        names = [f"<http://m.org/v{i}>" for i in range(n)]
-        edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
-        edges += [(names[i], names[rng.uniform_below(n)]) for i in range(n) for _ in "ab"]
-
-        def traced_size(build) -> tuple[int, object]:
-            tracemalloc.start()
-            try:
-                built = build()
-                return tracemalloc.get_traced_memory()[0], built
-            finally:
-                tracemalloc.stop()
-
-        def build_graph():
-            g = ResourceGraph()
-            for u, v in edges:
-                g.add_edge(u, v)
-            return g
+        edges = _ring_plus_random_edges(n, seed=62)
 
         def build_sets():
             adj: dict[str, set[str]] = {}
@@ -206,11 +216,62 @@ class TestGraphBuild:
                     adj.setdefault(v, set()).add(u)
             return adj
 
-        graph_bytes, g = traced_size(build_graph)
-        set_bytes, adj = traced_size(build_sets)
+        graph_bytes, g = _traced_size(lambda: _build_graph(edges))
+        set_bytes, adj = _traced_size(build_sets)
         assert g.vertex_count == len(adj) == n
         assert 2 * g.edge_count / n >= 4
         assert graph_bytes <= set_bytes / 2, (graph_bytes, set_bytes)
+
+    @pytest.mark.parametrize("n", [20_000, 100_000])
+    def test_bytes_per_edge_add(self, n):
+        # Three flat slot arrays, the intern dict and the name list, with
+        # the vertex strings pre-built and not counted: one array('i') per
+        # vertex cost about 60 B per edge add at both sizes.
+        edges = _ring_plus_random_edges(n, seed=64)
+        graph_bytes, g = _traced_size(lambda: _build_graph(edges))
+        assert g.vertex_count == n
+        assert graph_bytes / len(edges) <= 48, graph_bytes / len(edges)
+
+    def test_reads_interleaved_with_adds_match_set_oracle(self):
+        # Every read walks the chains as they are at that moment: adds after
+        # a read, parallel, reversed or to a hub, show in the next read.
+        pred = iri("http://m.org/p")
+        g = ResourceGraph()
+        triples: list[Triple] = []
+
+        def add(u: str, v: str) -> None:
+            t = Triple(iri(f"http://m.org/{u}"), pred, iri(f"http://m.org/{v}"))
+            triples.append(t)
+            g.add_triple(t)
+
+        def check() -> None:
+            oracle = _SetGraph(triples)
+            assert list(g.vertices()) == list(oracle.vertices())
+            names = g.vertices()
+            for i, v in enumerate(names):
+                assert g.neighbors(v) == oracle.neighbors(v)
+                frozen = g.frozen_neighbors(i)
+                assert frozen == tuple(sorted(map(names.index, oracle.neighbors(v)),
+                                              key=names.__getitem__))
+            edges = sum(map(len, oracle.adj.values())) // 2
+            assert g.edge_count == g.edge_count == edges
+
+        for i in range(30):
+            add(f"r{i}", f"r{(i + 1) % 30}")
+        check()
+        for i in range(0, 30, 3):
+            add(f"r{i}", f"r{(i + 1) % 30}")  # parallel
+            add(f"r{(i + 2) % 30}", f"r{(i + 1) % 30}")  # reversed
+        check()
+        for i in range(30):
+            add("hub", f"r{i}")
+            add(f"r{i}", "hub")
+        add("hub", "hub")
+        check()
+        for i in range(5):
+            add(f"new{i}", "hub")
+            add(f"new{i}", f"r{i}")
+        check()
 
 
 class TestExactCc:

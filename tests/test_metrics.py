@@ -687,6 +687,53 @@ class TestCcMetric:
         assert run(metric, [edge]).counters["walk_steps"] == 3
 
 
+def _flat_stream(n: int) -> list[Triple]:
+    """n triples, 5 per subject, over 20 subject PLDs; each object URI is
+    new, and the object PLDs cycle through a pool of 1,000."""
+    link = iri("http://v.org/link")
+    subjects = [iri(f"http://s{j % 20}.org/r{j}") for j in range(n // 5)]
+    return [Triple(subjects[i // 5], link, iri(f"http://o{i % 1000}.org/doc{i}"))
+            for i in range(n)]
+
+
+class TestFlatEstimateMemory:
+    # Samples of 200 against 1,000 object PLDs and n distinct URIs: both
+    # samples bind well before n triples, so past that point nothing an
+    # estimate holds grows with the stream. The base-PLD table grows with
+    # distinct subject PLDs, which the stream keeps at 20. The margin is
+    # less than a set or dict entry for every tenth of the 16,000 extra
+    # triples would cost.
+    MARGIN = 16 * 1024
+
+    @pytest.mark.parametrize("make", [
+        lambda: ExtLinksEstimate(200, seed=4),
+        lambda: DerefEstimate(MockResolver({"http://*": [
+            {"status": 303, "location": "http://d.org/"},
+            {"status": 200, "content_type": "text/turtle"},
+        ]}), 200, seed=4),
+    ], ids=["ext-links", "deref"])
+    def test_peak_flat_between_n_and_5n(self, make):
+        n = 4_000
+        streams = {size: _flat_stream(size) for size in (n, 5 * n)}
+        # The PLD memo is shared by the pass: warm it on every authority
+        # first, so neither traced run pays for its entries.
+        run(make(), streams[5 * n])
+
+        def peak(triples):
+            tracemalloc.start()
+            try:
+                result = run(make(), triples)
+                return tracemalloc.get_traced_memory()[1], result
+            finally:
+                tracemalloc.stop()
+
+        small_peak, small = peak(streams[n])
+        large_peak, large = peak(streams[5 * n])
+        sampled = "plds_sampled" if "plds_sampled" in small.counters else "uris_sampled"
+        assert small.counters[sampled] == large.counters[sampled] == 200
+        assert abs(large_peak - small_peak) <= self.MARGIN, (small_peak, large_peak)
+
+
 class TestMetricResultContract:
     def test_value_range_enforced(self):
         with pytest.raises(ValueError):

@@ -303,6 +303,56 @@ def _tracked(f: StableBloomFilter):
     return check, cleared
 
 
+class _ReferenceFilter:
+    """The stable Bloom filter as its documentation states it, written for
+    clarity, not speed: the oracle for a seeded run."""
+
+    def __init__(self, total_bits: int, t: float, rng: SeededRng):
+        self.t = t
+        self.k = derive_num_filters(t)
+        self.m = total_bits // self.k
+        self.rng = rng
+        self.resets = 0
+        self.arrays = [bytearray(-(-self.m // 8)) for _ in range(self.k)]
+        self.counts = [0] * self.k
+
+    def _bit(self, i: int, pos: int) -> bool:
+        return bool(self.arrays[i][pos >> 3] >> (pos & 7) & 1)
+
+    def check_and_add(self, item: bytes) -> bool:
+        h = hash128(item)
+        h1, h2 = h & (2**64 - 1), h >> 64
+        positions = [(h1 + i * h2) % self.m for i in range(self.k)]
+        if all(self._bit(i, pos) for i, pos in enumerate(positions)):
+            return True
+        self._maybe_reset()
+        for i, pos in enumerate(positions):
+            if not self._bit(i, pos):
+                self.arrays[i][pos >> 3] |= 1 << (pos & 7)
+                self.counts[i] += 1
+        return False
+
+    def _maybe_reset(self) -> None:
+        fpr = 1.0
+        for count in self.counts:
+            fpr *= count / self.m
+        p = fpr / self.t
+        if p <= 0.0 or (p < 1.0 and self.rng.next_float() >= p):
+            return
+        target = max(range(self.k), key=lambda i: (self.counts[i], -i))
+        if self.counts[target] == 0:
+            return
+        pos = next((c for c in (self.rng.uniform_below(self.m) for _ in range(64))
+                    if self._bit(target, c)), -1)
+        if pos < 0:
+            start = self.rng.uniform_below(self.m)
+            pos = next((start + off) % self.m for off in range(self.m)
+                       if self._bit(target, (start + off) % self.m))
+        self.arrays[target][pos >> 3] &= ~(1 << (pos & 7))
+        self.counts[target] -= 1
+        self.resets += 1
+
+
 class TestStableBloomFilter:
     def test_fresh_add_not_duplicate(self):
         f = _filter()
@@ -415,6 +465,39 @@ class TestStableBloomFilter:
                 false_pos += 1
             oracle.add(item)
         assert false_pos / n <= 0.02
+
+    @pytest.mark.parametrize("loads, target", [((6, 7, 7), 1), ((7, 7, 7), 0), ((7, 6, 7), 0)])
+    def test_reset_tie_clears_lowest_indexed(self, loads, target):
+        # 8 bits per sub-filter, loaded past the threshold, so the reset
+        # step always fires and picks among the most-loaded sub-filters.
+        f = _filter(total_bits=24, t=0.125)
+        assert (f.num_filters, f.bits_per_filter) == (3, 8)
+        for i, load in enumerate(loads):
+            f._arrays[i][0] = (1 << load) - 1
+        f._set_counts = list(loads)
+        before = [bytes(a) for a in f._arrays]
+        f._maybe_reset()
+        expected = list(loads)
+        expected[target] -= 1
+        assert f.set_bit_counts() == expected
+        assert f.resets == 1
+        for i, (old, now) in enumerate(zip(before, f._arrays)):
+            assert (now == old) == (i != target), i
+        assert bin(f._arrays[target][0]).count("1") == loads[target] - 1
+
+    def test_seeded_run_matches_documented_formula(self):
+        # The reference computes positions as (h1 + i*h2) mod m on the full
+        # 64-bit halves and picks a reset's sub-filter as the highest count,
+        # then the lowest index; the filter under test must end up with the
+        # same bits, resets and generator state after 20k items.
+        items = [f"sig{i % 15_000}:{i % 7}".encode() for i in range(20_000)]
+        f = StableBloomFilter(100_000, 0.001, SeededRng(17))
+        ref = _ReferenceFilter(100_000, 0.001, SeededRng(17))
+        assert [f.check_and_add(x) for x in items] == [ref.check_and_add(x) for x in items]
+        assert f._arrays == ref.arrays
+        assert f.set_bit_counts() == ref.counts
+        assert f.resets == ref.resets > 0
+        assert f.rng._state == ref.rng._state
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
