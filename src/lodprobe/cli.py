@@ -79,13 +79,21 @@ def _convert(kind: type, value, source: str):
     """kind(value), or a UsageError that names where the value came from.
 
     A boolean is never a number here, and an int is never rounded from a
-    fractional one (JSON `2.7`); `20000.0` is the int 20000 wherever given.
+    fractional one (`2.7`); `20000.0` is the int 20000 wherever given. A
+    string for an int reads as a JSON number does: an int, or else a float
+    with an integral value.
     """
     try:
-        if isinstance(value, bool) or (kind is int and isinstance(value, float)
-                                       and not value.is_integer()):
+        number = value
+        if kind is int and isinstance(value, str):
+            try:
+                return int(value)
+            except ValueError:
+                number = float(value)
+        if isinstance(number, bool) or (kind is int and isinstance(number, float)
+                                        and not number.is_integer()):
             raise ValueError
-        return kind(value)
+        return kind(number)
     except (TypeError, ValueError, OverflowError):
         raise UsageError(f"{source}: expected {kind.__name__}, got {value!r}") from None
 
@@ -405,6 +413,8 @@ def _cmd_assess_or_compare(args, compare: bool) -> int:
 
 
 def _cmd_sort(args) -> int:
+    if args.memory < 1:
+        raise UsageError(f"--memory must be at least 1 byte, got {args.memory}")
     if not Path(args.input).exists():
         print(f"error: input not found: {args.input}", file=sys.stderr)
         return 1
@@ -457,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sort.add_argument("--input", required=True)
     p_sort.add_argument("--output", required=True)
     p_sort.add_argument("--memory", type=int, default=64 * 1024 * 1024,
-                        help="chunk memory budget in bytes")
+                        help="chunk memory budget in bytes, at least 1")
     p_sort.add_argument("--out", default=None,
                         help="also write the sort summary as JSON here")
     return parser

@@ -188,42 +188,29 @@ class MockResolver:
 
 
 class CachedResolver:
-    """At-most-one underlying resolution per distinct URI (single flight).
+    """At most one inner resolution per distinct URI.
 
-    Safe under concurrent use: losers of the in-flight race block on an
-    event and read the winner's cached Resolution.
+    Safe under concurrent use: one lock guards the cache and is held
+    across a miss's inner `resolve`, so lookups are serialised and
+    different URIs are never resolved in parallel. The inner resolver must
+    not call back into this cache, or it deadlocks on the lock.
     """
 
     def __init__(self, inner: Resolver):
         self.inner = inner
         self._cache: dict[str, Resolution] = {}
-        self._inflight: dict[str, threading.Event] = {}
         self._lock = threading.Lock()
 
     def resolve(self, uri: str) -> Resolution:
-        while True:
-            with self._lock:
-                cached = self._cache.get(uri)
-                if cached is not None:
-                    return cached
-                event = self._inflight.get(uri)
-                if event is None:
-                    event = threading.Event()
-                    self._inflight[uri] = event
-                    break
-            event.wait()
-        try:
-            try:
-                result = self.inner.resolve(uri)
-            except Exception as exc:  # resolver contract: failures are values
-                result = Resolution(uri, transport_error=f"resolver-crash: {exc}")
-            with self._lock:
+        with self._lock:
+            result = self._cache.get(uri)
+            if result is None:
+                try:
+                    result = self.inner.resolve(uri)
+                except Exception as exc:  # resolver contract: failures are values
+                    result = Resolution(uri, transport_error=f"resolver-crash: {exc}")
                 self._cache[uri] = result
             return result
-        finally:
-            with self._lock:
-                self._inflight.pop(uri, None)
-            event.set()
 
 
 class LiveResolver:

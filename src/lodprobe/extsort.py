@@ -83,7 +83,10 @@ def sort_by_subject(
 
     Output is the same multiset of lines (line endings normalised to \\n)
     ordered by (subject sort key, full line), both compared bytewise.
+    A `memory_budget` below 1 byte is a ValueError.
     """
+    if memory_budget < 1:
+        raise ValueError(f"memory budget must be at least 1 byte, got {memory_budget}")
     summary = SortSummary()
     chunk: list[bytes] = []
     chunk_bytes = 0
@@ -161,7 +164,10 @@ def verify_subject_contiguous(path: str | Path) -> int | None:
 
     Returns None when every subject's lines are contiguous, else the
     1-based line number of the first line whose subject already closed.
-    Memory stays bounded by keeping 128-bit key digests, not keys.
+    Only lines with a recognised subject are judged: blank, comment and
+    junk lines neither close a subject's run nor reopen one, as `assess`
+    skips them too. Memory stays bounded by keeping 128-bit key digests,
+    not keys.
     """
     closed: set[int] = set()
     current: bytes | None = None
@@ -169,8 +175,8 @@ def verify_subject_contiguous(path: str | Path) -> int | None:
 
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            key, _ = subject_sort_key(raw.rstrip(b"\r\n"))
-            if key == current:
+            key, ok = subject_sort_key(raw.rstrip(b"\r\n"))
+            if not ok or key == current:
                 continue
             if current is not None:
                 closed.add(current_digest)

@@ -333,10 +333,11 @@ class _DerefBase:
     """Routes each subject/object IRI that has a PLD into `uris`, a set or
     a sample; both variants classify what that holds.
 
-    A subject is routed once per run of triples sharing its `Term`: offering
-    it again would change neither the set nor the sample, since an item
-    once held, evicted or turned away by a bottom-k sample never enters it
-    again. The counters still count every triple."""
+    Subjects and objects take one rule. A subject's verdict is kept for
+    the run of triples sharing its `Term`: offering it again would change
+    neither the set nor the sample, since an item once held, evicted or
+    turned away by a bottom-k sample never enters it again. The counters
+    still count every triple."""
 
     name = "dereferenceability"
 
@@ -348,35 +349,29 @@ class _DerefBase:
         self._subject: Term | None = None
         self._subject_routed: bool | None = None
 
-    def _route(self, term: Term) -> bool | None:
-        """Offer `term` to `uris` if it is an IRI with a PLD; None for a
-        non-IRI, else whether it had a PLD."""
-        if term.kind is not IRI:
-            return None
-        if try_pld(term.lexical) is None:
-            return False
-        self._uris.add(term.lexical)
-        return True
-
     def consume(self, triples: Iterable[Triple]) -> None:
         add, subject, subject_routed = self._uris.add, self._subject, self._subject_routed
         routed = without_pld = 0
         for s, _, o in triples:
-            if s is not subject:
-                subject = s
-                subject_routed = self._route(s)
-            if subject_routed:
-                routed += 1
-            elif subject_routed is False:
-                without_pld += 1
-            # The object, as `_route` would, without its call on every triple.
-            if o.kind is not IRI:
-                continue
-            if try_pld(o.lexical) is None:
-                without_pld += 1
+            if s is subject:
+                terms = (o,)
+                if subject_routed:
+                    routed += 1
+                elif subject_routed is False:
+                    without_pld += 1
             else:
-                routed += 1
-                add(o.lexical)
+                subject, subject_routed, terms = s, None, (s, o)
+            for term in terms:
+                if term.kind is not IRI:
+                    continue
+                ok = try_pld(term.lexical) is not None
+                if ok:
+                    routed += 1
+                    add(term.lexical)
+                else:
+                    without_pld += 1
+                if term is s:
+                    subject_routed = ok
         self._subject, self._subject_routed = subject, subject_routed
         self.uris_routed += routed
         self.uris_without_pld += without_pld

@@ -49,6 +49,12 @@ BAD_VALUES = [
      "clustering-coefficient:estimate (mixing_multiplier=1e+308"),
     (["--param", "min_steps=1000001"], None,
      "clustering-coefficient:estimate (mixing_multiplier=1.0, min_steps=1000001)"),
+    (["--param", "reservoir_capacity=2.7"], None, "parameter reservoir_capacity: expected int, got '2.7'"),
+    (["--param", "reservoir_capacity=true"], None, "parameter reservoir_capacity: expected int, got 'true'"),
+    (["--param", "reservoir_capacity=nan"], None, "parameter reservoir_capacity: expected int, got 'nan'"),
+    (["--param", "reservoir_capacity=inf"], None, "parameter reservoir_capacity: expected int, got 'inf'"),
+    (["--config", "string-fraction.json"], None,
+     "string-fraction.json: parameter reservoir_capacity: expected int, got '2.7'"),
     (["--param", "reservoir_capacity=0"], None, "external-links:estimate (reservoir_capacity=0)"),
     (["--param", "reservoir_capacity=1"], None, "external-links:estimate (reservoir_capacity=1)"),
     (["--param", "total_bits=10"], None,
@@ -197,6 +203,9 @@ class TestAssess:
         ({}, {}, ["ext-links.reservoir_capacity=11", "reservoir_capacity=10"], 11),
         ({"reservoir_capacity": 20000.0}, {}, [], 20000),
         ({}, {"reservoir_capacity": 20000.0}, [], 20000),
+        ({"reservoir_capacity": "20000.0"}, {}, [], 20000),
+        ({}, {"reservoir_capacity": "20000.0"}, [], 20000),
+        ({}, {}, ["reservoir_capacity=20000.0"], 20000),
     ])
     def test_parameter_precedence(self, tiny_dataset, tmp_path, entry, config, flags, expected):
         # defaults < metric entry < config parameters < flags; within one
@@ -270,6 +279,8 @@ class TestAssess:
         (tmp_path / "typo.json").write_text('{"parameters": {"total_bit": 5}}')
         (tmp_path / "bogus.json").write_text('{"metrics": [{"name": "bogus"}]}')
         (tmp_path / "fraction.json").write_text('{"parameters": {"reservoir_capacity": 2.7}}')
+        (tmp_path / "string-fraction.json").write_text(
+            '{"parameters": {"reservoir_capacity": "2.7"}}')
         (tmp_path / "boolean.json").write_text('{"parameters": {"mixing_multiplier": true}}')
         monkeypatch.chdir(tmp_path)
         monkeypatch.setitem(sys.modules, "requests", None)
@@ -495,6 +506,27 @@ class TestSort:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"error: {flag} {paths[flag]}: directory {tmp_path / 'missing'} not found\n"
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_sort_memory_below_one_byte_fails_before_reading(
+        self, budget, tmp_path, monkeypatch, capsys
+    ):
+        src = tmp_path / "in.nt"
+        src.write_text("".join(
+            f"<http://a.org/s{i}> <http://a.org/p> <http://a.org/o> .\n" for i in range(2000)
+        ))
+        dst = tmp_path / "o.nt"
+
+        def must_not_sort(*args):
+            raise AssertionError("sorted despite a memory budget below 1 byte")
+
+        monkeypatch.setattr(cli, "sort_by_subject", must_not_sort)
+        argv = ["sort", "--input", str(src), "--output", str(dst), "--memory", budget]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --memory must be at least 1 byte, got {budget}\n"
+        assert not dst.exists()
 
     def test_sort_summary_json(self, tmp_path):
         src = tmp_path / "in.nt"

@@ -278,3 +278,18 @@ class TestCachedResolver:
 
         res = CachedResolver(Crashy()).resolve("http://a.org/x")
         assert res.transport_error.startswith("resolver-crash")
+
+    def test_resolver_crash_is_cached(self):
+        calls = []
+
+        class Crashy:
+            def resolve(self, uri):
+                calls.append(uri)
+                raise RuntimeError("boom")
+
+        cached = CachedResolver(Crashy())
+        first = cached.resolve("http://a.org/x")
+        second = cached.resolve("http://a.org/x")
+        assert calls == ["http://a.org/x"]
+        assert second == first
+        assert first.transport_error == "resolver-crash: boom"

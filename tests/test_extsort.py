@@ -3,6 +3,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from lodprobe import SeededRng, sort_by_subject, verify_subject_contiguous
 from lodprobe.extsort import subject_sort_key
 from lodprobe.ntriples import NTriplesParseError, parse_line, serialize_term
@@ -54,6 +56,27 @@ def test_interleaved_subjects_grouped(tmp_path):
     assert Counter(out) == Counter(lines)
     assert verify_subject_contiguous(dst) is None
     assert verify_subject_contiguous(src) == 3  # s2 reappears on line 3
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_byte_refused(tmp_path, budget):
+    src, dst = tmp_path / "in.nt", tmp_path / "out.nt"
+    _write(src, [b"<http://a/s> <http://a/p> <http://a/o> ."])
+    with pytest.raises(ValueError, match="at least 1 byte"):
+        sort_by_subject(src, dst, memory_budget=budget)
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize("gap", [b"# a comment", b"", b"   ", b"junk without a subject"])
+def test_contiguity_skips_lines_without_a_subject(tmp_path, gap):
+    path = tmp_path / "in.nt"
+    same = [b"<http://a/s> <http://a/p> <http://a/o1> .", gap,
+            b"<http://a/s> <http://a/p> <http://a/o2> ."]
+    _write(path, same)
+    assert verify_subject_contiguous(path) is None
+    # a true reappearance after the gap still reports its own line
+    _write(path, same[:1] + [b"<http://a/t> <http://a/p> <http://a/o> .", gap] + same[2:])
+    assert verify_subject_contiguous(path) == 4
 
 
 def test_malformed_lines_pass_through_counted(tmp_path):
