@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
 from dataclasses import asdict, replace
 from itertools import islice
@@ -24,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .deref import LiveResolver, MockResolver
-from .extsort import sort_by_subject
+from .extsort import sort_by_subject, write_atomically
 from .metrics import (
     ClusteringMetric,
     ConcisenessEstimate,
@@ -224,16 +223,7 @@ def _write_report(report: dict, out_path: str | None) -> None:
     if out_path is None:
         return
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    out = Path(out_path)
-    fd, tmp = tempfile.mkstemp(prefix=".lodprobe-report-", dir=out.parent)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomically(out_path, [text.encode("utf-8")])
 
 
 def _resolve_seed(args, config_file: dict) -> int:
@@ -292,9 +282,15 @@ def _merge_config(args, config_file: dict) -> None:
 
 
 def _check_out_dir(flag: str, path: str | None) -> None:
-    """Fail before any work when `path` has no directory to be written in."""
-    if path is not None and not Path(path).parent.is_dir():
-        raise UsageError(f"{flag} {path}: directory {Path(path).parent} not found")
+    """Fail before any work when `path` is a directory or has no directory
+    to be written in."""
+    if path is None:
+        return
+    target = Path(path)
+    if target.is_dir():
+        raise UsageError(f"{flag} {path}: is a directory")
+    if not target.parent.is_dir():
+        raise UsageError(f"{flag} {path}: directory {target.parent} not found")
 
 
 def _plan_run(args, compare: bool) -> tuple[int, list]:
@@ -416,8 +412,7 @@ def _cmd_sort(args) -> int:
     if args.memory < 1:
         raise UsageError(f"--memory must be at least 1 byte, got {args.memory}")
     if not Path(args.input).exists():
-        print(f"error: input not found: {args.input}", file=sys.stderr)
-        return 1
+        raise UsageError(f"input not found: {args.input}")
     _check_out_dir("--output", args.output)
     _check_out_dir("--out", args.out)
     summary = sort_by_subject(args.input, args.output, args.memory)
@@ -479,10 +474,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sort":
             return _cmd_sort(args)
         return _cmd_assess_or_compare(args, compare=args.command == "compare")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

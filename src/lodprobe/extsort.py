@@ -24,6 +24,7 @@ import tempfile
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 # murmur3_x64_128 is unused here; it stays bound because perfbench/tracer.py patches it.
 from .murmur3 import murmur3_x64_128
@@ -62,6 +63,21 @@ def subject_sort_key(line: bytes) -> tuple[bytes, bool]:
     # raw prefix fallback: leading token of the line as-is
     token = line.split(b" ", 1)[0].split(b"\t", 1)[0]
     return token, False
+
+
+def write_atomically(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write `chunks` to a new file beside `path`, renamed over it at the end
+    and removed on any failure, so `path` never holds a partial write. The
+    file gets mode 0o666 less the umask, as `open` would give it."""
+    tmp = Path(path).parent / f".lodprobe-{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as out:
+            out.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _merged(paths: list[str]):
@@ -137,21 +153,9 @@ def sort_by_subject(
             for p in group:
                 os.unlink(p)
 
-        out_dir = Path(output_path).parent
-        fd, tmp_out = tempfile.mkstemp(prefix="lodprobe-sorted-", dir=out_dir)
-        try:
-            with os.fdopen(fd, "wb") as out:
-                if runs:
-                    records = _merged(runs)
-                else:
-                    chunk.sort()
-                    records = (decorated + b"\n" for decorated in chunk)
-                for rec in records:
-                    out.write(rec.split(b"\t", 1)[1])
-            os.replace(tmp_out, output_path)
-        except BaseException:
-            os.unlink(tmp_out)
-            raise
+        chunk.sort()  # every line when nothing was spilled, else empty
+        records = _merged(runs) if runs else (decorated + b"\n" for decorated in chunk)
+        write_atomically(output_path, (rec.split(b"\t", 1)[1] for rec in records))
     finally:
         for p in runs:
             if os.path.exists(p):

@@ -131,12 +131,26 @@ class _ExtLinksBase:
         # max count first, then lexicographically smallest PLD
         return min(self.frequency, key=lambda p: (-self.frequency[p], p))
 
-    def _value(self, plds: Collection[str], base: str | None, distinct: float) -> float:
-        """External share of `plds`, scaled to `distinct` PLDs, per object URI."""
-        if self.total_object_uris == 0:
-            return 0.0
+    def _result(self, plds: Collection[str], distinct: float, parameters: dict,
+                counters: dict, **fields) -> MetricResult:
+        """External share of `plds`, scaled to `distinct` PLDs, per object
+        URI, with the base PLD and the shared counters added to a variant's
+        `parameters`, `counters` and other result `fields`."""
+        base = self.base_pld()
+        total = self.total_object_uris
         external = sum(1 for p in plds if p != base)
-        return min(1.0, external * distinct / len(plds) / self.total_object_uris)
+        return MetricResult(
+            metric=self.name,
+            value=min(1.0, external * distinct / len(plds) / total) if total else 0.0,
+            parameters={**parameters, "base_pld": base},
+            counters={
+                **counters,
+                "total_object_uris": total,
+                "objects_without_pld": self.objects_without_pld,
+                "zero_denominator": int(total == 0),
+            },
+            **fields,
+        )
 
 
 class ExtLinksEstimate(_ExtLinksBase):
@@ -150,21 +164,13 @@ class ExtLinksEstimate(_ExtLinksBase):
         self.seed = seed
 
     def finalize(self) -> MetricResult:
-        base = self.base_pld()
         plds = self._plds.contents()
         distinct = self._plds.distinct()
-        return MetricResult(
-            metric=self.name,
-            value=self._value(plds, base, distinct),
+        return self._result(
+            plds, distinct,
+            parameters={"reservoir_capacity": self._plds.capacity},
+            counters={"plds_sampled": len(plds), "plds_offered": round(distinct)},
             estimated=True,
-            parameters={"reservoir_capacity": self._plds.capacity, "base_pld": base},
-            counters={
-                "total_object_uris": self.total_object_uris,
-                "objects_without_pld": self.objects_without_pld,
-                "plds_sampled": len(plds),
-                "plds_offered": round(distinct),
-                "zero_denominator": int(self.total_object_uris == 0),
-            },
             seed=self.seed,
         )
 
@@ -176,18 +182,10 @@ class ExtLinksExact(_ExtLinksBase):
         super().__init__(set())
 
     def finalize(self) -> MetricResult:
-        base = self.base_pld()
-        return MetricResult(
-            metric=self.name,
-            value=self._value(self._plds, base, len(self._plds)),
+        distinct = len(self._plds)
+        return self._result(
+            self._plds, distinct, parameters={}, counters={"distinct_plds": distinct},
             estimated=False,
-            parameters={"base_pld": base},
-            counters={
-                "total_object_uris": self.total_object_uris,
-                "objects_without_pld": self.objects_without_pld,
-                "distinct_plds": len(self._plds),
-                "zero_denominator": int(self.total_object_uris == 0),
-            },
         )
 
 
@@ -317,18 +315,6 @@ class ConcisenessExact(_ConcisenessBase):
 # Dereferenceability
 
 
-def _tally(uris: Iterable[str], resolver: Resolver) -> tuple[int, int]:
-    """(dereferenceable, transport errors) among `uris`."""
-    ok = transport_errors = 0
-    for uri in uris:
-        verdict = classify(uri, resolver)
-        if verdict.ok:
-            ok += 1
-        elif verdict.reason and verdict.reason.startswith("transport-error"):
-            transport_errors += 1
-    return ok, transport_errors
-
-
 class _DerefBase:
     """Routes each subject/object IRI that has a PLD into `uris`, a set or
     a sample; both variants classify what that holds.
@@ -376,6 +362,32 @@ class _DerefBase:
         self.uris_routed += routed
         self.uris_without_pld += without_pld
 
+    def _result(self, uris: Collection[str], parameters: dict, counters: dict,
+                **fields) -> MetricResult:
+        """Dereferenceable share of `uris`, classified in their order, with
+        the shared counters added to a variant's `counters` and other result
+        `fields`."""
+        deref_ok = transport_errors = 0
+        for uri in uris:
+            verdict = classify(uri, self.resolver)
+            if verdict.ok:
+                deref_ok += 1
+            elif verdict.reason and verdict.reason.startswith("transport-error"):
+                transport_errors += 1
+        return MetricResult(
+            metric=self.name,
+            value=deref_ok / len(uris) if uris else 0.0,
+            parameters=parameters,
+            counters={
+                **counters,
+                "deref_ok": deref_ok,
+                "transport_errors": transport_errors,
+                "uris_without_pld": self.uris_without_pld,
+                "zero_denominator": int(not uris),
+            },
+            **fields,
+        )
+
 
 class DerefEstimate(_DerefBase):
     """Bottom-k sample of the distinct routed URIs; the value is the
@@ -390,20 +402,11 @@ class DerefEstimate(_DerefBase):
 
     def finalize(self) -> MetricResult:
         uris = self._uris.contents()
-        deref_ok, transport_errors = _tally(uris, self.resolver)
-        return MetricResult(
-            metric=self.name,
-            value=deref_ok / len(uris) if uris else 0.0,
-            estimated=True,
+        return self._result(
+            uris,
             parameters={"sample_capacity": self._uris.capacity},
-            counters={
-                "uris_routed": self.uris_routed,
-                "uris_without_pld": self.uris_without_pld,
-                "uris_sampled": len(uris),
-                "deref_ok": deref_ok,
-                "transport_errors": transport_errors,
-                "zero_denominator": int(not uris),
-            },
+            counters={"uris_routed": self.uris_routed, "uris_sampled": len(uris)},
+            estimated=True,
             seed=self.seed,
         )
 
@@ -416,20 +419,9 @@ class DerefExact(_DerefBase):
         super().__init__(resolver, set())
 
     def finalize(self) -> MetricResult:
-        deref_ok, transport_errors = _tally(sorted(self._uris), self.resolver)
-        total = len(self._uris)
-        return MetricResult(
-            metric=self.name,
-            value=deref_ok / total if total else 0.0,
-            estimated=False,
-            parameters={},
-            counters={
-                "distinct_uris": total,
-                "deref_ok": deref_ok,
-                "uris_without_pld": self.uris_without_pld,
-                "transport_errors": transport_errors,
-                "zero_denominator": int(total == 0),
-            },
+        uris = sorted(self._uris)
+        return self._result(
+            uris, parameters={}, counters={"distinct_uris": len(uris)}, estimated=False
         )
 
 

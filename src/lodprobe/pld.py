@@ -78,10 +78,13 @@ def try_pld(iri: str) -> str | None:
     IRIs, IP literals), so callers can skip the term.
     """
     prefix = _AUTHORITY_PREFIX_RE.match(iri)
-    return _pld(iri) if prefix is None else _memo_pld(prefix.group())
+    return None if prefix is None else _memo_pld(prefix.group())
 
 
 def _pld(iri: str) -> str | None:
+    # No host without `://`: urlsplit would drop the tab in `http:\t//a.org`
+    if "://" not in iri:
+        return None
     try:
         split = urlsplit(iri)
         host = split.hostname

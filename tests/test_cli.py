@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import stat
 import sys
 from importlib import resources
 from pathlib import Path
@@ -547,6 +549,44 @@ class TestSort:
         dst = tmp_path / "out.nt"
         assert main(["sort", "--input", str(src), "--output", str(dst)]) == 0
         assert "2 line(s)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])
+def test_outputs_take_the_umask(umask, mode, tiny_dataset, tmp_path):
+    previous = os.umask(umask)
+    try:
+        assert main(["assess", "--input", str(tiny_dataset), "--metric", "cc", "--seed", "1",
+                     "--out", str(tmp_path / "report.json")]) == 0
+        assert main(["sort", "--input", str(tiny_dataset), "--output", str(tmp_path / "s.nt"),
+                     "--out", str(tmp_path / "summary.json")]) == 0
+    finally:
+        os.umask(previous)
+    for name in ("report.json", "s.nt", "summary.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
+
+
+@pytest.mark.parametrize("command, flag, flags", [
+    ("assess", "--out", ["--metric", "cc"]),
+    ("compare", "--out", ["--metric", "cc"]),
+    ("sort", "--output", []),
+    ("sort", "--out", ["--output", "sorted.nt"]),
+])
+def test_directory_target_fails_before_reading(
+    command, flag, flags, tmp_path, monkeypatch, capsys
+):
+    (tmp_path / "in.nt").write_text("<http://a.org/s> <http://a.org/p> <http://a.org/o> .\n")
+    (tmp_path / "target").mkdir()
+    monkeypatch.chdir(tmp_path)
+
+    def must_not_read(*args):
+        raise AssertionError("input read despite a directory target")
+
+    monkeypatch.setattr(cli, "NTriplesReader", must_not_read)
+    monkeypatch.setattr(cli, "sort_by_subject", must_not_read)
+    assert main([command, "--input", "in.nt", *flags, flag, "target"]) == 1
+    assert capsys.readouterr().err == f"error: {flag} target: is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.nt", "target"]
+    assert not any((tmp_path / "target").iterdir())
 
 
 def test_console_script_help():

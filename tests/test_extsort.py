@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from lodprobe import SeededRng, sort_by_subject, verify_subject_contiguous
-from lodprobe.extsort import subject_sort_key
+from lodprobe.extsort import subject_sort_key, write_atomically
 from lodprobe.ntriples import NTriplesParseError, parse_line, serialize_term
 
 from synth import random_triple
@@ -174,6 +174,20 @@ def test_ties_broken_by_full_line(tmp_path):
     _write(src, lines)
     sort_by_subject(src, dst)
     assert _read(dst) == sorted(lines)
+
+
+def test_failed_write_keeps_the_old_file(tmp_path):
+    target = tmp_path / "out.nt"
+    target.write_bytes(b"old\n")
+
+    def chunks():
+        yield b"partial\n"
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError):
+        write_atomically(target, chunks())
+    assert target.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.nt"]
 
 
 def test_subject_sort_key_forms():

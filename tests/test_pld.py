@@ -146,3 +146,23 @@ def test_submodule_import_binds_the_module():
     import lodprobe.pld as module
 
     assert module.try_pld is try_pld
+
+
+def test_no_pld_without_authority_separator():
+    """Without `://` there is no host, even where urlsplit would drop a tab
+    or line break and find one."""
+    rng = SeededRng(20261019)
+    pieces = ["http", "https", "urn", "mailto", ":", "/", "//", "\t", "\r", "\n", "a.org",
+              "dbpedia.org", "u@", "?", "#", ":80", "\u0001", " "]
+    inputs = [
+        "urn:isbn:0451450523", "mailto:someone@example.org", "http:/x", "//host/x",
+        "http:\t//dbpedia.org/x", "http:/\n/dbpedia.org/x", "https:\r\n//a.org/",
+    ]
+    while len(inputs) < 3000:
+        candidate = "".join(pieces[rng.uniform_below(len(pieces))]
+                            for _ in range(rng.uniform_below(9)))
+        if "://" not in candidate:
+            inputs.append(candidate)
+    for iri in inputs:
+        assert try_pld(iri) is None, iri
+        assert _pld(iri) is None, iri
