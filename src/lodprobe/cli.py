@@ -1,11 +1,14 @@
 """Command-line entry points: assess, sort, compare.
 
-One pass over the input feeds every configured metric processor; each
+One pass over the input feeds every configured metric processor. The
+facts that several processors read (the PLD of each IRI, the resource
+graph) are derived once per chunk, before the processors see it. Each
 processor's elapsed time is accumulated around its own consume/finalize
-calls so exact-vs-estimate comparisons reflect metric work, not shared
-parsing. Reports are JSON, written atomically (temp file + rename), and
-echo the full configuration including the seed so any run can be
-reproduced from its report alone.
+calls, so exact-vs-estimate comparisons reflect each variant's own work;
+reading, parsing and the shared derivation are reported once, as the
+dataset's elapsed time. Reports are JSON, written atomically (temp file +
+rename), and echo the full configuration including the seed so any run
+can be reproduced from its report alone.
 
 Exit codes: 0 success, 2 success but the input had parse errors, 1 fatal.
 """
@@ -32,12 +35,14 @@ from .metrics import (
     DerefExact,
     ExtLinksEstimate,
     ExtLinksExact,
+    SharedGraph,
+    SharedPlds,
     SortOrderViolation,
 )
+from .metrics import CHUNK_TRIPLES as _CHUNK_TRIPLES
 from .ntriples import NTriplesReader
 
 SEED_ENV_VAR = "LODPROBE_SEED"
-_CHUNK_TRIPLES = 256  # per clock pair; larger saves little and holds more
 
 METRIC_ALIASES = {
     "dereferenceability": "dereferenceability",
@@ -171,31 +176,53 @@ def _build_resolver(spec: str | None):
     raise UsageError(f"--resolver must be 'live' or 'mock:<script>', got {spec!r}")
 
 
-def _build_processor(metric: str, variant: str, p: dict, seed: int, resolver):
-    if metric == "external-links":
-        return (ExtLinksEstimate(p["reservoir_capacity"], seed)
-                if variant == "estimate" else ExtLinksExact())
+def _one_per_run(shared: dict, kind):
+    """The run's one instance of `kind`, made for its first reader."""
+    if kind not in shared:
+        shared[kind] = kind()
+    return shared[kind]
+
+
+def _build_processor(metric: str, variant: str, p: dict, seed: int, resolver,
+                     shared: dict):
+    """A processor of `metric`; one that reads shared facts takes the run's
+    `SharedPlds` or `SharedGraph` from `shared`."""
     if metric == "extensional-conciseness":
         return (ConcisenessEstimate(p["total_bits"], p["fpr_threshold"], seed)
                 if variant == "estimate" else ConcisenessExact())
-    if metric == "dereferenceability":
-        return (DerefEstimate(resolver, p["sample_capacity"], seed)
-                if variant == "estimate" else DerefExact(resolver))
-    return ClusteringMetric(
-        variant == "estimate", p["mixing_multiplier"], p["min_steps"], seed
-    )
+    if metric == "clustering-coefficient":
+        return ClusteringMetric(variant == "estimate", p["mixing_multiplier"], p["min_steps"],
+                                seed, _one_per_run(shared, SharedGraph))
+    plds = _one_per_run(shared, SharedPlds)
+    if metric == "external-links":
+        return (ExtLinksEstimate(p["reservoir_capacity"], seed, plds)
+                if variant == "estimate" else ExtLinksExact(plds))
+    return (DerefEstimate(resolver, p["sample_capacity"], seed, plds)
+            if variant == "estimate" else DerefExact(resolver, plds))
 
 
-def _stream_into(reader: NTriplesReader, timed_processors: list) -> None:
-    """Single pass in chunks; per-processor elapsed accumulates around its own calls."""
+def _stream_into(reader: NTriplesReader, timed_processors: list) -> float:
+    """Single pass in chunks. Each chunk's shared facts are derived once,
+    then each processor consumes it, its elapsed accumulating around its
+    own call. Returns the seconds spent outside those calls: reading,
+    parsing and the shared derivation."""
     clock = time.perf_counter
+    shared = [facts for facts in dict.fromkeys(e["processor"].shared for e in timed_processors)
+              if facts is not None]
+    own = 0.0
     triples = iter(reader)
+    start = clock()
     while chunk := list(islice(triples, _CHUNK_TRIPLES)):
+        for facts in shared:
+            facts.derive(chunk)
+        own += clock() - start
         for entry in timed_processors:
             consume = entry["processor"].consume
             t0 = clock()
             consume(chunk)
             entry["elapsed"] += clock() - t0
+        start = clock()
+    return own + clock() - start
 
 
 def _finalize(entry) -> dict:
@@ -298,6 +325,9 @@ def _plan_run(args, compare: bool) -> tuple[int, list]:
 
     Deref processors share one inner resolver but each wraps it in its own
     CachedResolver, so exact and estimate each pay for their own lookups.
+    Ext-links and deref processors share one `SharedPlds`, and every
+    clustering processor reads the graph of one `SharedGraph`, so each
+    IRI's PLD is looked up and each triple added to a graph once per run.
     """
     config_file = _load_config_file(args.config)
     _merge_config(args, config_file)
@@ -324,7 +354,7 @@ def _plan_run(args, compare: bool) -> tuple[int, list]:
     if any(entry["name"] == "dereferenceability" for entry in entries):
         resolver = _build_resolver(args.resolver)
 
-    timed = []
+    timed, shared = [], {}
     for entry in entries:
         name, variant = entry["name"], entry["variant"]
         merged = _metric_params(name, [
@@ -333,7 +363,7 @@ def _plan_run(args, compare: bool) -> tuple[int, list]:
             ("parameter", cli_params),
         ])
         try:
-            processor = _build_processor(name, variant, merged, seed, resolver)
+            processor = _build_processor(name, variant, merged, seed, resolver, shared)
         except ValueError as exc:
             shown = ", ".join(f"{k}={v}" for k, v in merged.items())
             raise UsageError(f"{name}:{variant} ({shown}): {exc}") from exc
@@ -352,7 +382,7 @@ def _cmd_assess_or_compare(args, compare: bool) -> int:
 
     reader = NTriplesReader(args.input)
     try:
-        _stream_into(reader, timed)
+        shared_seconds = _stream_into(reader, timed)
         results = [_finalize(entry) for entry in timed]
     except SortOrderViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -381,6 +411,7 @@ def _cmd_assess_or_compare(args, compare: bool) -> int:
         "config": _config_echo(args, seed, timed),
         "dataset": {
             **asdict(reader.summary),
+            "elapsed_seconds": shared_seconds,
             "first_failures": [asdict(f) for f in reader.failures],
         },
         "results": results,

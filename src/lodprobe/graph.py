@@ -36,6 +36,8 @@ class ResourceGraph:
     first. `_head[id]` is the vertex's latest slot; every vertex has one,
     since an edge created it. Slot numbers are C ints, so one graph holds
     at most 2**31 - 1 edge ends, about 1.07 billion edge adds.
+    `_edges` is the last distinct-edge count with the slot count it was
+    taken at, so adding an edge stores nothing beyond its slots.
     """
 
     def __init__(self):
@@ -44,6 +46,7 @@ class ResourceGraph:
         self._head = array("i")
         self._to = array("i")
         self._next = array("i")
+        self._edges = (0, 0)
 
     def add_triple(self, t: Triple) -> None:
         """Add the edge a triple describes; literal objects add nothing."""
@@ -92,8 +95,12 @@ class ResourceGraph:
 
     @property
     def edge_count(self) -> int:
-        """Distinct edges. Walks every chain in turn: read it once."""
+        """Distinct edges. Walks every chain in turn, once per number of
+        edges added: a second read with no edge added since is free."""
         to, nxt = self._to, self._next
+        slots, edges = self._edges
+        if slots == len(to):
+            return edges
         ends = 0
         for k in self._head:
             if nxt[k] < 0:  # a one-slot chain is one neighbor
@@ -105,6 +112,7 @@ class ResourceGraph:
                 add(to[k])
                 k = nxt[k]
             ends += len(distinct)
+        self._edges = (len(to), ends // 2)
         return ends // 2
 
     def vertices(self) -> list[str]:

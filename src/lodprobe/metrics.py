@@ -6,6 +6,13 @@ iterable of triples, a chunk of the stream: the state after a stream does
 not depend on how it was cut into chunks. Each processor runs its own loop
 over a chunk, so the pass makes one call per chunk, not one per triple.
 
+Facts that several processors read are derived once per chunk by a shared
+object the processors hold: `SharedPlds` looks up the PLD of each subject
+run and of each object IRI (ext-links and deref), and `SharedGraph` feeds
+each triple to the one resource graph that every clustering processor
+reads. The pass derives each chunk before the processors see it; a
+processor built on its own holds a private one and derives as it reads.
+
 Value conventions on empty input: conciseness 1 (vacuous uniqueness),
 dereferenceability 0, external links 0, clustering metric 1: each the
 conservative end of its quality dimension, flagged with a warning counter.
@@ -14,7 +21,8 @@ conservative end of its quality dimension, flagged with a warning counter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable
+from itertools import islice
+from typing import Collection, Iterable, Iterator
 
 # pld_alive is unused here; it stays bound because perfbench/tracer.py patches it.
 from .deref import CachedResolver, Resolver, classify, pld_alive
@@ -33,6 +41,10 @@ from .pld import try_pld
 from .rng import derive_seed, SeededRng
 from .sketches import ReservoirSampler, StableBloomFilter, hash128
 from .terms import IRI, Term, Triple
+
+# Triples per chunk: per clock pair in the pass, and per derivation when a
+# processor cuts its own input; larger saves little and holds more.
+CHUNK_TRIPLES = 256
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 VOID_DATASET = "http://rdfs.org/ns/void#Dataset"
@@ -69,56 +81,129 @@ class SortOrderViolation(RuntimeError):
 
 
 # --------------------------------------------------------------------------
+# Facts shared by the processors of one pass
+
+
+class _SharedFacts:
+    """Facts about the stream that several processors read, derived once
+    per chunk.
+
+    The pass calls `derive` on each chunk before any processor consumes
+    it. A processor reads its input through `chunks`, which hands it that
+    chunk as derived, or cuts anything else (a longer list, a generator, a
+    chunk it has read already) into new chunks and derives each in turn.
+    So a processor built on its own, with a private instance, reads the
+    same facts by the same code.
+    """
+
+    def __init__(self):
+        self._chunk: list | None = None
+        self._readers: set[int] = set()  # ids: the facts hold no processor
+
+    def derive(self, chunk: list) -> None:
+        self._chunk, self._readers = chunk, set()
+        self._derive(chunk)
+
+    def chunks(self, triples: Iterable[Triple], reader) -> Iterator[list]:
+        """`triples` as derived chunks, for `reader` to read once each."""
+        if triples is self._chunk and id(reader) not in self._readers:
+            self._readers.add(id(reader))
+            yield triples
+            return
+        it = iter(triples)
+        while chunk := list(islice(it, CHUNK_TRIPLES)):
+            self.derive(chunk)
+            self._readers.add(id(reader))
+            yield chunk
+
+
+class SharedPlds(_SharedFacts):
+    """Per chunk, `subjects[i]` and `objects[i]` are the PLDs of triple i's
+    subject and object, None for a term that is not an IRI or has no PLD.
+    A subject's PLD is looked up once per run of triples sharing its
+    `Term`; `previous_subject` is the subject just before the chunk."""
+
+    def __init__(self):
+        super().__init__()
+        self.previous_subject: Term | None = None
+        self.subjects: list[str | None] = []
+        self.objects: list[str | None] = []
+        self._subject: Term | None = None
+        self._subject_pld: str | None = None
+
+    def _derive(self, chunk: list) -> None:
+        subject = self.previous_subject = self._subject
+        pld = self._subject_pld
+        subjects = []
+        append = subjects.append
+        for s, _, _ in chunk:
+            if s is not subject:
+                subject = s
+                pld = try_pld(s.lexical) if s.kind is IRI else None
+            append(pld)
+        self._subject, self._subject_pld = subject, pld
+        self.subjects = subjects
+        self.objects = [try_pld(o.lexical) if o.kind is IRI else None for _, _, o in chunk]
+
+
+class SharedGraph(_SharedFacts):
+    """The resource graph of the stream, fed each triple once."""
+
+    def __init__(self):
+        super().__init__()
+        self.graph = ResourceGraph()
+
+    def _derive(self, chunk: list) -> None:
+        add_triple = self.graph.add_triple
+        for t in chunk:
+            add_triple(t)
+
+
+# --------------------------------------------------------------------------
 # Existence of links to external data providers
 
 
 class _ExtLinksBase:
     """Routes each object IRI's PLD into `plds`, a set or a sample, and
-    finds the dataset's own (base) PLD in the same loop.
+    finds the dataset's own (base) PLD in the same loop. Both PLDs come
+    from `shared`, the pass's `SharedPlds`.
 
     Base PLD detection: a triple typing its subject as void:Dataset or
     owl:Ontology donates the subject's PLD (the first such triple wins);
     failing that, the most frequent subject PLD wins, ties broken
-    lexicographically. A subject's PLD is derived once per run of triples
-    sharing its `Term`."""
+    lexicographically."""
 
     name = "external-links"
 
-    def __init__(self, plds):
+    def __init__(self, plds, shared: SharedPlds | None):
         self._plds = plds
+        self.shared = shared if shared is not None else SharedPlds()
         self.total_object_uris = 0
         self.objects_without_pld = 0
         self.declared: str | None = None
         self.frequency: dict[str, int] = {}
-        self._subject: Term | None = None
-        self._subject_pld: str | None = None
 
     def consume(self, triples: Iterable[Triple]) -> None:
-        add, frequency, declared = self._plds.add, self.frequency, self.declared
-        subject, subject_pld = self._subject, self._subject_pld
+        shared, add = self.shared, self._plds.add
+        frequency, declared = self.frequency, self.declared
         object_uris = without_pld = 0
-        for s, p, o in triples:
-            if s is not subject:
-                subject = s
-                subject_pld = try_pld(s.lexical) if s.kind is IRI else None
-            if subject_pld is not None:
-                frequency[subject_pld] = frequency.get(subject_pld, 0) + 1
-                if (
-                    declared is None
-                    and p.lexical == RDF_TYPE
-                    and o.kind is IRI
-                    and o.lexical in (VOID_DATASET, OWL_ONTOLOGY)
-                ):
-                    declared = subject_pld
-            if o.kind is not IRI:
-                continue
-            pld = try_pld(o.lexical)
-            if pld is None:
-                without_pld += 1
-            else:
-                object_uris += 1
-                add(pld)
-        self.declared, self._subject, self._subject_pld = declared, subject, subject_pld
+        for chunk in shared.chunks(triples, self):
+            for (_, p, o), subject_pld, object_pld in zip(chunk, shared.subjects, shared.objects):
+                if subject_pld is not None:
+                    frequency[subject_pld] = frequency.get(subject_pld, 0) + 1
+                    if (
+                        declared is None
+                        and p.lexical == RDF_TYPE
+                        and o.kind is IRI
+                        and o.lexical in (VOID_DATASET, OWL_ONTOLOGY)
+                    ):
+                        declared = subject_pld
+                if object_pld is not None:
+                    object_uris += 1
+                    add(object_pld)
+                elif o.kind is IRI:
+                    without_pld += 1
+        self.declared = declared
         self.total_object_uris += object_uris
         self.objects_without_pld += without_pld
 
@@ -159,8 +244,10 @@ class ExtLinksEstimate(_ExtLinksBase):
     count is exact until a PLD is turned away, so with capacity >= distinct
     PLDs the estimate equals the exact value."""
 
-    def __init__(self, reservoir_capacity: int, seed: int):
-        super().__init__(ReservoirSampler(reservoir_capacity, derive_seed(seed, "ext-links")))
+    def __init__(self, reservoir_capacity: int, seed: int, shared: SharedPlds | None = None):
+        super().__init__(
+            ReservoirSampler(reservoir_capacity, derive_seed(seed, "ext-links")), shared
+        )
         self.seed = seed
 
     def finalize(self) -> MetricResult:
@@ -178,8 +265,8 @@ class ExtLinksEstimate(_ExtLinksBase):
 class ExtLinksExact(_ExtLinksBase):
     """Exhaustive distinct-PLD set instead of a reservoir."""
 
-    def __init__(self):
-        super().__init__(set())
+    def __init__(self, shared: SharedPlds | None = None):
+        super().__init__(set(), shared)
 
     def finalize(self) -> MetricResult:
         distinct = len(self._plds)
@@ -199,6 +286,7 @@ class _ConcisenessBase:
     subject-sorted (a closed subject must never reappear)."""
 
     name = "extensional-conciseness"
+    shared = None  # reads no shared facts
 
     def __init__(self):
         self._current: Term | None = None
@@ -317,48 +405,43 @@ class ConcisenessExact(_ConcisenessBase):
 
 class _DerefBase:
     """Routes each subject/object IRI that has a PLD into `uris`, a set or
-    a sample; both variants classify what that holds.
+    a sample; both variants classify what that holds. Whether a PLD exists
+    comes from `shared`, the pass's `SharedPlds`.
 
-    Subjects and objects take one rule. A subject's verdict is kept for
-    the run of triples sharing its `Term`: offering it again would change
-    neither the set nor the sample, since an item once held, evicted or
-    turned away by a bottom-k sample never enters it again. The counters
-    still count every triple."""
+    Subjects and objects take one rule. A subject is offered once per run
+    of triples sharing its `Term`: offering it again would change neither
+    the set nor the sample, since an item once held, evicted or turned
+    away by a bottom-k sample never enters it again. The counters still
+    count every triple."""
 
     name = "dereferenceability"
 
-    def __init__(self, resolver: Resolver, uris):
+    def __init__(self, resolver: Resolver, uris, shared: SharedPlds | None):
         self.resolver = CachedResolver(resolver)
         self._uris = uris
+        self.shared = shared if shared is not None else SharedPlds()
         self.uris_routed = 0
         self.uris_without_pld = 0
-        self._subject: Term | None = None
-        self._subject_routed: bool | None = None
 
     def consume(self, triples: Iterable[Triple]) -> None:
-        add, subject, subject_routed = self._uris.add, self._subject, self._subject_routed
+        shared, add = self.shared, self._uris.add
         routed = without_pld = 0
-        for s, _, o in triples:
-            if s is subject:
-                terms = (o,)
-                if subject_routed:
+        for chunk in shared.chunks(triples, self):
+            subject = shared.previous_subject
+            for (s, _, o), subject_pld, object_pld in zip(chunk, shared.subjects, shared.objects):
+                if s.kind is IRI:
+                    if subject_pld is None:
+                        without_pld += 1
+                    else:
+                        routed += 1
+                        if s is not subject:
+                            add(s.lexical)
+                subject = s
+                if object_pld is not None:
                     routed += 1
-                elif subject_routed is False:
+                    add(o.lexical)
+                elif o.kind is IRI:
                     without_pld += 1
-            else:
-                subject, subject_routed, terms = s, None, (s, o)
-            for term in terms:
-                if term.kind is not IRI:
-                    continue
-                ok = try_pld(term.lexical) is not None
-                if ok:
-                    routed += 1
-                    add(term.lexical)
-                else:
-                    without_pld += 1
-                if term is s:
-                    subject_routed = ok
-        self._subject, self._subject_routed = subject, subject_routed
         self.uris_routed += routed
         self.uris_without_pld += without_pld
 
@@ -394,9 +477,11 @@ class DerefEstimate(_DerefBase):
     dereferenceable share of the sample, an unbiased estimate of the
     exact ratio, at most `sample_capacity` classifications."""
 
-    def __init__(self, resolver: Resolver, sample_capacity: int, seed: int):
+    def __init__(self, resolver: Resolver, sample_capacity: int, seed: int,
+                 shared: SharedPlds | None = None):
         super().__init__(
-            resolver, ReservoirSampler(sample_capacity, derive_seed(seed, "dereferenceability"))
+            resolver, ReservoirSampler(sample_capacity, derive_seed(seed, "dereferenceability")),
+            shared,
         )
         self.seed = seed
 
@@ -415,8 +500,8 @@ class DerefExact(_DerefBase):
     """Classifies every distinct subject/object URI. Only practical against
     the mock or tiny datasets; the approximate variant is the point."""
 
-    def __init__(self, resolver: Resolver):
-        super().__init__(resolver, set())
+    def __init__(self, resolver: Resolver, shared: SharedPlds | None = None):
+        super().__init__(resolver, set(), shared)
 
     def finalize(self) -> MetricResult:
         uris = sorted(self._uris)
@@ -435,8 +520,9 @@ MAX_MIN_STEPS = 1_000_000
 
 
 class ClusteringMetric:
-    """Builds the resource graph while streaming; the quality value is
-    1 - cc, so sparse neighbourhoods (meaningful links) score high."""
+    """Reads the resource graph that `shared`, the pass's `SharedGraph`,
+    builds while streaming; the quality value is 1 - cc, so sparse
+    neighbourhoods (meaningful links) score high."""
 
     name = "clustering-coefficient"
 
@@ -446,6 +532,7 @@ class ClusteringMetric:
         mixing_multiplier: float = 1.0,
         min_steps: int = 3,
         seed: int = 0,
+        shared: SharedGraph | None = None,
     ):
         if not 0 < mixing_multiplier <= MAX_MIXING_MULTIPLIER:
             raise ValueError(f"mixing_multiplier must be in (0, {MAX_MIXING_MULTIPLIER:g}]")
@@ -455,16 +542,15 @@ class ClusteringMetric:
         self.mixing_multiplier = mixing_multiplier
         self.min_steps = min_steps
         self.seed = seed
-        self._graph = ResourceGraph()
+        self.shared = shared if shared is not None else SharedGraph()
 
     def consume(self, triples: Iterable[Triple]) -> None:
-        add_triple = self._graph.add_triple
-        for t in triples:
-            add_triple(t)
+        for _ in self.shared.chunks(triples, self):
+            pass  # deriving a chunk adds its triples to the graph
 
     def finalize(self) -> MetricResult:
-        g = self._graph
-        edges = g.edge_count  # counts every neighbor set, so read once
+        g = self.shared.graph
+        edges = g.edge_count
         counters = {"vertices": g.vertex_count, "edges": edges}
         parameters: dict = {}
         if edges == 0:

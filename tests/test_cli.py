@@ -3,15 +3,19 @@ import os
 import re
 import stat
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from lodprobe import cli, verify_subject_contiguous
+from lodprobe import (
+    NTriplesReader, ResourceGraph, TermKind, cli, metrics, verify_subject_contiguous,
+)
 from lodprobe.cli import main
 from lodprobe.deref import MockResolver
+from lodprobe.metrics import ClusteringMetric
 
 from synth import conciseness_stream, deref_fixture, write_ntriples
 
@@ -346,7 +350,7 @@ class TestCompare:
         assert deviation["speedup"] > 0
         assert len(report["results"]) == 2
 
-    def test_mixing_sweep_in_one_report(self, tiny_dataset, tmp_path):
+    def test_mixing_sweep_in_one_report(self, tiny_dataset, tmp_path, monkeypatch):
         # Config-file metric entries carry their own parameters, so one
         # compare run sweeps the multiplier and yields one row pair each.
         sweep = [
@@ -357,6 +361,7 @@ class TestCompare:
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"input": str(tiny_dataset), "metrics": sweep}))
         out = tmp_path / "r.json"
+        graphs, adds = _count_graph_work(monkeypatch)
         code = main(["compare", "--config", str(cfg), "--seed", "6", "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
@@ -364,6 +369,9 @@ class TestCompare:
         assert [r["parameters"]["mixing_multiplier"] for r in estimates] == [0.1, 0.5, 0.7, 1.0]
         assert len(report["deviations"]) == 4
         jsonschema.validate(report, _schema())
+        # eight cc processors read one graph, built once
+        assert (len(graphs), len(adds)) == (1, report["dataset"]["triples_parsed"])
+        _assert_cc_as_standalone(report, tiny_dataset)
 
     def test_determinism_byte_identical_after_masking(self, tmp_path):
         triples, _ = conciseness_stream(80, 20, seed=9, triples_per_instance=3)
@@ -434,28 +442,129 @@ class TestCompare:
 DATA = Path(__file__).parent / "data"
 
 
+def _count_graph_work(monkeypatch) -> tuple[list, list]:
+    """Lists that collect every ResourceGraph made and every add_triple call."""
+    graphs, adds = [], []
+    init, add_triple = ResourceGraph.__init__, ResourceGraph.add_triple
+
+    def counting_init(graph):
+        init(graph)
+        graphs.append(graph)
+
+    def counting_add(graph, t):
+        adds.append(t)
+        return add_triple(graph, t)
+
+    monkeypatch.setattr(ResourceGraph, "__init__", counting_init)
+    monkeypatch.setattr(ResourceGraph, "add_triple", counting_add)
+    return graphs, adds
+
+
+def _assert_cc_as_standalone(report: dict, data: Path) -> None:
+    """Each cc result of `report` has the value and counters of a
+    ClusteringMetric of its own, fed the same stream."""
+    triples = list(NTriplesReader(data))
+    seed = report["config"]["seed"]
+    rows = [(entry, result) for entry, result in zip(report["config"]["metrics"], report["results"])
+            if entry["name"] == "clustering-coefficient"]
+    assert rows
+    for entry, result in rows:
+        p = entry["parameters"]
+        alone = ClusteringMetric(entry["variant"] == "estimate", p["mixing_multiplier"],
+                                 p["min_steps"], seed)
+        alone.consume(triples)
+        expected = alone.finalize()
+        assert (result["value"], result["counters"]) == (expected.value, expected.counters)
+
+
+def _golden_args(command: str, out: Path) -> list[str]:
+    return [
+        command, "--input", str(DATA / "golden.nt"),
+        "--metric", "deref", "--metric", "ext-links", "--metric", "extcon", "--metric", "cc",
+        "--seed", "42", "--resolver", f"mock:{DATA / 'golden-mock.json'}", "--out", str(out),
+    ]
+
+
+class TestSharedFacts:
+    """What several processors read is derived once per run, not once per
+    processor, and its time is charged to no variant."""
+
+    @pytest.mark.parametrize("command", ["assess", "compare"])
+    def test_one_pld_lookup_per_object_iri_and_subject_run(self, command, tmp_path, monkeypatch):
+        expected = 0
+        subject = None
+        for s, _, o in NTriplesReader(DATA / "golden.nt"):
+            if s is not subject:
+                subject = s
+                expected += s.kind is TermKind.IRI
+            expected += o.kind is TermKind.IRI
+        calls = []
+        lookup = metrics.try_pld
+
+        def counting(iri):
+            calls.append(iri)
+            return lookup(iri)
+
+        monkeypatch.setattr(metrics, "try_pld", counting)
+        assert main(_golden_args(command, tmp_path / "r.json")) == 2
+        # ext-links and deref both ran, as exact and estimate in compare
+        assert len(calls) == expected > 0
+
+    def test_compare_cc_builds_one_graph(self, tmp_path, monkeypatch):
+        out = tmp_path / "r.json"
+        graphs, adds = _count_graph_work(monkeypatch)
+        code = main(["compare", "--input", str(DATA / "golden.nt"), "--metric", "cc",
+                     "--seed", "42", "--out", str(out)])
+        assert code == 2
+        report = json.loads(out.read_text())
+        assert (len(graphs), len(adds)) == (1, report["dataset"]["triples_parsed"])
+        _assert_cc_as_standalone(report, DATA / "golden.nt")
+
+    def test_shared_lookups_charged_to_the_dataset(self, tiny_dataset, tmp_path, monkeypatch):
+        delay = 0.005
+        calls = []
+        lookup = metrics.try_pld
+
+        def slow(iri):
+            calls.append(iri)
+            time.sleep(delay)
+            return lookup(iri)
+
+        monkeypatch.setattr(metrics, "try_pld", slow)
+        out = tmp_path / "r.json"
+        code = main(["compare", "--input", str(tiny_dataset), "--metric", "ext-links",
+                     "--seed", "3", "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, _schema())
+        slept = delay * len(calls)
+        assert len(calls) == 20  # 10 object IRIs and 10 one-triple subject runs
+        assert report["dataset"]["elapsed_seconds"] >= slept
+        for result in report["results"]:
+            assert result["elapsed_seconds"] < slept / 4, result
+
+
 @pytest.mark.parametrize("command", ["assess", "compare"])
-def test_golden_report(command, tmp_path):
-    """Every value of a seeded report, pinned bit for bit.
+def test_golden_report(command, tmp_path, monkeypatch):
+    """Every value of a seeded report, pinned bit for bit, however the pass
+    cuts the stream into chunks.
 
     golden.nt mixes escape spellings of one term, blank nodes, duplicate
     instances and one malformed line; golden-<command>.json is the expected
     report with elapsed fields masked and run-specific paths replaced.
     Regenerate it only for a change that is meant to alter values.
     """
-    out = tmp_path / "report.json"
-    code = main([
-        command, "--input", str(DATA / "golden.nt"),
-        "--metric", "deref", "--metric", "ext-links", "--metric", "extcon", "--metric", "cc",
-        "--seed", "42", "--resolver", f"mock:{DATA / 'golden-mock.json'}", "--out", str(out),
-    ])
-    assert code == 2
-    report = json.loads(_mask_timings(out.read_text()))
-    report["config"].update(
-        input="golden.nt", output="report.json", resolver="mock:golden-mock.json"
-    )
     expected = (DATA / f"golden-{command}.json").read_text()
-    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == expected
+    for chunk in (1, 7, 256):
+        monkeypatch.setattr(cli, "_CHUNK_TRIPLES", chunk)
+        out = tmp_path / "report.json"
+        code = main(_golden_args(command, out))
+        assert code == 2
+        report = json.loads(_mask_timings(out.read_text()))
+        report["config"].update(
+            input="golden.nt", output="report.json", resolver="mock:golden-mock.json"
+        )
+        assert json.dumps(report, indent=2, sort_keys=True) + "\n" == expected, chunk
 
 
 class TestSort:

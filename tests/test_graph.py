@@ -160,6 +160,33 @@ class TestGraphBuild:
         g.add_triple(Triple(blank("b0"), iri("http://a/p"), iri("http://a/o")))
         assert set(g.vertices()) == {"_:b0", "<http://a/o>"}
 
+    def test_cached_edge_count_equals_fresh_count_after_adds(self):
+        # Every cc processor of a run reads one graph's count: the second
+        # read is cached, and any add after it, parallel ones included,
+        # makes the next read count again.
+        rng = SeededRng(9)
+        triples = [random_triple(rng) for _ in range(3_000)]
+        g = ResourceGraph()
+
+        def fresh_count(upto: int) -> int:
+            fresh = ResourceGraph()
+            for t in triples[:upto]:
+                fresh.add_triple(t)
+            return fresh.edge_count
+
+        added = 0
+        for upto in (1_000, 1_000, 2_000, 3_000):
+            for t in triples[added:upto]:
+                g.add_triple(t)
+            added = upto
+            assert g.edge_count == g.edge_count == fresh_count(upto)
+        # only reversed copies: the same count, taken anew
+        for t in triples[:500]:
+            g.add_triple(Triple(t.object, t.predicate, t.subject))
+        assert g.edge_count == fresh_count(3_000)
+        g.add_triple(Triple(iri("http://new.org/a"), iri("http://a/p"), iri("http://new.org/b")))
+        assert g.edge_count == fresh_count(3_000) + 1
+
     def test_against_reference_edge_set_builder(self):
         rng = SeededRng(8)
         triples = [random_triple(rng) for _ in range(10_000)]

@@ -764,7 +764,9 @@ class TestMetricResultContract:
 # --------------------------------------------------------------------------
 # consume takes a chunk: how the stream is cut must not show in any result
 
-_CHUNKINGS = [None, 1, 3, 256, 1000]  # None: the whole stream in one call
+# None: the whole stream in one call, as a list or as a generator; "buffer":
+# 7-triple chunks refilled into one list, so every call passes the same list.
+_CHUNKINGS = [None, "generator", "buffer", 1, 3, 256, 1000]
 _FIRST = iri("http://s0.org/first")  # the first run's subject, one triple long
 
 
@@ -838,13 +840,21 @@ _VARIANTS = {
 }
 
 
-def _feed(processor, triples: list[Triple], size: int | None) -> None:
+def _feed(processor, triples: list[Triple], size: int | str | None) -> None:
     if size is None:
         processor.consume(triples)
-        return
-    it = iter(triples)
-    while chunk := list(islice(it, size)):
-        processor.consume(chunk)
+    elif size == "generator":
+        processor.consume(t for t in triples)
+    elif size == "buffer":
+        buffer: list[Triple] = []
+        it = iter(triples)
+        while chunk := list(islice(it, 7)):
+            buffer[:] = chunk
+            processor.consume(buffer)
+    else:
+        it = iter(triples)
+        while chunk := list(islice(it, size)):
+            processor.consume(chunk)
 
 
 class TestChunking:
