@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from lodprobe import SeededRng, sort_by_subject, verify_subject_contiguous
-from lodprobe.extsort import subject_sort_key, write_atomically
+from lodprobe import SeededRng, extsort, sort_by_subject, verify_subject_contiguous
+from lodprobe.extsort import _subject_keys, subject_sort_key, write_atomically
 from lodprobe.ntriples import NTriplesParseError, parse_line, serialize_term
 
 from synth import random_triple
@@ -235,8 +235,8 @@ def _parser_takes_subject(line: str) -> bool:
         return exc.byte_offset > start
 
 
-def test_subject_recognised_exactly_when_the_parser_takes_it():
-    # Every one-character deletion or insertion in a few valid statements.
+def _one_character_edits() -> list[str]:
+    """Every one-character deletion or insertion in a few valid statements."""
     statements = [
         "<http://a.org/s> <http://a.org/p> <http://a.org/o> .",
         "_:b1.x <http://a.org/p> \"v\" .",
@@ -244,21 +244,126 @@ def test_subject_recognised_exactly_when_the_parser_takes_it():
         "<http://a.org/é> <http://a.org/p> \"x\" .",
     ]
     inserts = " \t.<>\"\\_:#-u0é"
-    recognised = rejected = 0
+    edits = set()
     for statement in statements:
-        edits = {statement[:i] + statement[i + 1 :] for i in range(len(statement))}
+        edits |= {statement[:i] + statement[i + 1 :] for i in range(len(statement))}
         edits |= {statement[:i] + c + statement[i:]
                   for i in range(len(statement) + 1) for c in inserts}
-        for line in sorted(edits):
-            key, ok = subject_sort_key(line.encode())
-            assert ok == _parser_takes_subject(line), line
-            if ok:
-                recognised += 1
-                try:
-                    triple = parse_line(line)
-                except NTriplesParseError:
-                    continue
-                assert key == serialize_term(triple.subject).encode(), line
-            else:
-                rejected += 1
+    return sorted(edits)
+
+
+def test_subject_recognised_exactly_when_the_parser_takes_it():
+    recognised = rejected = 0
+    for line in _one_character_edits():
+        key, ok = subject_sort_key(line.encode())
+        assert ok == _parser_takes_subject(line), line
+        if ok:
+            recognised += 1
+            try:
+                triple = parse_line(line)
+            except NTriplesParseError:
+                continue
+            assert key == serialize_term(triple.subject).encode(), line
+        else:
+            rejected += 1
     assert recognised > 500 and rejected > 100, (recognised, rejected)
+
+
+def test_fast_subject_key_equals_the_reference():
+    # Wherever the fast pattern takes a subject, its token is the key that
+    # subject_sort_key gives, and the subject is recognised.
+    lines = [line.encode() for line in _one_character_edits()]
+    rng = SeededRng(407)
+    alphabet = b'<>_:ab. \t\\u0\x7f\x80\xff"#\r'
+    for _ in range(60_000):
+        start = (b"<", b"_:", b"")[rng.uniform_below(3)]
+        lines.append(start + bytes(alphabet[rng.uniform_below(len(alphabet))]
+                                   for _ in range(rng.uniform_below(12))))
+    keys = _subject_keys(lines, lambda line: None)
+    fast = [(line, key) for line, key in zip(lines, keys) if key is not None]
+    for line, key in fast:
+        assert (key, True) == subject_sort_key(line), line
+    assert len(fast) > 1_000, len(fast)
+
+
+def _line_cost(line: bytes) -> int:
+    return sys.getsizeof(subject_sort_key(line)[0] + b"\t" + line) + 8
+
+
+def _oracle_chunks(lines: list[bytes], budget: int) -> int:
+    """Spill count under the per-line rule: a line that would take the
+    chunk's strings past the budget first spills a non-empty chunk."""
+    spilled = used = held = 0
+    for line in lines:
+        cost = _line_cost(line)
+        if held and used + cost > budget:
+            spilled, used, held = spilled + 1, 0, 0
+        used += cost
+        held += 1
+    return spilled + 1 if spilled and held else spilled
+
+
+def test_chunk_boundaries_follow_the_per_line_rule(tmp_path):
+    rng = SeededRng(408)
+    lines = [serialize_triple(random_triple(rng)).encode() for _ in range(2_500)]
+    # lines longer than every budget below 500,000 and than a read batch,
+    # which take the input past 500,000 bytes
+    for i in range(100, 2_500, 400):
+        lines[i] = b'<http://a/long> <http://a/p> "%d' % i + b"x" * 100_000 + b'" .'
+    lines[700:700] = [b"junk", b"", b"<http://a/\\u0078> <http://a/p> <http://a/o> ."]
+    src = tmp_path / "in.nt"
+    _write(src, lines)
+    outputs = set()
+    for budget in (1, 300, 5_000, 500_000, 1 << 26):
+        dst = tmp_path / f"out-{budget}.nt"
+        summary = sort_by_subject(src, dst, memory_budget=budget)
+        assert summary.chunks == _oracle_chunks(lines, budget), budget
+        outputs.add(dst.read_bytes())
+    assert len(outputs) == 1
+    assert _read(dst) == _oracle_sort(lines)
+
+
+@pytest.mark.parametrize("per_chunk", [40, 1_000])
+@pytest.mark.parametrize("short", [0, 1])
+def test_a_budget_filled_exactly_holds_its_last_line(tmp_path, per_chunk, short):
+    # Lines of one length: a budget of exactly `per_chunk` lines' cost gives
+    # chunks of exactly that many lines, in batches and line by line; one
+    # byte less gives one line less.
+    lines = [b"<http://a/s%05d> <http://a/p> <http://a/o> ." % ((i * 7_919) % 4_000)
+             for i in range(4_000)]
+    src, dst = tmp_path / "in.nt", tmp_path / "out.nt"
+    _write(src, lines)
+    budget = per_chunk * _line_cost(lines[0]) - short
+    summary = sort_by_subject(src, dst, memory_budget=budget)
+    assert summary.chunks == _oracle_chunks(lines, budget)
+    assert summary.chunks == -(-4_000 // (per_chunk - short))
+    assert _read(dst) == _oracle_sort(lines)
+
+
+@pytest.mark.parametrize("merge_block", [1, extsort._MERGE_BLOCK])
+@pytest.mark.parametrize("budget, runs", [(1 << 26, (0, 0)), (8_000, (2, 64)), (300, (65, 10**6))])
+def test_merge_edge_cases_across_runs(tmp_path, monkeypatch, merge_block, budget, runs):
+    monkeypatch.setattr(extsort, "_MERGE_BLOCK", merge_block)
+    rng = SeededRng(409)
+    base = [serialize_triple(random_triple(rng, n_subjects=20)).encode() for _ in range(160)]
+    extended = [base[0] + b"\tx", base[0] + b"\x01", base[0] + b"\t", base[1] + b"\x01\x01"]
+    odd = [b"", b"   ", b"junk", b"# a comment", b"<http://a/\\u0078> <http://a/p> <http://a/o> ."]
+    lines = extended + base[:80] + odd + base[:40] + base[80:] + extended + odd
+    src, dst = tmp_path / "in.nt", tmp_path / "out.nt"
+    # every fifth line ends in CRLF, and the last line has no terminator
+    src.write_bytes(b"".join(line + (b"\r\n" if i % 5 == 0 else b"\n")
+                             for i, line in enumerate(lines))[:-1])
+    summary = sort_by_subject(src, dst, memory_budget=budget)
+    assert runs[0] <= summary.chunks <= runs[1], summary.chunks
+    assert summary.lines == len(lines)
+    assert dst.read_bytes() == b"".join(line + b"\n" for line in _oracle_sort(lines))
+
+
+def test_contiguity_line_numbers_span_read_batches(tmp_path):
+    path = tmp_path / "in.nt"
+    lines = [b"<http://a/s%05d> <http://a/p> <http://a/o> ." % (i // 3) for i in range(3_000)]
+    _write(path, lines)
+    assert verify_subject_contiguous(path) is None
+    lines.insert(2_500, lines[10])
+    _write(path, lines)
+    assert verify_subject_contiguous(path) == 2_501
