@@ -166,11 +166,7 @@ def _metric_params(metric: str, sources: list[tuple[str, dict]]) -> dict:
 
 def _build_resolver(spec: str | None):
     if spec is None or spec == "live":
-        try:
-            return LiveResolver()
-        except ImportError:
-            raise UsageError("--resolver live needs requests: install the 'http' extra (pip "
-                             "install 'lodprobe[http]') or use --resolver mock:SCRIPT") from None
+        return LiveResolver()
     if spec.startswith("mock:"):
         return MockResolver.from_file(spec[len("mock:"):])
     raise UsageError(f"--resolver must be 'live' or 'mock:<script>', got {spec!r}")

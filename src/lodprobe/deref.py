@@ -7,9 +7,9 @@ Everything else (direct 200 on a slash URI, 4xx/5xx, non-RDF payloads,
 transport failures, runaway redirects) is not dereferenceable, with the
 reason preserved.
 
-All verdicts derive from `Resolution` values produced by a `Resolver`.
-Tests and CI use the scripted `MockResolver`; the `LiveResolver` is an
-optional runtime for real probing and is never required by the suite.
+All verdicts derive from `Resolution` values produced by a `Resolver`: the
+scripted `MockResolver`, or the `LiveResolver`, which probes real servers
+with the standard library alone and is tested against a local server.
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Protocol
-from urllib.parse import urlsplit
+from urllib.parse import quote, urljoin, urlsplit
 
 RDF_CONTENT_TYPES = frozenset(
     {"text/turtle", "application/rdf+xml", "application/n-triples", "application/ld+json"}
 )
-_ACCEPT = ", ".join(sorted(RDF_CONTENT_TYPES))
+_HEADERS = {"Accept": ", ".join(sorted(RDF_CONTENT_TYPES)), "User-Agent": "lodprobe/0.1"}
+_URL_SAFE = "!#$%&'()*+,/:;=?@[]~"  # sent as is; other characters go as UTF-8 escapes
 
 DEFAULT_MAX_REDIRECTS = 10
 DEFAULT_TIMEOUT_SECONDS = 10.0
@@ -122,8 +123,8 @@ class MockResolver:
 
     The script maps URI patterns (exact string, or prefix ending in `*`;
     exact beats prefix, longer prefix beats shorter) to an ordered response
-    list consumed hop by hop. Each entry is {"status", "location"?,
-    "content_type"?} or {"error": reason} for a transport failure.
+    list consumed hop by hop. Each entry is {"status": int, "location"?: str,
+    "content_type"?: str} or {"error": str} for a transport failure.
     """
 
     def __init__(self, mappings: dict[str, list[dict]], max_redirects: int = DEFAULT_MAX_REDIRECTS):
@@ -152,6 +153,13 @@ class MockResolver:
             responses = m.get("responses")
             if not isinstance(responses, list) or not all(isinstance(r, dict) for r in responses):
                 raise ValueError(f"{where}: mappings[{i}]: 'responses' must be a list of objects")
+            for j, r in enumerate(responses):
+                ok = type(r.get("status")) is int and all(
+                    isinstance(r.get(k, ""), str) for k in ("location", "content_type"))
+                if not (isinstance(r["error"], str) if "error" in r else ok):
+                    raise ValueError(f"{where}: mappings[{i}].responses[{j}]: needs a string "
+                                     "'error', or an int 'status' with string 'location' and "
+                                     "'content_type' where given")
         max_redirects = doc.get("max_redirects", DEFAULT_MAX_REDIRECTS)
         if type(max_redirects) is not int:
             raise ValueError(f"{where}: 'max_redirects' must be an integer")
@@ -176,7 +184,7 @@ class MockResolver:
         for entry in responses:
             if "error" in entry:
                 return Resolution(uri, tuple(chain), None, entry["error"])
-            status = int(entry["status"])
+            status = entry["status"]
             chain.append(status)
             content_type = entry.get("content_type")
             if 300 <= status < 400 and entry.get("location"):
@@ -214,49 +222,44 @@ class CachedResolver:
 
 
 class LiveResolver:
-    """requests-backed resolver; optional runtime, never needed by tests.
+    """HTTP(S) resolver on `urllib.request`, proxied as `*_proxy` says.
 
-    Follows redirects manually so every hop status lands in the chain.
-    Probes with HEAD first and retries with GET when the server rejects
-    HEAD, since many endpoints only implement GET.
-    """
+    Follows redirects by hand so every hop's status lands in the chain, and
+    never opens a hop whose scheme is not http or https. Probes with HEAD,
+    and with GET, body unread, where a server rejects HEAD, as many do."""
 
-    def __init__(
-        self,
-        max_redirects: int = DEFAULT_MAX_REDIRECTS,
-        timeout: float = DEFAULT_TIMEOUT_SECONDS,
-    ):
-        import requests  # the 'http' extra; ImportError without it
+    def __init__(self):
+        # Imported here and in `resolve`, as both load `ssl` (OpenSSL).
+        from urllib.request import HTTPErrorProcessor, build_opener
 
-        self._requests = requests
-        self.max_redirects = max_redirects
-        self.timeout = timeout
-        self._headers = {"Accept": _ACCEPT, "User-Agent": "lodprobe/0.1"}
+        class EveryStatus(HTTPErrorProcessor):
+            def http_response(self, request, response):
+                return response  # so no handler follows a 3xx or raises
+            https_response = http_response
+
+        self._open = build_opener(EveryStatus).open
 
     def resolve(self, uri: str) -> Resolution:
-        requests = self._requests
+        from http.client import HTTPException
+        from urllib.request import Request
+
         chain: list[int] = []
-        current = uri
-        method = "HEAD"
+        url, method = uri, "HEAD"
         try:
-            with requests.Session() as session:
-                while True:
-                    resp = session.request(
-                        method,
-                        current,
-                        headers=self._headers,
-                        timeout=self.timeout,
-                        allow_redirects=False,
-                    )
-                    if method == "HEAD" and resp.status_code in (405, 501):
-                        method = "GET"
-                        continue
-                    chain.append(resp.status_code)
-                    if 300 <= resp.status_code < 400 and resp.headers.get("Location"):
-                        if len(chain) > self.max_redirects:
-                            return Resolution(uri, tuple(chain), None, "too-many-redirects")
-                        current = requests.compat.urljoin(current, resp.headers["Location"])
-                        continue
-                    return Resolution(uri, tuple(chain), resp.headers.get("Content-Type"))
-        except requests.RequestException as exc:
+            while (scheme := urlsplit(url).scheme) in ("http", "https"):
+                request = Request(quote(url, _URL_SAFE), headers=_HEADERS, method=method)
+                with self._open(request, timeout=DEFAULT_TIMEOUT_SECONDS) as response:
+                    status, headers = response.status, response.headers  # body unread
+                if method == "HEAD" and status in (405, 501):
+                    method = "GET"
+                    continue
+                chain.append(status)
+                if not (300 <= status < 400 and headers.get("Location")):
+                    return Resolution(uri, tuple(chain), headers.get("Content-Type"))
+                if len(chain) > DEFAULT_MAX_REDIRECTS:
+                    return Resolution(uri, tuple(chain), None, "too-many-redirects")
+                # a header's text is its bytes read as Latin-1; a Location's are UTF-8
+                url = urljoin(url, headers["Location"].encode("latin-1").decode("utf-8"))
+        except (OSError, HTTPException, ValueError) as exc:  # URLError is an OSError
             return Resolution(uri, tuple(chain), None, str(exc))
+        return Resolution(uri, tuple(chain), None, f"unsupported-scheme: {scheme}")

@@ -61,6 +61,7 @@ _SUBJECT_TOKEN_RE = re.compile(rb"[ \t]*(" + f"{_IRI}|{_BNODE}".encode("ascii") 
 # its blank node; then a blank or tab, at the start of the line.
 _ASCII_IRI = "<" + _IRI_RUN.removesuffix("]*") + r"\x80-\xff]+>"
 _FAST_SUBJECT_RE = re.compile(f"({_ASCII_IRI}|{_BNODE})[ \t]".encode("ascii"))
+_RAW_PREFIX_RE = re.compile(rb"[^\x00-\x20]*")
 # A merged record without its terminator: compared with it, a line that
 # extends another line would sort before it whenever the extension starts
 # with a byte below \n, such as a tab.
@@ -75,7 +76,8 @@ class SortSummary:
 
 
 def subject_sort_key(line: bytes) -> tuple[bytes, bool]:
-    """(sort key, subject recognised). Key never contains a tab or newline."""
+    """(sort key, subject recognised). No key holds a byte at or below a
+    blank, so a tab after a key sorts before every longer key."""
     m = _SUBJECT_TOKEN_RE.match(line)
     if m is not None:
         key = m[1]
@@ -87,9 +89,7 @@ def subject_sort_key(line: bytes) -> tuple[bytes, bool]:
             return canonical_subject(key.decode("utf-8")).encode("utf-8"), True
         except ValueError:  # UnicodeDecodeError included
             pass
-    # raw prefix fallback: leading token of the line as-is
-    token = line.split(b" ", 1)[0].split(b"\t", 1)[0]
-    return token, False
+    return _RAW_PREFIX_RE.match(line)[0], False
 
 
 def _subject_keys(lines: list[bytes], fallback: Callable[[bytes], object]) -> list:

@@ -2,7 +2,6 @@ import json
 import os
 import re
 import stat
-import sys
 import time
 from importlib import resources
 from pathlib import Path
@@ -90,8 +89,10 @@ BAD_VALUES = [
      "fraction.json: parameter reservoir_capacity: expected int, got 2.7"),
     (["--config", "boolean.json"], None,
      "boolean.json: parameter mixing_multiplier: expected float, got True"),
-    # requests is blocked for every case, as on an install without the 'http' extra
-    (["--resolver", "live"], None, "--resolver live needs requests"),
+    (["--resolver", "mock:typo-mock.json"], None,
+     "mock script typo-mock.json: mappings[0].responses[0]: needs"),
+    (["--resolver", "mock:status-mock.json"], None,
+     "mock script status-mock.json: mappings[0].responses[0]: needs"),
 ]
 
 
@@ -282,6 +283,10 @@ class TestAssess:
         (tmp_path / "mock.json").write_text('{"mappings": []}')
         (tmp_path / "empty-mock.json").write_text("{}")
         (tmp_path / "pattern-mock.json").write_text('{"mappings": [{"pattern": 1, "responses": []}]}')
+        (tmp_path / "typo-mock.json").write_text(
+            '{"mappings": [{"pattern": "http://b.org/*", "responses": [{"stauts": 200}]}]}')
+        (tmp_path / "status-mock.json").write_text(
+            '{"mappings": [{"pattern": "http://b.org/*", "responses": [{"status": "abc"}]}]}')
         (tmp_path / "typo.json").write_text('{"parameters": {"total_bit": 5}}')
         (tmp_path / "bogus.json").write_text('{"metrics": [{"name": "bogus"}]}')
         (tmp_path / "fraction.json").write_text('{"parameters": {"reservoir_capacity": 2.7}}')
@@ -289,7 +294,6 @@ class TestAssess:
             '{"parameters": {"reservoir_capacity": "2.7"}}')
         (tmp_path / "boolean.json").write_text('{"parameters": {"mixing_multiplier": true}}')
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setitem(sys.modules, "requests", None)
         if seed_env is None:
             monkeypatch.delenv("LODPROBE_SEED", raising=False)
         else:
@@ -330,6 +334,37 @@ class TestAssess:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["results"][0]["value"] == pytest.approx(expected)
+
+    def test_live_resolver_through_a_proxy(self, lod_server, tmp_path, monkeypatch):
+        # The local server is the proxy, so hostnamed URIs get a PLD and
+        # reach it with no network; an IP host has no PLD and is skipped.
+        monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{lod_server.server_port}")
+        monkeypatch.delenv("no_proxy", raising=False)
+        monkeypatch.delenv("NO_PROXY", raising=False)
+        data = tmp_path / "live.nt"
+        data.write_text(
+            "<http://data.example.org/r/turtle> <http://vocab.example.org/p> "
+            "<http://data.example.org/page> .\n"
+            "<http://data.example.org/r/turtle> <http://vocab.example.org/p> "
+            "<http://docs.example.net/doc#it> .\n"
+            "<http://data.example.org/r/turtle> <http://vocab.example.org/p> "
+            "<http://127.0.0.1/r/turtle> .\n"
+            "<http://gone.example.com/gone> <http://vocab.example.org/p> "
+            "<http://docs.example.net/get-only/doc#it> .\n"
+            "<http://gone.example.com/gone> <http://vocab.example.org/p> "
+            "<http://data.example.org/loop> .\n"
+        )
+        out = tmp_path / "r.json"
+        code = main(["assess", "--input", str(data), "--metric", "deref",
+                     "--resolver", "live", "--out", str(out)])
+        assert code == 0
+        (result,) = json.loads(out.read_text())["results"]
+        # 303, hash and GET-only hash pass; a direct 200, a 404 and a
+        # redirect loop, the one transport error, do not
+        assert result["value"] == pytest.approx(3 / 6)
+        counters = result["counters"]
+        assert (counters["deref_ok"], counters["transport_errors"],
+                counters["uris_without_pld"]) == (3, 1, 1)
 
 
 class TestCompare:

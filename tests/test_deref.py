@@ -1,15 +1,21 @@
 import json
+import os
 import re
+import socket
 import threading
+import time
+import urllib.request
 
 import pytest
 
 from lodprobe import (
     CachedResolver,
+    LiveResolver,
     MockResolver,
     Resolution,
     VerdictKind,
     classify,
+    deref,
 )
 from lodprobe.deref import pld_alive
 
@@ -205,6 +211,21 @@ class TestMockResolver:
         ({"mappings": [{"pattern": "http://a.org/", "responses": [200]}]},
          "mappings[0]: 'responses'"),
         ({"mappings": [], "max_redirects": "5"}, "'max_redirects'"),
+        ({"mappings": [{"pattern": "http://a.org/", "responses": [{"stauts": 200}]}]},
+         "mappings[0].responses[0]"),
+        ({"mappings": [{"pattern": "http://a.org/", "responses": [{"status": "abc"}]}]},
+         "mappings[0].responses[0]"),
+        ({"mappings": [{"pattern": "http://a.org/", "responses": [{"status": True}]}]},
+         "mappings[0].responses[0]"),
+        ({"mappings": [{"pattern": "http://a.org/", "responses": [{"error": 5}]}]},
+         "mappings[0].responses[0]"),
+        ({"mappings": [{"pattern": "http://a.org/", "responses": [
+            {"status": 303, "location": "http://a.org/d"}, {"status": 200, "content_type": None},
+        ]}]}, "mappings[0].responses[1]"),
+        ({"mappings": [
+            {"pattern": "http://a.org/", "responses": [TTL]},
+            {"pattern": "http://b.org/", "responses": [{"status": 303, "location": 5}]},
+        ]}, "mappings[1].responses[0]"),
     ])
     def test_from_file_rejects_wrong_shape(self, doc, key, tmp_path):
         path = tmp_path / "mock.json"
@@ -293,3 +314,77 @@ class TestCachedResolver:
         assert calls == ["http://a.org/x"]
         assert second == first
         assert first.transport_error == "resolver-crash: boom"
+
+
+# (path on the local server, the mock script's responses for the same URI,
+# the verdict's reason or kind). A fragment makes the URI a hash URI.
+LIVE_CASES = [
+    ("/r/turtle", [{"status": 303, "location": "/d/turtle"}, TTL], "dereferenceable-303"),
+    ("/doc#it", [{"status": 200, "content_type": "text/turtle; charset=utf-8"}],
+     "dereferenceable-hash"),
+    ("/page", [HTML], "no-303-redirect"),
+    ("/gone#it", [{"status": 404}], "http-404"),
+    ("/loop", [{"status": 302, "location": "/loop"}] * 11, "transport-error: too-many-redirects"),
+    ("/get-only/doc#it", [RDFXML], "dereferenceable-hash"),
+    ("/r/Köln", [{"status": 303, "location": "/d/Köln Dom"}, TTL], "dereferenceable-303"),
+]
+
+
+@pytest.fixture
+def live(monkeypatch):
+    """A LiveResolver that connects directly, whatever proxy the environment names."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    return LiveResolver()
+
+
+def _bound_port(sock: socket.socket) -> int:
+    sock.bind(("127.0.0.1", 0))
+    return sock.getsockname()[1]
+
+
+class TestLiveResolver:
+    @pytest.mark.parametrize("path, responses, expected", LIVE_CASES,
+                             ids=[path for path, _, _ in LIVE_CASES])
+    def test_matches_the_mock_script(self, path, responses, expected, lod_server, live):
+        uri = f"http://127.0.0.1:{lod_server.server_port}{path}"
+        document = uri.split("#", 1)[0]
+        scripted = mock({document: responses})
+        assert live.resolve(document) == scripted.resolve(document)
+        verdict = classify(uri, live)
+        assert verdict == classify(uri, scripted)
+        assert (verdict.reason or verdict.kind.value) == expected
+
+    def test_closed_port_is_a_transport_error(self, live):
+        with socket.socket() as sock:
+            port = _bound_port(sock)  # closed again before the request
+        res = live.resolve(f"http://127.0.0.1:{port}/x")
+        assert res.status_chain == () and res.transport_error
+        assert classify(f"http://127.0.0.1:{port}/x", live).reason.startswith("transport-error: ")
+
+    def test_silent_server_times_out(self, live, monkeypatch):
+        monkeypatch.setattr(deref, "DEFAULT_TIMEOUT_SECONDS", 0.2)
+        with socket.socket() as sock:
+            port = _bound_port(sock)
+            sock.listen(1)  # connections complete, but nothing ever answers
+            start = time.monotonic()
+            verdict = classify(f"http://127.0.0.1:{port}/x", live)
+            elapsed = time.monotonic() - start
+        assert verdict.reason.startswith("transport-error: ")
+        assert elapsed < 5
+
+    def test_redirect_to_a_file_is_never_opened(self, lod_server, live, tmp_path, monkeypatch):
+        secret = tmp_path / "secret.ttl"
+        secret.write_text('<http://a.example/s> <http://a.example/p> "secret" .\n')
+        monkeypatch.setitem(lod_server.routes, "/to-file", (303, {"Location": secret.as_uri()}))
+
+        def must_not_open(*args):
+            raise AssertionError("a file: URL was opened")
+
+        monkeypatch.setattr(urllib.request.FileHandler, "file_open", must_not_open)
+        uri = f"http://127.0.0.1:{lod_server.server_port}/to-file"
+        scripted = mock({uri: [{"status": 303, "location": secret.as_uri()},
+                               {"error": "unsupported-scheme: file"}]})
+        assert live.resolve(uri) == scripted.resolve(uri)
+        assert classify(uri, live).reason == "transport-error: unsupported-scheme: file"

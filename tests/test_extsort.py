@@ -108,6 +108,19 @@ def test_multichunk_matches_in_memory_oracle(tmp_path):
     assert verify_subject_contiguous(dst) is None
 
 
+@pytest.mark.parametrize("budget", [1 << 20, 60])
+def test_junk_lines_sort_by_key_then_line(tmp_path, budget):
+    # Unrecognised subjects whose first token holds a byte below a blank:
+    # a key that kept such a byte would meet the tab after a shorter key.
+    lines = [b"a d", b"a\x01b c", b"a\x1fb", b"a\x00", b"ab\x0bc d", b"ab e",
+             b"\x01 x", b"a\tz", b"a", b"a\x7f y"]
+    src, dst = tmp_path / "in.nt", tmp_path / "out.nt"
+    _write(src, lines)
+    summary = sort_by_subject(src, dst, memory_budget=budget)
+    assert (summary.chunks > 1) == (budget == 60)
+    assert _read(dst) == _oracle_sort(lines)
+
+
 def test_single_chunk_matches_oracle(tmp_path):
     rng = SeededRng(405)
     lines = [serialize_triple(random_triple(rng)).encode() for _ in range(2_000)]
