@@ -15,6 +15,7 @@ with the standard library alone and is tested against a local server.
 from __future__ import annotations
 
 import json
+import re
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -27,6 +28,10 @@ RDF_CONTENT_TYPES = frozenset(
 )
 _HEADERS = {"Accept": ", ".join(sorted(RDF_CONTENT_TYPES)), "User-Agent": "lodprobe/0.1"}
 _URL_SAFE = "!#$%&'()*+,/:;=?@[]~"  # sent as is; other characters go as UTF-8 escapes
+
+# An http(s) URI with a non-empty plain ASCII authority: urlsplit would
+# accept it, so `classify` skips that check.
+_PLAIN_HTTP_URI_RE = re.compile(r"[Hh][Tt][Tt][Pp][Ss]?://[A-Za-z0-9\-._~!$&'()*+,;=%:@]+(?:[/?#]|$)")
 
 DEFAULT_MAX_REDIRECTS = 10
 DEFAULT_TIMEOUT_SECONDS = 10.0
@@ -78,9 +83,10 @@ def _normalise_content_type(value: str | None) -> str | None:
 
 def classify(uri: str, resolver: Resolver) -> Verdict:
     """LOD dereferenceability verdict for one absolute http(s) URI."""
-    split = urlsplit(uri)
-    if split.scheme not in ("http", "https") or not split.netloc:
-        raise ValueError(f"not an absolute http(s) URI: {uri!r}")
+    if _PLAIN_HTTP_URI_RE.match(uri) is None:
+        split = urlsplit(uri)
+        if split.scheme not in ("http", "https") or not split.netloc:
+            raise ValueError(f"not an absolute http(s) URI: {uri!r}")
 
     is_hash = "#" in uri
     target = uri.split("#", 1)[0] if is_hash else uri

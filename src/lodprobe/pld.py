@@ -19,6 +19,12 @@ _IPV4_RE = re.compile(r"^\d{1,3}(?:\.\d{1,3}){3}$")
 # `scheme://authority`: up to the first `/`, `?` or `#` after the first
 # `://`, where urlsplit ends the authority. `_pld` reads nothing after it.
 _AUTHORITY_PREFIX_RE = re.compile(r".*?://[^/?#]*", re.DOTALL)
+# An http(s) prefix whose authority is plain ASCII: at most one `@`, a host
+# of letters, digits, `-` and `.`, and a port of digits. urlsplit reads the
+# same host from it, so it need not be called (group 1 is the host).
+_PLAIN_AUTHORITY_RE = re.compile(
+    r"[Hh][Tt][Tt][Pp][Ss]?://(?:[A-Za-z0-9\-._~!$&'()*+,;=%:]*@)?([A-Za-z0-9\-.]*)(?::[0-9]*)?"
+)
 
 
 class _SuffixRules:
@@ -81,6 +87,13 @@ def try_pld(iri: str) -> str | None:
     return None if prefix is None else _memo_pld(prefix.group())
 
 
+def _authority_pld(prefix: str) -> str | None:
+    # `_pld`, through urlsplit, stays the reference for every other prefix;
+    # an empty host gets None from `registrable_domain` as from `_pld`.
+    plain = _PLAIN_AUTHORITY_RE.fullmatch(prefix)
+    return _pld(prefix) if plain is None else registrable_domain(plain.group(1))
+
+
 def _pld(iri: str) -> str | None:
     # No host without `://`: urlsplit would drop the tab in `http:\t//a.org`
     if "://" not in iri:
@@ -97,4 +110,4 @@ def _pld(iri: str) -> str | None:
 
 # Bounded: a dump links to far fewer authorities than IRIs, and a miss
 # only costs the uncached lookup.
-_memo_pld = lru_cache(maxsize=8192)(_pld)
+_memo_pld = lru_cache(maxsize=8192)(_authority_pld)

@@ -5,6 +5,7 @@ import socket
 import threading
 import time
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -13,6 +14,7 @@ from lodprobe import (
     LiveResolver,
     MockResolver,
     Resolution,
+    SeededRng,
     VerdictKind,
     classify,
     deref,
@@ -121,6 +123,50 @@ class TestClassify:
             classify("not a uri", mock({}))
         with pytest.raises(ValueError):
             classify("ftp://a.org/x", mock({}))
+
+    def test_guard_agrees_with_urlsplit(self, monkeypatch):
+        """classify raises ValueError exactly where urlsplit raises, reads a
+        scheme other than http(s) or finds no netloc; plain URIs skip it."""
+        pieces = [
+            ["http", "http", "HTTP", "https", "HtTpS", "ftp", "", "\u0001http", " http", "httpx"],
+            ["://", "://", "://", "://", ":", ":/", "//", ":\t//", ":///"],
+            ["", "", "u@", "u:p@", "@", "u@v@", "%41_~@", "\t@", "\u00fc@"],
+            ["a.org", "a.org", "WWW.A.ORG", "[::1]", "[", "]", "192.168.0.1", "", "a%2eorg",
+             "a_b.org", "b\u00fccher.example", "a\tb.org", "a b.org", "[a.org]", "a.org\n"],
+            ["", "", ":80", ":x", ":", ":8a"],
+            ["", "/", "/p", "?q", "#f", "\n", "\t/x", "/\u00e9", "[", "]"],
+        ]
+        rng = SeededRng(20261020)
+        inputs = ["".join(options[rng.uniform_below(len(options))] for options in pieces)
+                  for _ in range(5000)]
+        refused = []
+        for uri in inputs:
+            try:
+                split = urlsplit(uri)
+                refused.append(split.scheme not in ("http", "https") or not split.netloc)
+            except ValueError:
+                refused.append(True)
+        calls = []
+
+        def counting_urlsplit(url, *args, **kwargs):
+            calls.append(url)
+            return urlsplit(url, *args, **kwargs)
+
+        monkeypatch.setattr(deref, "urlsplit", counting_urlsplit)
+        resolver = mock({})
+        for uri, want_refused in zip(inputs, refused):
+            try:
+                classify(uri, resolver)
+                got_refused = False
+            except ValueError:
+                got_refused = True
+            assert got_refused == want_refused, repr(uri)
+        assert 0 < sum(refused) < len(inputs)
+        calls.clear()
+        for uri in ["http://a.org", "HtTpS://u:p@WWW.A.ORG:80/x?y#z", "http://a%2eorg_~@b/",
+                    "https://192.168.0.1:/", "http://u@v@a.org#f"]:
+            assert classify(uri, resolver).reason == "transport-error: unmatched-uri"
+        assert calls == []
 
     def test_same_script_same_verdict(self):
         mappings = {"http://a.org/res": [{"status": 303, "location": "http://a.org/d"}, TTL]}

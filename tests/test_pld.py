@@ -1,3 +1,5 @@
+from urllib.parse import urlsplit
+
 import pytest
 
 from lodprobe import SeededRng, registrable_domain, try_pld
@@ -113,17 +115,35 @@ MEMO_CASES = [
     "http://a.b.test.ck/x",
     "http://www.ck/",
     "http://dbpedia.org/a://b.org/",
+    # each side of the plain-authority pattern that skips urlsplit
+    "HtTpS://DBpedia.ORG/x",
+    "hTTp://a.org:/x",
+    "http://a.org:8a/x",
+    "http://a.org::80/x",
+    "http://u_~!$&'()*+,;=%41:p@a.org:80/x",
+    "http://a%2eorg/x",
+    "http://a_b.org/x",
+    "http://u@v@a.org/x",
+    "http://b\u00fccher.example/",
+    "http://u@b\u00fccher.example/",
+    "http://a\tb.org/",
+    "http://a.org\t:80/",
+    "http://[a.org]/",
+    "http://u@[::1]:80/",
+    "httpx://a.org/",
+    "http://a..b.org/",
 ]
 
 
 def _random_iri(rng: SeededRng) -> str:
     pieces = [
-        ["http", "HTTP", "https", "mailto", "ftp", "", "\u0001http"],
+        ["http", "HTTP", "https", "HtTpS", "mailto", "ftp", "", "\u0001http", "httpx"],
         ["://", ":", ":/", "//", ":\t//"],
-        ["", "u@", "u:p@", "@"],
-        ["a.org", "WWW.A.ORG", "a.co.uk", "[::1]", "[", "]", "192.168.0.1", "a.org.", "", "co.uk"],
-        ["", ":80", ":x", ":"],
-        ["", "/", "/p", "?q", "#f", "/x://b.org/", "?u=http://b.org/", "#://c.org"],
+        ["", "u@", "u:p@", "@", "u@v@", "%41_~@", "\t@", "\u00fc@"],
+        ["a.org", "WWW.A.ORG", "a.co.uk", "[::1]", "[", "]", "192.168.0.1", "a.org.", "", "co.uk",
+         "a%2eorg", "a_b.org", "b\u00fccher.example", "a\tb.org", "[a.org]"],
+        ["", ":80", ":x", ":", ":8a", "\t:80"],
+        ["", "/", "/p", "?q", "#f", "/x://b.org/", "?u=http://b.org/", "#://c.org", "\t/x"],
     ]
     return "".join(options[rng.uniform_below(len(options))] for options in pieces)
 
@@ -140,6 +160,39 @@ def test_memo_matches_uncached_pld():
             assert try_pld(inputs[i - 1]) == expected[i - 1], inputs[i - 1]
     # every warm lookup of an IRI with `://` is served by the memo
     assert _memo_pld.cache_info().hits >= sum("://" in x for x in inputs[:-1])
+
+
+def test_plain_authorities_skip_urlsplit(monkeypatch):
+    """A plain ASCII authority is read by one regex match; any other one,
+    bracketed or non-ASCII for instance, still goes through urlsplit."""
+    import lodprobe.pld as module
+
+    routed = ["http://[::1]/x", "http://u@[a.org]/x", "http://b\u00fccher.example/",
+              "http://a%2eorg/x", "http://a_b.org/", "http://u@v@a.org/", "http://a.org:8a/"]
+    routed_plds = [_pld(iri) for iri in routed]
+    calls = []
+
+    def counting_urlsplit(url, *args, **kwargs):
+        calls.append(url)
+        return urlsplit(url, *args, **kwargs)
+
+    monkeypatch.setattr(module, "urlsplit", counting_urlsplit)
+    _memo_pld.cache_clear()
+    plain = {
+        "http://dbpedia.org/resource/Malta": "dbpedia.org",
+        "HtTpS://User:pw@WWW.DBpedia.ORG:8080/x": "dbpedia.org",
+        "http://u_~!$&'()*+,;=%41:p@a.co.uk:/x?y#z": "a.co.uk",
+        "https://192.168.1.10:80/": None,
+        "http://co.uk/": None,
+        "http://": None,
+        "http://u@:80/": None,
+    }
+    for iri, want in plain.items():
+        assert try_pld(iri) == want, iri
+    assert calls == []
+    for iri, want in zip(routed, routed_plds):
+        assert try_pld(iri) == want, iri
+    assert len(calls) == len(routed)
 
 
 def test_submodule_import_binds_the_module():
