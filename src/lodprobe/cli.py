@@ -6,9 +6,12 @@ graph) are derived once per chunk, before the processors see it. Each
 processor's elapsed time is accumulated around its own consume/finalize
 calls, so exact-vs-estimate comparisons reflect each variant's own work;
 reading, parsing and the shared derivation are reported once, as the
-dataset's elapsed time. Reports are JSON, written atomically (temp file +
-rename), and echo the full configuration including the seed so any run
-can be reproduced from its report alone.
+dataset's elapsed time. After the pass the processors that read no graph
+finalize first and the graph readers last, and each processor is released
+once its result is built, so exact cc's neighbor sets sit over the graph
+alone; results are still reported in entry order. Reports are JSON,
+written atomically (temp file + rename), and echo the full configuration
+including the seed so any run can be reproduced from its report alone.
 
 Exit codes: 0 success, 2 success but the input had parse errors, 1 fatal.
 """
@@ -229,6 +232,21 @@ def _finalize(entry) -> dict:
     return asdict(replace(result, elapsed_seconds=entry["elapsed"]))
 
 
+def _finalize_all(timed: list) -> list[dict]:
+    """Each entry's result, in entry order. Entries that read no
+    `SharedGraph` finalize first and the graph readers last, each in entry
+    order, and each processor is dropped once its result is built: exact
+    cc then builds its neighbor sets over the graph alone, and the graph
+    is freed with its last reader."""
+    results: list = [None] * len(timed)
+    order = sorted(range(len(timed)),
+                   key=lambda i: isinstance(timed[i]["processor"].shared, SharedGraph))
+    for i in order:
+        results[i] = _finalize(timed[i])
+        timed[i]["processor"] = None
+    return results
+
+
 def _config_echo(args, seed: int, timed: list) -> dict:
     return {
         "input": str(args.input),
@@ -324,6 +342,9 @@ def _plan_run(args, compare: bool) -> tuple[int, list]:
     Ext-links and deref processors share one `SharedPlds`, and every
     clustering processor reads the graph of one `SharedGraph`, so each
     IRI's PLD is looked up and each triple added to a graph once per run.
+    The entries are the only holders of the processors, and the processors
+    the only holders of the resolver and the shared facts: once
+    `_finalize_all` drops an entry's processor, what only it read is freed.
     """
     config_file = _load_config_file(args.config)
     _merge_config(args, config_file)
@@ -379,7 +400,7 @@ def _cmd_assess_or_compare(args, compare: bool) -> int:
     reader = NTriplesReader(args.input)
     try:
         shared_seconds = _stream_into(reader, timed)
-        results = [_finalize(entry) for entry in timed]
+        results = _finalize_all(timed)
     except SortOrderViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: lodprobe sort --input <file> --output <sorted-file>", file=sys.stderr)

@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import re
 import stat
 import time
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -512,12 +514,15 @@ def _assert_cc_as_standalone(report: dict, data: Path) -> None:
         assert (result["value"], result["counters"]) == (expected.value, expected.counters)
 
 
-def _golden_args(command: str, out: Path) -> list[str]:
-    return [
+def _golden_args(command: str, out: Path,
+                 names: tuple = ("deref", "ext-links", "extcon", "cc")) -> list[str]:
+    args = [
         command, "--input", str(DATA / "golden.nt"),
-        "--metric", "deref", "--metric", "ext-links", "--metric", "extcon", "--metric", "cc",
         "--seed", "42", "--resolver", f"mock:{DATA / 'golden-mock.json'}", "--out", str(out),
     ]
+    for name in names:
+        args += ["--metric", name]
+    return args
 
 
 class TestSharedFacts:
@@ -577,6 +582,69 @@ class TestSharedFacts:
         assert report["dataset"]["elapsed_seconds"] >= slept
         for result in report["results"]:
             assert result["elapsed_seconds"] < slept / 4, result
+
+
+def _golden_compare(tmp_path, *names: str) -> dict:
+    """The masked report of `compare` on golden.nt with `names`, in order."""
+    out = tmp_path / "r.json"
+    assert main(_golden_args("compare", out, names)) == 2
+    return json.loads(_mask_timings(out.read_text()))
+
+
+class TestFinalizeOrder:
+    """Processors that read no graph finalize first and the graph readers
+    last; each processor is dropped once its result is built. Reports keep
+    entry order."""
+
+    @pytest.mark.parametrize("names", [("cc", "extcon", "deref"), ("deref", "extcon", "cc")])
+    def test_results_independent_of_other_metrics_and_order(self, names, tmp_path):
+        report = _golden_compare(tmp_path, *names)
+        canonical = [cli.METRIC_ALIASES[name] for name in names]
+        assert [(r["metric"], r["estimated"]) for r in report["results"]] == [
+            (metric, estimated) for metric in canonical for estimated in (False, True)]
+        assert [d["metric"] for d in report["deviations"]] == canonical
+        for k, name in enumerate(names):
+            alone = _golden_compare(tmp_path, name)
+            assert report["results"][2 * k:2 * k + 2] == alone["results"], name
+            assert report["deviations"][k] == alone["deviations"][0], name
+
+    @pytest.mark.parametrize("command", ["assess", "compare"])
+    def test_processors_released_before_graph_readers(self, command, tmp_path, monkeypatch):
+        refs, graphs, finalized = [], [], []
+        plan, finalize = cli._plan_run, cli._finalize
+
+        def recording_plan(args, compare):
+            seed, timed = plan(args, compare)
+            for entry in timed:
+                refs.append((entry["name"], weakref.ref(entry["processor"])))
+                if isinstance(entry["processor"].shared, metrics.SharedGraph):
+                    graphs.append(weakref.ref(entry["processor"].shared))
+            return seed, timed
+
+        def checking_finalize(entry):
+            if entry["name"] == "clustering-coefficient":
+                alive = [name for name, ref in refs
+                         if name != "clustering-coefficient" and ref() is not None]
+                assert alive == [], alive
+            finalized.append((entry["name"], entry["variant"]))
+            return finalize(entry)
+
+        monkeypatch.setattr(cli, "_plan_run", recording_plan)
+        monkeypatch.setattr(cli, "_finalize", checking_finalize)
+        args = _golden_args(command, tmp_path / "r.json", ("cc", "extcon", "ext-links", "deref"))
+        gc.disable()  # reference counting alone must free them
+        try:
+            assert main(args) == 2
+            assert [name for name, ref in refs if ref() is not None] == []
+            assert graphs and all(ref() is None for ref in graphs)
+        finally:
+            gc.enable()
+        variants = ("exact", "estimate") if command == "compare" else ("estimate",)
+        assert finalized == [
+            (name, variant)
+            for name in ("extensional-conciseness", "external-links", "dereferenceability",
+                         "clustering-coefficient")
+            for variant in variants]
 
 
 @pytest.mark.parametrize("command", ["assess", "compare"])
