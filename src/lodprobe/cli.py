@@ -1,17 +1,18 @@
 """Command-line entry points: assess, sort, compare.
 
 One pass over the input feeds every configured metric processor. The
-facts that several processors read (the PLD of each IRI, the resource
-graph) are derived once per chunk, before the processors see it. Each
-processor's elapsed time is accumulated around its own consume/finalize
-calls, so exact-vs-estimate comparisons reflect each variant's own work;
-reading, parsing and the shared derivation are reported once, as the
-dataset's elapsed time. After the pass the processors that read no graph
-finalize first and the graph readers last, and each processor is released
-once its result is built, so exact cc's neighbor sets sit over the graph
-alone; results are still reported in entry order. Reports are JSON,
-written atomically (temp file + rename), and echo the full configuration
-including the seed so any run can be reproduced from its report alone.
+facts that several processors read (the PLD of each IRI, each subject
+run's instance signature, the resource graph) are derived once per chunk,
+before the processors see it. Each processor's elapsed time is
+accumulated around its own consume/finalize calls, so exact-vs-estimate
+comparisons reflect each variant's own work; reading, parsing and the
+shared derivation are reported once, as the dataset's elapsed time. After
+the pass the processors that read no graph finalize first and the graph
+readers last, and each processor is released once its result is built, so
+exact cc's neighbor sets sit over the graph alone; results are still
+reported in entry order. Reports are JSON, written atomically (temp file +
+rename), and echo the full configuration including the seed so any run
+can be reproduced from its report alone.
 
 Exit codes: 0 success, 2 success but the input had parse errors, 1 fatal.
 """
@@ -24,6 +25,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, replace
+from functools import cache
 from itertools import islice
 from pathlib import Path
 
@@ -39,6 +41,7 @@ from .metrics import (
     ExtLinksEstimate,
     ExtLinksExact,
     SharedGraph,
+    SharedInstances,
     SharedPlds,
     SortOrderViolation,
 )
@@ -175,24 +178,17 @@ def _build_resolver(spec: str | None):
     raise UsageError(f"--resolver must be 'live' or 'mock:<script>', got {spec!r}")
 
 
-def _one_per_run(shared: dict, kind):
-    """The run's one instance of `kind`, made for its first reader."""
-    if kind not in shared:
-        shared[kind] = kind()
-    return shared[kind]
-
-
-def _build_processor(metric: str, variant: str, p: dict, seed: int, resolver,
-                     shared: dict):
-    """A processor of `metric`; one that reads shared facts takes the run's
-    `SharedPlds` or `SharedGraph` from `shared`."""
+def _build_processor(metric: str, variant: str, p: dict, seed: int, resolver, shared):
+    """A processor of `metric`, reading the run's one `SharedInstances`,
+    `SharedGraph` or `SharedPlds`: `shared(kind)`, made for its first reader."""
     if metric == "extensional-conciseness":
-        return (ConcisenessEstimate(p["total_bits"], p["fpr_threshold"], seed)
-                if variant == "estimate" else ConcisenessExact())
+        instances = shared(SharedInstances)
+        return (ConcisenessEstimate(p["total_bits"], p["fpr_threshold"], seed, instances)
+                if variant == "estimate" else ConcisenessExact(instances))
     if metric == "clustering-coefficient":
         return ClusteringMetric(variant == "estimate", p["mixing_multiplier"], p["min_steps"],
-                                seed, _one_per_run(shared, SharedGraph))
-    plds = _one_per_run(shared, SharedPlds)
+                                seed, shared(SharedGraph))
+    plds = shared(SharedPlds)
     if metric == "external-links":
         return (ExtLinksEstimate(p["reservoir_capacity"], seed, plds)
                 if variant == "estimate" else ExtLinksExact(plds))
@@ -206,8 +202,7 @@ def _stream_into(reader: NTriplesReader, timed_processors: list) -> float:
     own call. Returns the seconds spent outside those calls: reading,
     parsing and the shared derivation."""
     clock = time.perf_counter
-    shared = [facts for facts in dict.fromkeys(e["processor"].shared for e in timed_processors)
-              if facts is not None]
+    shared = list(dict.fromkeys(e["processor"].shared for e in timed_processors))
     own = 0.0
     triples = iter(reader)
     start = clock()
@@ -339,9 +334,9 @@ def _plan_run(args, compare: bool) -> tuple[int, list]:
 
     Deref processors share one inner resolver but each wraps it in its own
     CachedResolver, so exact and estimate each pay for their own lookups.
-    Ext-links and deref processors share one `SharedPlds`, and every
-    clustering processor reads the graph of one `SharedGraph`, so each
-    IRI's PLD is looked up and each triple added to a graph once per run.
+    Ext-links and deref processors share one `SharedPlds`, conciseness
+    processors one `SharedInstances` and clustering processors one
+    `SharedGraph`, so each fact about the stream is derived once per run.
     The entries are the only holders of the processors, and the processors
     the only holders of the resolver and the shared facts: once
     `_finalize_all` drops an entry's processor, what only it read is freed.
@@ -371,7 +366,7 @@ def _plan_run(args, compare: bool) -> tuple[int, list]:
     if any(entry["name"] == "dereferenceability" for entry in entries):
         resolver = _build_resolver(args.resolver)
 
-    timed, shared = [], {}
+    timed, shared = [], cache(lambda kind: kind())
     for entry in entries:
         name, variant = entry["name"], entry["variant"]
         merged = _metric_params(name, [

@@ -140,11 +140,6 @@ def _local_cc(nv: set, neighbor_set) -> float:
     return links / (d * (d - 1) / 2)
 
 
-def exact_local_cc(g: ResourceGraph, v: str) -> float:
-    """Fraction of realised links among v's neighbors; 0 when degree <= 1."""
-    return _local_cc(g.neighbors(v), g.neighbors)
-
-
 def exact_global_cc(g: ResourceGraph) -> float:
     """Arithmetic mean of the local coefficients over all vertices."""
     if g.vertex_count == 0:

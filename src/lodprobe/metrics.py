@@ -7,10 +7,10 @@ not depend on how it was cut into chunks. Each processor runs its own loop
 over a chunk, so the pass makes one call per chunk, not one per triple.
 
 Facts that several processors read are derived once per chunk by a shared
-object the processors hold: `SharedPlds` looks up the PLD of each subject
-run and of each object IRI (ext-links and deref), and `SharedGraph` feeds
-each triple to the one resource graph that every clustering processor
-reads. The pass derives each chunk before the processors see it; a
+object they hold: `SharedPlds` (the PLDs of subjects and object IRIs, for
+ext-links and deref), `SharedInstances` (each subject run's instance
+signature, for conciseness) and `SharedGraph` (the resource graph, for
+clustering). The pass derives each chunk before the processors see it; a
 processor built on its own holds a private one and derives as it reads.
 
 Value conventions on empty input: conciseness 1 (vacuous uniqueness),
@@ -159,6 +159,51 @@ class SharedGraph(_SharedFacts):
             add_triple(t)
 
 
+class SharedInstances(_SharedFacts):
+    """Per chunk, `signatures` holds the instances the chunk closed, in
+    order: each the sorted, distinct `predicate object` statements of one
+    subject run, one a line. A run is the triples whose subjects are one
+    `Term` or equal ones: the reader's memo may hand out equal but distinct
+    Terms, so identity is only the fast path. A closed subject is kept as
+    its 128-bit BLAKE2b digest; one that reappears raises
+    `SortOrderViolation` with its triple ordinal."""
+
+    def __init__(self):
+        super().__init__()
+        self.signatures: list[str] = []
+        self._subject: Term | None = None
+        self._statements: set[str] = set()
+        self._closed: set[int] = set()
+        self._triples = 0
+        self._ended: set[int] = set()  # ids: the readers that took the open run
+
+    def _derive(self, chunk: list) -> None:
+        subject, statements, closed = self._subject, self._statements, self._closed
+        number = self._triples
+        signatures = self.signatures = []
+        for s, p, o in chunk:
+            number += 1
+            if s is not subject and s != subject:
+                if subject is not None:
+                    signatures.append("\n".join(sorted(statements)))
+                    statements = set()
+                digest = hash128(s.token.encode("utf-8"))
+                if digest in closed:
+                    raise SortOrderViolation(s.token, number)
+                closed.add(digest)
+                subject = s
+            statements.add(f"{p.token} {o.token}")
+        self._subject, self._statements, self._triples = subject, statements, number
+
+    def final_signatures(self, reader) -> list[str]:
+        """The open run's signature, which only the end of the stream
+        closes: for `reader` once, and none before any triple."""
+        if self._subject is None or id(reader) in self._ended:
+            return []
+        self._ended.add(id(reader))
+        return ["\n".join(sorted(self._statements))]
+
+
 # --------------------------------------------------------------------------
 # Existence of links to external data providers
 
@@ -281,71 +326,48 @@ class ExtLinksExact(_ExtLinksBase):
 
 
 class _ConcisenessBase:
-    """Shared streaming state: batch statements per subject run, flush each
-    run as one instance signature, and verify the input really is
-    subject-sorted (a closed subject must never reappear)."""
+    """Counts the instances that `shared`, the pass's `SharedInstances`,
+    closes, and those a variant's `_is_duplicate` has seen before."""
 
     name = "extensional-conciseness"
-    shared = None  # reads no shared facts
 
-    def __init__(self):
-        self._current: Term | None = None
-        self._statements: set[str] = set()
-        self._closed: set[int] = set()
+    def __init__(self, shared: SharedInstances | None):
+        self.shared = shared if shared is not None else SharedInstances()
         self.total_instances = 0
         self.duplicate_instances = 0
-        self._triple_number = 0
 
     def consume(self, triples: Iterable[Triple]) -> None:
-        current, statements, closed = self._current, self._statements, self._closed
-        number = self._triple_number
-        try:
-            for s, p, o in triples:
-                number += 1
-                # The reader's memo may hand out equal but distinct Terms in
-                # one run, so identity is only the fast path.
-                if s is not current and s != current:
-                    if current is not None:
-                        self._flush(statements)
-                        statements = set()
-                    text = s.token
-                    digest = hash128(text.encode("utf-8"))
-                    if digest in closed:
-                        raise SortOrderViolation(text, number)
-                    closed.add(digest)
-                    current = s
-                statements.add(f"{p.token} {o.token}")
-        finally:
-            self._current, self._statements, self._triple_number = current, statements, number
+        for _ in self.shared.chunks(triples, self):
+            self._count(self.shared.signatures)
 
-    def _flush(self, statements: set[str]) -> None:
-        signature = "\n".join(sorted(statements))
-        if self._is_duplicate(signature):
-            self.duplicate_instances += 1
-        self.total_instances += 1
+    def _count(self, signatures: list[str]) -> None:
+        self.duplicate_instances += sum(map(self._is_duplicate, signatures))
+        self.total_instances += len(signatures)
 
-    def _finish_value(self) -> float:
-        if self._current is not None:
-            self._flush(self._statements)
-            self._statements = set()
-            self._current = None
-        if self.total_instances == 0:
-            return 1.0
-        return (self.total_instances - self.duplicate_instances) / self.total_instances
-
-    def _counters(self) -> dict:
-        return {
-            "total_instances": self.total_instances,
-            "duplicate_instances": self.duplicate_instances,
-            "zero_denominator": int(self.total_instances == 0),
-        }
+    def _result(self, parameters: dict, counters: dict, **fields) -> MetricResult:
+        """Unique share of the instances, with the shared counters added to a
+        variant's `counters`, and its `parameters` and other result `fields`."""
+        total, duplicates = self.total_instances, self.duplicate_instances
+        return MetricResult(
+            metric=self.name,
+            value=(total - duplicates) / total if total else 1.0,
+            parameters=parameters,
+            counters={
+                **counters,
+                "total_instances": total,
+                "duplicate_instances": duplicates,
+                "zero_denominator": int(total == 0),
+            },
+            **fields,
+        )
 
 
 class ConcisenessEstimate(_ConcisenessBase):
     """Duplicate detection through the stable Bloom filter."""
 
-    def __init__(self, total_bits: int, fpr_threshold: float, seed: int):
-        super().__init__()
+    def __init__(self, total_bits: int, fpr_threshold: float, seed: int,
+                 shared: SharedInstances | None = None):
+        super().__init__(shared)
         self.seed = seed
         self._filter = StableBloomFilter(
             total_bits, fpr_threshold, SeededRng(derive_seed(seed, "conciseness"))
@@ -355,19 +377,13 @@ class ConcisenessEstimate(_ConcisenessBase):
         return self._filter.check_and_add(signature.encode("utf-8"))
 
     def finalize(self) -> MetricResult:
-        value = self._finish_value()
-        counters = self._counters()
-        counters["filter_resets"] = self._filter.resets
-        return MetricResult(
-            metric=self.name,
-            value=value,
+        self._count(self.shared.final_signatures(self))  # before the filter's resets are read
+        f = self._filter
+        return self._result(
+            parameters={"total_bits": f.total_bits, "num_filters": f.num_filters,
+                        "fpr_threshold": f.fpr_threshold},
+            counters={"filter_resets": f.resets},
             estimated=True,
-            parameters={
-                "total_bits": self._filter.total_bits,
-                "num_filters": self._filter.num_filters,
-                "fpr_threshold": self._filter.fpr_threshold,
-            },
-            counters=counters,
             seed=self.seed,
         )
 
@@ -377,8 +393,8 @@ class ConcisenessExact(_ConcisenessBase):
     each instance's signature against every distinct one seen so far.
     Quadratic in instances, which is exactly why the estimate exists."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, shared: SharedInstances | None = None):
+        super().__init__(shared)
         self._signatures: list[str] = []
 
     def _is_duplicate(self, signature: str) -> bool:
@@ -389,14 +405,8 @@ class ConcisenessExact(_ConcisenessBase):
         return False
 
     def finalize(self) -> MetricResult:
-        value = self._finish_value()
-        return MetricResult(
-            metric=self.name,
-            value=value,
-            estimated=False,
-            parameters={},
-            counters=self._counters(),
-        )
+        self._count(self.shared.final_signatures(self))
+        return self._result(parameters={}, counters={}, estimated=False)
 
 
 # --------------------------------------------------------------------------

@@ -561,27 +561,54 @@ class TestSharedFacts:
         _assert_cc_as_standalone(report, DATA / "golden.nt")
 
     def test_shared_lookups_charged_to_the_dataset(self, tiny_dataset, tmp_path, monkeypatch):
-        delay = 0.005
-        calls = []
-        lookup = metrics.try_pld
+        # 10 object IRIs and 10 one-triple subject runs
+        _assert_charged_to_dataset("try_pld", "ext-links", 20, tiny_dataset, tmp_path, monkeypatch)
 
-        def slow(iri):
-            calls.append(iri)
-            time.sleep(delay)
-            return lookup(iri)
-
-        monkeypatch.setattr(metrics, "try_pld", slow)
+    def test_compare_extcon_digests_each_subject_run_once(self, tmp_path, monkeypatch):
+        runs, subject = 0, None
+        for s, _, _ in NTriplesReader(DATA / "golden.nt"):
+            if s != subject:
+                runs, subject = runs + 1, s
+        digested = []
+        digest = metrics.hash128
+        monkeypatch.setattr(metrics, "hash128", lambda data: digested.append(data) or digest(data))
         out = tmp_path / "r.json"
-        code = main(["compare", "--input", str(tiny_dataset), "--metric", "ext-links",
-                     "--seed", "3", "--out", str(out)])
-        assert code == 0
-        report = json.loads(out.read_text())
-        jsonschema.validate(report, _schema())
-        slept = delay * len(calls)
-        assert len(calls) == 20  # 10 object IRIs and 10 one-triple subject runs
-        assert report["dataset"]["elapsed_seconds"] >= slept
-        for result in report["results"]:
-            assert result["elapsed_seconds"] < slept / 4, result
+        assert main(["compare", "--input", str(DATA / "golden.nt"), "--metric", "extcon",
+                     "--seed", "42", "--out", str(out)]) == 2
+        results = json.loads(out.read_text())["results"]
+        assert [r["counters"]["total_instances"] for r in results] == [runs, runs]
+        assert len(digested) == len(set(digested)) == runs > 0
+
+    def test_shared_digests_charged_to_the_dataset(self, tiny_dataset, tmp_path, monkeypatch):
+        # one digest per subject run, read by both variants
+        _assert_charged_to_dataset("hash128", "extcon", 10, tiny_dataset, tmp_path, monkeypatch)
+
+
+def _assert_charged_to_dataset(name: str, metric: str, calls: int, dataset, tmp_path,
+                               monkeypatch) -> None:
+    """`compare --metric METRIC` calls `metrics.NAME`, slowed by 5 ms, `calls`
+    times, and the time lands in the dataset's elapsed, in neither variant."""
+    delay = 0.005
+    made = []
+    real = getattr(metrics, name)
+
+    def slow(arg):
+        made.append(arg)
+        time.sleep(delay)
+        return real(arg)
+
+    monkeypatch.setattr(metrics, name, slow)
+    out = tmp_path / "r.json"
+    code = main(["compare", "--input", str(dataset), "--metric", metric,
+                 "--seed", "3", "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    jsonschema.validate(report, _schema())
+    slept = delay * len(made)
+    assert len(made) == calls
+    assert report["dataset"]["elapsed_seconds"] >= slept
+    for result in report["results"]:
+        assert result["elapsed_seconds"] < slept / 4, result
 
 
 def _golden_compare(tmp_path, *names: str) -> dict:
@@ -610,21 +637,23 @@ class TestFinalizeOrder:
 
     @pytest.mark.parametrize("command", ["assess", "compare"])
     def test_processors_released_before_graph_readers(self, command, tmp_path, monkeypatch):
-        refs, graphs, finalized = [], [], []
+        cc = "clustering-coefficient"
+        refs, facts, finalized = [], {}, []  # facts: id -> (ref, names of its readers)
         plan, finalize = cli._plan_run, cli._finalize
 
         def recording_plan(args, compare):
             seed, timed = plan(args, compare)
             for entry in timed:
+                shared = entry["processor"].shared
                 refs.append((entry["name"], weakref.ref(entry["processor"])))
-                if isinstance(entry["processor"].shared, metrics.SharedGraph):
-                    graphs.append(weakref.ref(entry["processor"].shared))
+                facts.setdefault(id(shared), (weakref.ref(shared), set()))[1].add(entry["name"])
             return seed, timed
 
         def checking_finalize(entry):
-            if entry["name"] == "clustering-coefficient":
-                alive = [name for name, ref in refs
-                         if name != "clustering-coefficient" and ref() is not None]
+            if entry["name"] == cc:
+                alive = [name for name, ref in refs if name != cc and ref() is not None]
+                alive += [sorted(names) for ref, names in facts.values()
+                          if cc not in names and ref() is not None]
                 assert alive == [], alive
             finalized.append((entry["name"], entry["variant"]))
             return finalize(entry)
@@ -636,14 +665,14 @@ class TestFinalizeOrder:
         try:
             assert main(args) == 2
             assert [name for name, ref in refs if ref() is not None] == []
-            assert graphs and all(ref() is None for ref in graphs)
+            # one SharedGraph, one SharedInstances, one SharedPlds
+            assert len(facts) == 3 and all(ref() is None for ref, _ in facts.values())
         finally:
             gc.enable()
         variants = ("exact", "estimate") if command == "compare" else ("estimate",)
         assert finalized == [
             (name, variant)
-            for name in ("extensional-conciseness", "external-links", "dereferenceability",
-                         "clustering-coefficient")
+            for name in ("extensional-conciseness", "external-links", "dereferenceability", cc)
             for variant in variants]
 
 

@@ -19,9 +19,16 @@ from lodprobe import (
     random_walk,
     serialize_term,
 )
-from lodprobe.graph import exact_local_cc
+from lodprobe.graph import _local_cc
 
 from synth import complete_graph, er_graph, path_graph, random_triple
+
+
+def exact_local_cc(g: ResourceGraph, v: str) -> float:
+    """The local coefficient that exact_global_cc averages, by its own
+    rule: the fraction of realised links among v's neighbors, 0 when
+    degree <= 1. The oracle for one vertex."""
+    return _local_cc(g.neighbors(v), g.neighbors)
 
 
 def _brute_force_local_cc(g: ResourceGraph, v: str) -> float:

@@ -897,3 +897,31 @@ class TestChunking:
             assert exc_info.value.subject == "<http://s0.org/first>"
             numbers.append(exc_info.value.triple_number)
         assert numbers == [at + 1] * len(_CHUNKINGS)
+
+
+class TestSharedInstances:
+    """Conciseness processors given one `SharedInstances` read the instances
+    it derives once per chunk, and report what each reports alone."""
+
+    @pytest.mark.parametrize("size", [1, 7, 256])
+    def test_shared_derivation_equals_standalone(self, size, monkeypatch):
+        triples = _chunking_stream(2)
+        digested = []
+        digest = metrics.hash128
+        monkeypatch.setattr(metrics, "hash128", lambda data: digested.append(data) or digest(data))
+        instances = metrics.SharedInstances()
+        processors = [ConcisenessEstimate(20_000, 0.01, seed=5, shared=instances),
+                      ConcisenessExact(shared=instances)]
+        it = iter(triples)
+        while chunk := list(islice(it, size)):
+            instances.derive(chunk)
+            for processor in processors:
+                processor.consume(chunk)
+        shared = [processor.finalize() for processor in processors]
+        assert [processor.finalize() for processor in processors] == shared
+        runs = len(digested)
+        alone = [run(ConcisenessEstimate(20_000, 0.01, seed=5), triples),
+                 run(ConcisenessExact(), triples)]
+        assert shared == alone
+        assert runs == alone[1].counters["total_instances"]  # one digest for both
+        assert alone[1].counters["duplicate_instances"] > 10
