@@ -115,14 +115,6 @@ class ResourceGraph:
         self._edges = (len(to), ends // 2)
         return ends // 2
 
-    def vertices(self) -> list[str]:
-        """Vertex names in first-seen order; the graph's own list, not a copy."""
-        return self._names
-
-    def neighbors(self, v: str) -> set[str]:
-        names = self._names
-        return {names[j] for j in self._chain(self._ids[v])}
-
     def frozen_neighbors(self, i: int) -> tuple[int, ...]:
         """Vertex i's distinct neighbor ids, as an indexable tuple for walkers.
 

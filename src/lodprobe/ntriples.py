@@ -35,22 +35,29 @@ from .terms import BLANK_NODE, IRI, LITERAL, Term, Triple
 # back into a per-character alternation: `re` then runs its generic repeat
 # on every character, and the statement match costs about three times as
 # much.
-_IRI_RUN = r"[^\x00-\x20<>\"{}|^`\\]*"
+#
+# The runs, escape loops and blanks are possessive (`*+`, `++`): each is
+# followed by a character its class excludes, so giving a character back
+# can never lead to a match, and a possessive repeat matches the same text
+# without saving a backtrack point per character. A blank-node label stays
+# greedy, since it may not end in '.' and its run must be able to give a
+# final '.' back; so does the language tag, a few characters long.
+_IRI_RUN = r"[^\x00-\x20<>\"{}|^`\\]*"  # extsort strips the trailing "]*"
 _IRI_ESCAPE = r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
-_IRI = r"<" + _IRI_RUN + r"(?:" + _IRI_ESCAPE + _IRI_RUN + r")*>"
+_IRI = r"<" + _IRI_RUN + r"+(?:" + _IRI_ESCAPE + _IRI_RUN + r"+)*+>"
 _BNODE = r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
-_STRING_RUN = r"[^\"\\\n\r]*"
+_STRING_RUN = r"[^\"\\\n\r]*+"
 _STRING_ESCAPE = r"\\(?:[tbnrf\"'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
 _LITERAL = (
-    r"\"" + _STRING_RUN + r"(?:" + _STRING_ESCAPE + _STRING_RUN + r")*\""
+    r"\"" + _STRING_RUN + r"(?:" + _STRING_ESCAPE + _STRING_RUN + r")*+\""
     r"(?:\^\^" + _IRI + r"|@[A-Za-z]+(?:-[A-Za-z0-9]+)*)?"
 )
 
 _STATEMENT_RE = re.compile(
-    r"[ \t]*(" + _IRI + r"|" + _BNODE + r")"
-    r"[ \t]+(" + _IRI + r")"
-    r"[ \t]+(" + _IRI + r"|" + _BNODE + r"|" + _LITERAL + r")"
-    r"[ \t]*\.[ \t]*(?:#.*)?$"
+    r"[ \t]*+(" + _IRI + r"|" + _BNODE + r")"
+    r"[ \t]++(" + _IRI + r")"
+    r"[ \t]++(" + _IRI + r"|" + _BNODE + r"|" + _LITERAL + r")"
+    r"[ \t]*+\.[ \t]*+(?:#.*+)?$"
 )
 _BLANK_RE = re.compile(r"[ \t]*(?:#.*)?$")
 _SUBJECT_RE = re.compile(_IRI + r"|" + _BNODE)

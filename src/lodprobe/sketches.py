@@ -51,8 +51,10 @@ class ReservoirSampler:
 
     An item's rank is its 64-bit BLAKE2b keyed by the seed, and the sample
     is the `capacity` items of smallest rank, whatever their order or
-    repeats. A held item is discarded without hashing, and so is the last
-    one turned away: the k-th rank only falls, so it stays turned away.
+    repeats. A held item is discarded without hashing, and so is one that
+    was turned away, refused or evicted: the k-th rank only falls, so it
+    stays turned away. Those are remembered as the keys of a dict of at
+    most `capacity` items, cleared when full, so at most 2k items are held.
 
     `held` holds the sampled items in admission order, as the keys of a
     dict whose values are all None.
@@ -67,7 +69,7 @@ class ReservoirSampler:
         # A max-heap of (-rank, item), built at the first overflow: a sample
         # that never binds computes no rank.
         self._heap: list | None = None
-        self._turned_away: str | None = None  # the last item refused or evicted
+        self._turned_away: dict[str, None] = {}  # items refused or evicted, as keys
 
     def _rank(self, item: str) -> int:
         h = self._hasher.copy()
@@ -75,8 +77,8 @@ class ReservoirSampler:
         return int.from_bytes(h.digest(), "little")
 
     def add(self, item: str) -> AddOutcome:
-        held = self.held
-        if item in held or item == self._turned_away:
+        held, turned_away = self.held, self._turned_away
+        if item in held or item in turned_away:
             return _DISCARDED
         if len(held) < self.capacity:
             held[item] = None
@@ -86,10 +88,13 @@ class ReservoirSampler:
             heap = self._heap = [(-self._rank(x), x) for x in held]
             heapify(heap)
         rank = self._rank(item)
+        if len(turned_away) >= self.capacity:
+            turned_away.clear()
         if rank >= -heap[0][0]:
-            self._turned_away = item
+            turned_away[item] = None
             return _DISCARDED
-        evicted = self._turned_away = heapreplace(heap, (-rank, item))[1]
+        evicted = heapreplace(heap, (-rank, item))[1]
+        turned_away[evicted] = None
         del held[evicted]
         held[item] = None
         return _REPLACED
@@ -152,32 +157,33 @@ class StableBloomFilter:
         self._arrays = [bytearray(-(-self.bits_per_filter // 8)) for _ in range(self.num_filters)]
         self._set_counts = [0] * self.num_filters
 
-    def _positions(self, item: bytes) -> list[int]:
+    def check_and_add(self, item: bytes) -> bool:
+        """True when `item` looks like a duplicate; otherwise inserts it.
+
+        Sub-filter i probes bit (h1 + i*h2) mod m, the two halves of the
+        item's hash128 reduced mod m first, so every step is a small int.
+        """
         h = hash128(item)
         bpf = self.bits_per_filter
-        # (h1 + i*h2) mod m, reduced first: every term stays a small int.
         h1, h2 = (h & _MASK64) % bpf, (h >> 64) % bpf
-        return [(h1 + i * h2) % bpf for i in range(self.num_filters)]
-
-    def check_and_add(self, item: bytes) -> bool:
-        """True when `item` looks like a duplicate; otherwise inserts it."""
-        positions = self._positions(item)
-        arrays = self._arrays
-        is_dup = True
-        for i, pos in enumerate(positions):
-            if not arrays[i][pos >> 3] & (1 << (pos & 7)):
-                is_dup = False
+        pos = h1
+        for array in self._arrays:
+            if not array[pos >> 3] & (1 << (pos & 7)):
                 break
-        if is_dup:
+            pos = (pos + h2) % bpf
+        else:
             return True
         if self.enable_resets:
             self._maybe_reset()
+        # The reset may have cleared a bit already probed, so walk again.
         counts = self._set_counts
-        for i, pos in enumerate(positions):
+        pos = h1
+        for i, array in enumerate(self._arrays):
             byte, mask = pos >> 3, 1 << (pos & 7)
-            if not arrays[i][byte] & mask:
-                arrays[i][byte] |= mask
+            if not array[byte] & mask:
+                array[byte] |= mask
                 counts[i] += 1
+            pos = (pos + h2) % bpf
         return False
 
     def current_fpr(self) -> float:

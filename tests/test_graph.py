@@ -24,47 +24,58 @@ from lodprobe.graph import _local_cc
 from synth import complete_graph, er_graph, path_graph, random_triple
 
 
+def _neighbors(g: ResourceGraph, v: str) -> set[str]:
+    """Vertex v's distinct neighbor names, read off its chain."""
+    names = g._names
+    return {names[j] for j in g._chain(g._ids[v])}
+
+
+def _adjacency(g: ResourceGraph) -> dict[str, set[str]]:
+    """Every vertex name, in first-seen order, to its neighbor names."""
+    return {v: _neighbors(g, v) for v in g._names}
+
+
 def exact_local_cc(g: ResourceGraph, v: str) -> float:
     """The local coefficient that exact_global_cc averages, by its own
     rule: the fraction of realised links among v's neighbors, 0 when
     degree <= 1. The oracle for one vertex."""
-    return _local_cc(g.neighbors(v), g.neighbors)
+    return _local_cc(_neighbors(g, v), lambda u: _neighbors(g, u))
 
 
 def _brute_force_local_cc(g: ResourceGraph, v: str) -> float:
     """Independent oracle: enumerate every neighbor pair."""
-    ns = sorted(g.neighbors(v))
+    ns = sorted(_neighbors(g, v))
     d = len(ns)
     if d <= 1:
         return 0.0
-    links = sum(1 for u, w in combinations(ns, 2) if w in g.neighbors(u))
+    links = sum(1 for u, w in combinations(ns, 2) if w in _neighbors(g, u))
     return links / (d * (d - 1) / 2)
 
 
-def _replay_walk(g: ResourceGraph, r: int, seed: int) -> tuple[float, float]:
-    """Independent replay of random_walk's draw sequence: (phi_sum, psi_sum),
-    summed in the walk's own order, from a path that must follow edges."""
+def _replay_walk(adj: dict[str, set[str]], r: int, seed: int) -> tuple[float, float]:
+    """Independent replay of random_walk's draw sequence over an adjacency
+    in first-seen order: (phi_sum, psi_sum), summed in the walk's own
+    order, from a path that must follow edges."""
     rng = SeededRng(seed)
-    order = list(g.vertices())
+    order = list(adj)
     path = [order[rng.uniform_below(len(order))]]
     for _ in range(r - 1):
-        ns = sorted(g.neighbors(path[-1]))
+        ns = sorted(adj[path[-1]])
         nxt = ns[rng.uniform_below(len(ns))]
-        assert nxt in g.neighbors(path[-1])
+        assert nxt in adj[path[-1]]
         path.append(nxt)
     phi = 0.0
     for k in range(1, r - 1):
-        if path[k + 1] in g.neighbors(path[k - 1]):
-            phi += 1.0 / (len(g.neighbors(path[k])) - 1)
+        if path[k + 1] in adj[path[k - 1]]:
+            phi += 1.0 / (len(adj[path[k]]) - 1)
     psi = 0.0
     for v in path:
-        psi += 1.0 / len(g.neighbors(v))
+        psi += 1.0 / len(adj[v])
     return phi, psi
 
 
 class _SetGraph:
-    """Oracle: a dict of neighbor-name sets in first-seen order, with the
-    graph's `vertices()` and `neighbors()` interface."""
+    """Oracle: a dict of neighbor-name sets in first-seen order."""
 
     def __init__(self, triples):
         self.adj: dict[str, set[str]] = {}
@@ -75,12 +86,6 @@ class _SetGraph:
             if u != v:
                 self.adj.setdefault(u, set()).add(v)
                 self.adj.setdefault(v, set()).add(u)
-
-    def vertices(self):
-        return self.adj.keys()
-
-    def neighbors(self, v: str) -> set[str]:
-        return self.adj[v]
 
 
 def _multigraph_triples(seed: int, n: int = 3000) -> list[Triple]:
@@ -154,8 +159,7 @@ class TestGraphBuild:
         g.add_triple(Triple(iri("http://a/b"), iri("http://a/q"), iri("http://a/a")))
         assert g.vertex_count == 2
         assert g.edge_count == 1
-        assert g.neighbors("<http://a/a>") == {"<http://a/b>"}
-        assert g.neighbors("<http://a/b>") == {"<http://a/a>"}
+        assert _adjacency(g) == {"<http://a/a>": {"<http://a/b>"}, "<http://a/b>": {"<http://a/a>"}}
 
     def test_self_loops_dropped(self):
         g = ResourceGraph()
@@ -165,7 +169,7 @@ class TestGraphBuild:
     def test_blank_nodes_are_vertices(self):
         g = ResourceGraph()
         g.add_triple(Triple(blank("b0"), iri("http://a/p"), iri("http://a/o")))
-        assert set(g.vertices()) == {"_:b0", "<http://a/o>"}
+        assert set(g._names) == {"_:b0", "<http://a/o>"}
 
     def test_cached_edge_count_equals_fresh_count_after_adds(self):
         # Every cc processor of a run reads one graph's count: the second
@@ -215,10 +219,11 @@ class TestGraphBuild:
         g = ResourceGraph()
         for _ in range(2000):
             g.add_triple(random_triple(rng))
-        for v in g.vertices():
-            for u in g.neighbors(v):
-                assert v in g.neighbors(u)
-            assert len(g.neighbors(v)) >= 1
+        adj = _adjacency(g)
+        for v, ns in adj.items():
+            for u in ns:
+                assert v in adj[u]
+            assert len(ns) >= 1
 
     @pytest.mark.parametrize("seed", range(20))
     def test_multigraph_matches_set_oracle(self, seed):
@@ -227,14 +232,14 @@ class TestGraphBuild:
         for t in triples:
             g.add_triple(t)
         oracle = _SetGraph(triples)
-        assert list(g.vertices()) == list(oracle.vertices())
-        for v in oracle.vertices():
-            assert g.neighbors(v) == oracle.neighbors(v)
+        adj = _adjacency(g)
+        assert list(adj) == list(oracle.adj)
+        assert adj == oracle.adj
         assert g.edge_count == sum(map(len, oracle.adj.values())) // 2
-        assert len(oracle.neighbors("<http://m.org/hub>")) > 150
+        assert len(oracle.adj["<http://m.org/hub>"]) > 150
         r = 400
         walk = random_walk(g, r, seed)
-        assert (walk.phi_sum, walk.psi_sum) == _replay_walk(oracle, r, seed)
+        assert (walk.phi_sum, walk.psi_sum) == _replay_walk(oracle.adj, r, seed)
 
     def test_memory_envelope_against_set_graph(self):
         # Interned int arrays against a dict of name sets over the same
@@ -280,12 +285,12 @@ class TestGraphBuild:
 
         def check() -> None:
             oracle = _SetGraph(triples)
-            assert list(g.vertices()) == list(oracle.vertices())
-            names = g.vertices()
+            assert list(_adjacency(g)) == list(oracle.adj)
+            names = g._names
             for i, v in enumerate(names):
-                assert g.neighbors(v) == oracle.neighbors(v)
+                assert _neighbors(g, v) == oracle.adj[v]
                 frozen = g.frozen_neighbors(i)
-                assert frozen == tuple(sorted(map(names.index, oracle.neighbors(v)),
+                assert frozen == tuple(sorted(map(names.index, oracle.adj[v]),
                                               key=names.__getitem__))
             edges = sum(map(len, oracle.adj.values())) // 2
             assert g.edge_count == g.edge_count == edges
@@ -311,7 +316,7 @@ class TestGraphBuild:
 class TestExactCc:
     def test_triangle_local(self):
         g = complete_graph(3)
-        for v in g.vertices():
+        for v in g._names:
             assert exact_local_cc(g, v) == 1.0
 
     def test_star_center_zero(self):
@@ -341,12 +346,12 @@ class TestExactCc:
 
     def test_er_graph_matches_brute_force(self):
         g = er_graph(200, 0.05, seed=17)
-        expected = sum(_brute_force_local_cc(g, v) for v in g.vertices()) / g.vertex_count
+        expected = sum(_brute_force_local_cc(g, v) for v in g._names) / g.vertex_count
         assert exact_global_cc(g) == pytest.approx(expected, abs=1e-12)
 
     def test_local_values_in_unit_interval(self):
         g = er_graph(100, 0.1, seed=18)
-        for v in g.vertices():
+        for v in g._names:
             assert 0.0 <= exact_local_cc(g, v) <= 1.0
 
     def test_empty_graph_rejected(self):
@@ -383,7 +388,7 @@ class TestRandomWalk:
         g = er_graph(60, 0.08, seed=21)
         walk = random_walk(g, 500, seed=4)
         assert walk.steps == 500
-        assert (walk.phi_sum, walk.psi_sum) == _replay_walk(g, 500, seed=4)
+        assert (walk.phi_sum, walk.psi_sum) == _replay_walk(_adjacency(g), 500, seed=4)
 
     def test_deterministic_for_seed(self):
         g = er_graph(40, 0.1, seed=22)
@@ -435,7 +440,7 @@ class TestRandomWalk:
         g = complete_graph(3)
         r, seed = 12, 31
         walk = random_walk(g, r, seed)
-        assert (walk.phi_sum, walk.psi_sum) == _replay_walk(g, r, seed)
+        assert (walk.phi_sum, walk.psi_sum) == _replay_walk(_adjacency(g), r, seed)
 
     def test_requires_edges_and_min_length(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import dataclasses
 import io
 import random
 import re
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -19,7 +21,10 @@ from lodprobe import (
     parse_line,
     serialize_triple,
 )
+from lodprobe import extsort
 from lodprobe.ntriples import ParseFailure, serialize_term
+
+from synth import conciseness_stream, deref_fixture, random_triple
 
 
 def test_minimal_statement():
@@ -204,6 +209,108 @@ def test_statement_grammar_edge_cases(term, value):
     else:
         assert m.group(3) == term
         assert parse_line(line).object.lexical == value
+
+
+# Oracle: the statement grammar with greedy runs, escape loops and blanks,
+# which save a backtrack point per character. The parser's possessive
+# repeats must match the same lines with the same groups, and diagnose a
+# rejected line with the same reason at the same byte.
+_GREEDY_IRI_RUN = r"[^\x00-\x20<>\"{}|^`\\]*"
+_GREEDY_IRI = (r"<" + _GREEDY_IRI_RUN + r"(?:\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
+               + _GREEDY_IRI_RUN + r")*>")
+_GREEDY_BNODE = r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
+_GREEDY_STRING_RUN = r"[^\"\\\n\r]*"
+_GREEDY_STRING_ESCAPE = r"\\(?:[tbnrf\"'\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
+_GREEDY_LITERAL = (
+    r"\"" + _GREEDY_STRING_RUN + r"(?:" + _GREEDY_STRING_ESCAPE + _GREEDY_STRING_RUN + r")*\""
+    r"(?:\^\^" + _GREEDY_IRI + r"|@[A-Za-z]+(?:-[A-Za-z0-9]+)*)?"
+)
+_GREEDY_STATEMENT_RE = re.compile(
+    r"[ \t]*(" + _GREEDY_IRI + r"|" + _GREEDY_BNODE + r")"
+    r"[ \t]+(" + _GREEDY_IRI + r")"
+    r"[ \t]+(" + _GREEDY_IRI + r"|" + _GREEDY_BNODE + r"|" + _GREEDY_LITERAL + r")"
+    r"[ \t]*\.[ \t]*(?:#.*)?$"
+)
+_GREEDY_SUBJECT_RE = re.compile(_GREEDY_IRI + r"|" + _GREEDY_BNODE)
+_GREEDY_TERM_PIECES = {
+    "<": ("IRI", re.compile(_GREEDY_IRI)),
+    "_": ("blank node", re.compile(_GREEDY_BNODE)),
+    '"': ("literal", re.compile(_GREEDY_LITERAL)),
+}
+_GREEDY_SUBJECT_TOKEN_RE = re.compile(
+    rb"[ \t]*(" + f"{_GREEDY_IRI}|{_GREEDY_BNODE}".encode("ascii") + rb")[ \t]")
+
+_POSSESSIVE_EDGES = [
+    "_:b1 <http://a/p> _:b1.",
+    "_:b1. <http://a/p> <http://a/o> .",
+    "<http://a/s> <http://a/p> _:a.b .",
+    "<http://a/s> <http://a/p> _:a.b.",
+    "<http://a/s> <http://a/p> _:a.b..",
+    '<http://a/s> <http://a/p> "x"@en-US.',
+    '<http://a/s> <http://a/p> "x"@en-US .',
+    '<http://a/s> <http://a/p> "x"@en- .',
+    '<http://a/s> <http://a/p> "x"@ .',
+    "<http://a/\\u00e9> <http://a/\\U0001F600> <http://a/\\u0041\\u0042> .",
+    '<http://a/s> <http://a/p> "\\u00e9\\U0001F600\\t" .',
+    "<http://a/\\u00e> <http://a/p> <http://a/o> .",
+    '<http://a/s> <http://a/p> "\\U0001F60" .',
+    '<http://a/s> <http://a/p> "a\\"b" .',
+    '<http://a/s> <http://a/p> "a\\"b .',
+    '<http://a/s> <http://a/p> "a\\\\"b" .',
+    "<> <http://a/p> <http://a/o> .",
+    "<http://a/s> <http://a/p> <> .",
+    '<http://a/s> <http://a/p> "x"^^<> .',
+    '<http://a/s> <http://a/p> "x"^^<http://a/\\u0020> .',
+    '\t<http://a/s>\t<http://a/p>\t"x"\t.\t',
+    "<http://a/s>\t\t<http://a/p> \t<http://a/o>\t \t.",
+    "<http://a/s> <http://a/p> <http://a/o> . # trailing comment",
+    "<http://a/s> <http://a/p> <http://a/o> .# c <x> .",
+    "<http://a/s> <http://a/p> <http://a/o> . x",
+    "<http://a/s> <http://a/p> <http://a/o>",
+    "<http://a/s> <http://a/p> <http://a/o .",
+    "  # only a comment",
+]
+# Lines that are not UTF-8 reach only extsort's byte patterns as bytes;
+# the str patterns see them decoded with surrogate escapes.
+_UNDECODABLE = [
+    b"<http://a/\xff> <http://a/p> <http://a/o> .",
+    b"_:b\xc3 <http://a/p> \"\xe9\" .",
+    b"<http://a/s> <http://a/p> \"caf\xc3\" .",
+]
+
+
+def _possessive_corpus() -> list[bytes]:
+    golden = Path(__file__).parent / "data" / "golden.nt"
+    rng = SeededRng(27)
+    triples = [random_triple(rng) for _ in range(200)]
+    triples += conciseness_stream(30, 5, seed=3)[0]
+    triples += deref_fixture(6, 4, lambda p, u: "hash-ok" if u % 2 else "404")[0]
+    lines = golden.read_bytes().splitlines()
+    lines += [serialize_triple(t).encode() for t in triples]
+    lines += [line.encode() for line in _POSSESSIVE_EDGES + _grammar_corpus(20261020, 3_000)]
+    return lines + _UNDECODABLE
+
+
+def test_possessive_grammar_matches_greedy_grammar():
+    with_diagnosis = 0
+    for raw in _possessive_corpus():
+        line = raw.decode("utf-8", "surrogateescape")
+        want = _GREEDY_STATEMENT_RE.fullmatch(line)
+        assert _groups(ntriples._STATEMENT_RE.fullmatch(line)) == _groups(want), line
+        for token in line.split():
+            assert _groups(ntriples._SUBJECT_RE.fullmatch(token)) == _groups(
+                _GREEDY_SUBJECT_RE.fullmatch(token)), token
+        assert _groups(extsort._SUBJECT_TOKEN_RE.match(raw)) == _groups(
+            _GREEDY_SUBJECT_TOKEN_RE.match(raw)), raw
+        if want is None and not ntriples._BLANK_RE.fullmatch(line):
+            got = ntriples._diagnose(line)
+            with mock.patch.dict(ntriples._TERM_PIECES, _GREEDY_TERM_PIECES):
+                oracle = ntriples._diagnose(line)
+            assert (got.reason, got.byte_offset) == (oracle.reason, oracle.byte_offset), line
+            with_diagnosis += 1
+    assert with_diagnosis > 1_000, with_diagnosis
+    # extsort's byte-level IRI strips this suffix off the run
+    assert ntriples._IRI_RUN.endswith("]*")
 
 
 def test_long_tokens_parse_and_roundtrip():

@@ -1,7 +1,9 @@
+import random
 import subprocess
 import sys
 import tracemalloc
 from hashlib import blake2b
+from heapq import heapify, heapreplace
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,57 @@ class _CountingHasher:
     def copy(self):
         self.copies += 1
         return self.inner.copy()
+
+
+class _MemolessSampler:
+    """Bottom-k as the sampler documents it, with no memo of what it turned
+    away: every offer that is not held, once the sample binds, is ranked
+    and compared with the k-th rank. The oracle for the sampler's memo."""
+
+    def __init__(self, capacity: int, seed: int):
+        self.capacity, self.seed = capacity, seed
+        self.held: dict[str, None] = {}
+        self.heap: list | None = None
+
+    def add(self, item: str) -> AddOutcome:
+        held = self.held
+        if item in held:
+            return AddOutcome(False, False)
+        if len(held) < self.capacity:
+            held[item] = None
+            return AddOutcome(True, False)
+        if self.heap is None:
+            self.heap = [(-_rank(x, self.seed), x) for x in held]
+            heapify(self.heap)
+        rank = _rank(item, self.seed)
+        if rank >= -self.heap[0][0]:
+            return AddOutcome(False, False)
+        del held[heapreplace(self.heap, (-rank, item))[1]]
+        held[item] = None
+        return AddOutcome(False, True)
+
+    def distinct(self) -> float:
+        if self.heap is None:
+            return len(self.held)
+        return (self.capacity - 1) * 2.0**64 / -self.heap[0][0]
+
+
+def _repeating_stream(seed: int, capacity: int, n: int = 3_000) -> list[str]:
+    """Offers from a pool of 40 items per slot, skewed so that some repeat
+    often and recent ones come back soon, as URIs do in a subject-sorted
+    dump."""
+    rng = random.Random(seed)
+    pool = [f"http://r{i % 97}.example.org/{i}" for i in range(40 * capacity)]
+    out: list[str] = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.3 and out:
+            out.append(out[-1 - rng.randrange(min(len(out), 20))])
+        elif roll < 0.5:
+            out.append(pool[int(len(pool) * rng.random() ** 3)])
+        else:
+            out.append(rng.choice(pool))
+    return out
 
 
 class TestReservoir:
@@ -146,11 +199,64 @@ class TestReservoir:
         x, y = [f"r{i}" for i in range(1000) if _rank(f"r{i}", 4) > threshold][:2]
         assert s.add(x) == AddOutcome(False, False)
         assert counter.copies == 3  # a, b and x
-        assert s.add(x) == AddOutcome(False, False)  # the refused slot
+        assert s.add(x) == AddOutcome(False, False)  # remembered as refused
         assert counter.copies == 3
         s.add(y)
-        assert s.add(x) == AddOutcome(False, False)  # slot now holds y
-        assert counter.copies == 5
+        assert s.add(x) == AddOutcome(False, False)  # still remembered beside y
+        assert counter.copies == 4
+
+    @pytest.mark.parametrize("capacity", [2, 3, 7, 20, 50])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_memo_matches_memoless_bottom_k(self, capacity, seed):
+        # Skipping what was turned away changes no outcome, order, estimate
+        # or heap, also across the memo's clears.
+        s = ReservoirSampler(capacity, seed=seed)
+        oracle = _MemolessSampler(capacity, seed=seed)
+        clears, memo = 0, 0
+        for item in _repeating_stream(seed, capacity):
+            assert s.add(item) == oracle.add(item), item
+            assert s.contents() == list(oracle.held)
+            assert len(s._turned_away) <= capacity
+            clears += len(s._turned_away) < memo
+            memo = len(s._turned_away)
+        assert clears > 0
+        assert s.distinct() == oracle.distinct()
+        assert s._heap == oracle.heap
+
+    def test_turned_away_item_is_ranked_once_while_remembered(self):
+        s = ReservoirSampler(3, seed=8)
+        s._hasher = counter = _CountingHasher(s._hasher)
+        for x in "abc":
+            s.add(x)
+        threshold = max(_rank(x, 8) for x in "abc")
+        top = max("abc", key=lambda x: _rank(x, 8))
+        above = [f"q{i}" for i in range(1000) if _rank(f"q{i}", 8) > threshold][:3]
+        lower = next(f"w{i}" for i in range(1000) if _rank(f"w{i}", 8) < threshold)
+        for x in above:
+            assert s.add(x) == AddOutcome(False, False)
+        assert counter.copies == 6  # the three held when the sample bound, and `above`
+        for x in above * 3:
+            assert s.add(x) == AddOutcome(False, False)
+        assert counter.copies == 6
+        # The memo is full, so the eviction clears it and remembers `top`
+        assert s.add(lower) == AddOutcome(False, True)
+        assert counter.copies == 7
+        assert s.add(top) == AddOutcome(False, False)
+        assert counter.copies == 7
+        assert s.add(above[0]) == AddOutcome(False, False)  # forgotten, ranked again
+        assert counter.copies == 8
+
+    def test_every_rank_comes_from_the_keyed_hasher(self):
+        # The hasher sees each rank, and a rank is the seed-keyed BLAKE2b.
+        s = ReservoirSampler(20, seed=9)
+        s._hasher = counter = _CountingHasher(s._hasher)
+        ranked = []
+        rank = s._rank
+        s._rank = lambda item: ranked.append(item) or rank(item)
+        for item in _repeating_stream(9, 20):
+            s.add(item)
+        assert counter.copies == len(ranked) > 20
+        assert all(rank(x) == _rank(x, 9) for x in ranked[:200])
 
     def test_retention_frequency_capacity2_stream4(self):
         # Each of 4 items should be retained with probability 2/4 = 0.5
@@ -227,13 +333,23 @@ class TestDeriveNumFilters:
             derive_num_filters(bad)
 
 
+def _probes(f: StableBloomFilter, item: bytes) -> list[int]:
+    """Bit index of `item` in each sub-filter of `f`, read off the bits it
+    sets once `f` is emptied; empty arrays draw no reset."""
+    for array in f._arrays:
+        array[:] = bytes(len(array))
+    f._set_counts = [0] * f.num_filters
+    assert f.check_and_add(item) is False
+    return [int.from_bytes(array, "little").bit_length() - 1 for array in f._arrays]
+
+
 def _positions(item: bytes, num_filters: int, bits_per_filter: int) -> list[int]:
     """Bit index of `item` in each sub-filter of a filter of that shape
     (a threshold of 2^-k derives exactly k sub-filters)."""
     f = StableBloomFilter(num_filters * bits_per_filter, 2.0**-num_filters, SeededRng(0))
     assert f.num_filters == num_filters
     assert f.bits_per_filter == bits_per_filter
-    return f._positions(item)
+    return _probes(f, item)
 
 
 class TestHashBitIndex:
@@ -268,7 +384,7 @@ class TestHashBitIndex:
         f = StableBloomFilter(3 * buckets, 2.0**-3, SeededRng(0))
         for _ in range(n):
             item = rng.next_u64().to_bytes(8, "little")
-            counts[f._positions(item)[2]] += 1
+            counts[_probes(f, item)[2]] += 1
         _, p = stats.chisquare(counts)
         assert p > 0.001
 
@@ -354,6 +470,32 @@ class _ReferenceFilter:
         self.resets += 1
 
 
+class _ListedProbes(StableBloomFilter):
+    """The filter with its probe positions built as a list first and the
+    list walked twice, as `check_and_add` once was: the oracle for its
+    stepping walk."""
+
+    def _positions(self, item: bytes) -> list[int]:
+        h = hash128(item)
+        bpf = self.bits_per_filter
+        h1, h2 = (h & (2**64 - 1)) % bpf, (h >> 64) % bpf
+        return [(h1 + i * h2) % bpf for i in range(self.num_filters)]
+
+    def check_and_add(self, item: bytes) -> bool:
+        positions = self._positions(item)
+        arrays = self._arrays
+        if all(arrays[i][pos >> 3] & (1 << (pos & 7)) for i, pos in enumerate(positions)):
+            return True
+        if self.enable_resets:
+            self._maybe_reset()
+        for i, pos in enumerate(positions):
+            byte, mask = pos >> 3, 1 << (pos & 7)
+            if not arrays[i][byte] & mask:
+                arrays[i][byte] |= mask
+                self._set_counts[i] += 1
+        return False
+
+
 class TestStableBloomFilter:
     def test_fresh_add_not_duplicate(self):
         f = _filter()
@@ -420,7 +562,7 @@ class TestStableBloomFilter:
         for n, item in enumerate(items):
             if not check(item):
                 new_again += 1
-                positions = set(enumerate(f._positions(item)))
+                positions = set(enumerate(_positions(item, f.num_filters, f.bits_per_filter)))
                 assert positions & set().union(*cleared[n + 1 : -1]), item
         assert new_again > 0
         assert sum(map(len, cleared)) == f.resets
@@ -499,6 +641,30 @@ class TestStableBloomFilter:
         assert f.set_bit_counts() == ref.counts
         assert f.resets == ref.resets > 0
         assert f.rng._state == ref.rng._state
+
+    @pytest.mark.parametrize("total_bits, t, enable_resets", [
+        (100_000, 0.001, True), (6_000, 0.01, True), (6_000, 0.01, False),
+        (2_000, 0.001, True),
+    ])
+    def test_stepped_walk_matches_listed_probes(self, total_bits, t, enable_resets):
+        # Every step leaves the same bits, counts, resets and generator
+        # state as the listed walk, on a stream with repeats. In the
+        # 2,000-bit filter a few resets clear a bit that the insert has
+        # already probed, so the insert must set it again.
+        rng = random.Random(29)
+        items = [f"inst{rng.randrange(12_000)}".encode() for _ in range(20_000)]
+        f = StableBloomFilter(total_bits, t, SeededRng(31), enable_resets)
+        ref = _ListedProbes(total_bits, t, SeededRng(31), enable_resets)
+        duplicates = 0
+        for item in items:
+            dup = f.check_and_add(item)
+            assert dup == ref.check_and_add(item), item
+            assert f._arrays == ref._arrays
+            assert f._set_counts == ref._set_counts
+            assert (f.resets, f.rng._state) == (ref.resets, ref.rng._state)
+            duplicates += dup
+        assert duplicates > 1_000
+        assert (f.resets > 0) == enable_resets
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
