@@ -1,9 +1,10 @@
 """Command-line entry points: assess, sort, compare.
 
-One pass over the input feeds every configured metric processor. The
-facts that several processors read (the PLD of each IRI, each subject
-run's instance signature, the resource graph) are derived once per chunk,
-before the processors see it. Each processor's elapsed time is
+One pass over the input feeds every configured metric processor, in the
+chunks that `metrics.derived_chunks` cuts: the facts that several
+processors read (the PLD of each IRI, each subject run's instance
+signature, the resource graph) are derived once per chunk, before the
+processors see it. Each processor's elapsed time is
 accumulated around its own consume/finalize calls, so exact-vs-estimate
 comparisons reflect each variant's own work; reading, parsing and the
 shared derivation are reported once, as the dataset's elapsed time. After
@@ -26,7 +27,6 @@ import sys
 import time
 from dataclasses import asdict, replace
 from functools import cache
-from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -44,8 +44,8 @@ from .metrics import (
     SharedInstances,
     SharedPlds,
     SortOrderViolation,
+    derived_chunks,
 )
-from .metrics import CHUNK_TRIPLES as _CHUNK_TRIPLES
 from .ntriples import NTriplesReader
 
 SEED_ENV_VAR = "LODPROBE_SEED"
@@ -197,18 +197,14 @@ def _build_processor(metric: str, variant: str, p: dict, seed: int, resolver, sh
 
 
 def _stream_into(reader: NTriplesReader, timed_processors: list) -> float:
-    """Single pass in chunks. Each chunk's shared facts are derived once,
-    then each processor consumes it, its elapsed accumulating around its
-    own call. Returns the seconds spent outside those calls: reading,
-    parsing and the shared derivation."""
+    """Single pass over `derived_chunks`: each processor consumes each
+    derived chunk, its elapsed accumulating around its own call. Returns
+    the seconds spent outside those calls: reading, parsing and the shared
+    derivation."""
     clock = time.perf_counter
-    shared = list(dict.fromkeys(e["processor"].shared for e in timed_processors))
     own = 0.0
-    triples = iter(reader)
     start = clock()
-    while chunk := list(islice(triples, _CHUNK_TRIPLES)):
-        for facts in shared:
-            facts.derive(chunk)
+    for chunk in derived_chunks(reader, [e["processor"] for e in timed_processors]):
         own += clock() - start
         for entry in timed_processors:
             consume = entry["processor"].consume

@@ -1,17 +1,20 @@
 """The four quality metrics, each as a streaming processor in two variants.
 
-Every metric is a processor with `consume(triples)` / `finalize()`, so one
-pass over a dataset can feed any number of them. `consume` takes any
-iterable of triples, a chunk of the stream: the state after a stream does
-not depend on how it was cut into chunks. Each processor runs its own loop
-over a chunk, so the pass makes one call per chunk, not one per triple.
+Every metric is a processor with `consume(chunk)` / `finalize()`, so one
+pass over a dataset can feed any number of them. Each processor runs its
+own loop over a chunk, so the pass makes one call per chunk, not one per
+triple, and the state after a stream does not depend on how it was cut.
 
 Facts that several processors read are derived once per chunk by a shared
 object they hold: `SharedPlds` (the PLDs of subjects and object IRIs, for
 ext-links and deref), `SharedInstances` (each subject run's instance
 signature, for conciseness) and `SharedGraph` (the resource graph, for
-clustering). The pass derives each chunk before the processors see it; a
-processor built on its own holds a private one and derives as it reads.
+clustering). `derived_chunks(triples, processors)` is the one loop that
+cuts a stream into chunks: it derives each chunk into every shared object
+of the processors, then yields it for them to consume. A processor only
+reads those facts: its `consume` refuses with `ValueError` a chunk that its
+shared object did not derive last. A processor built without a shared
+object holds a private one, which `derived_chunks` feeds the same way.
 
 Value conventions on empty input: conciseness 1 (vacuous uniqueness),
 dereferenceability 0, external links 0, clustering metric 1: each the
@@ -42,8 +45,8 @@ from .rng import derive_seed, SeededRng
 from .sketches import ReservoirSampler, StableBloomFilter, hash128
 from .terms import IRI, Term, Triple
 
-# Triples per chunk: per clock pair in the pass, and per derivation when a
-# processor cuts its own input; larger saves little and holds more.
+# Triples per chunk, per derivation and per clock pair in the pass; larger
+# saves little and holds more.
 CHUNK_TRIPLES = 256
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -84,54 +87,40 @@ class SortOrderViolation(RuntimeError):
 # Facts shared by the processors of one pass
 
 
-class _SharedFacts:
-    """Facts about the stream that several processors read, derived once
-    per chunk.
-
-    The pass calls `derive` on each chunk before any processor consumes
-    it. A processor reads its input through `chunks`, which hands it that
-    chunk as derived, or cuts anything else (a longer list, a generator, a
-    chunk it has read already) into new chunks and derives each in turn.
-    So a processor built on its own, with a private instance, reads the
-    same facts by the same code.
-    """
-
-    def __init__(self):
-        self._chunk: list | None = None
-        self._readers: set[int] = set()  # ids: the facts hold no processor
-
-    def derive(self, chunk: list) -> None:
-        self._chunk, self._readers = chunk, set()
-        self._derive(chunk)
-
-    def chunks(self, triples: Iterable[Triple], reader) -> Iterator[list]:
-        """`triples` as derived chunks, for `reader` to read once each."""
-        if triples is self._chunk and id(reader) not in self._readers:
-            self._readers.add(id(reader))
-            yield triples
-            return
-        it = iter(triples)
-        while chunk := list(islice(it, CHUNK_TRIPLES)):
-            self.derive(chunk)
-            self._readers.add(id(reader))
-            yield chunk
+def derived_chunks(triples: Iterable[Triple], processors: Iterable) -> Iterator[list]:
+    """`triples` cut into lists of `CHUNK_TRIPLES`, each derived once into
+    every distinct `shared` object of `processors`, then yielded for them
+    to consume before the next list is cut."""
+    shared = list(dict.fromkeys(p.shared for p in processors))
+    it = iter(triples)
+    while chunk := list(islice(it, CHUNK_TRIPLES)):
+        for facts in shared:
+            facts.derive(chunk)
+        yield chunk
 
 
-class SharedPlds(_SharedFacts):
+def _check_derived(shared, chunk: list) -> None:
+    """Refuse `chunk` unless it is the one `shared` derived last."""
+    if chunk is not shared.chunk:
+        raise ValueError("consume takes only the chunk that derived_chunks yielded last")
+
+
+class SharedPlds:
     """Per chunk, `subjects[i]` and `objects[i]` are the PLDs of triple i's
     subject and object, None for a term that is not an IRI or has no PLD.
     A subject's PLD is looked up once per run of triples sharing its
-    `Term`; `previous_subject` is the subject just before the chunk."""
+    `Term`; `previous_subject` is the subject just before the chunk, and
+    `chunk` the chunk derived last."""
 
     def __init__(self):
-        super().__init__()
+        self.chunk: list | None = None
         self.previous_subject: Term | None = None
         self.subjects: list[str | None] = []
         self.objects: list[str | None] = []
         self._subject: Term | None = None
         self._subject_pld: str | None = None
 
-    def _derive(self, chunk: list) -> None:
+    def derive(self, chunk: list) -> None:
         subject = self.previous_subject = self._subject
         pld = self._subject_pld
         subjects = []
@@ -144,40 +133,43 @@ class SharedPlds(_SharedFacts):
         self._subject, self._subject_pld = subject, pld
         self.subjects = subjects
         self.objects = [try_pld(o.lexical) if o.kind is IRI else None for _, _, o in chunk]
+        self.chunk = chunk
 
 
-class SharedGraph(_SharedFacts):
-    """The resource graph of the stream, fed each triple once."""
+class SharedGraph:
+    """The resource graph of the stream, fed each triple once; `chunk` is
+    the chunk derived last."""
 
     def __init__(self):
-        super().__init__()
+        self.chunk: list | None = None
         self.graph = ResourceGraph()
 
-    def _derive(self, chunk: list) -> None:
+    def derive(self, chunk: list) -> None:
         add_triple = self.graph.add_triple
         for t in chunk:
             add_triple(t)
+        self.chunk = chunk
 
 
-class SharedInstances(_SharedFacts):
+class SharedInstances:
     """Per chunk, `signatures` holds the instances the chunk closed, in
     order: each the sorted, distinct `predicate object` statements of one
     subject run, one a line. A run is the triples whose subjects are one
     `Term` or equal ones: the reader's memo may hand out equal but distinct
     Terms, so identity is only the fast path. A closed subject is kept as
     its 128-bit BLAKE2b digest; one that reappears raises
-    `SortOrderViolation` with its triple ordinal."""
+    `SortOrderViolation` with its triple ordinal. `chunk` is the chunk
+    derived last."""
 
     def __init__(self):
-        super().__init__()
+        self.chunk: list | None = None
         self.signatures: list[str] = []
         self._subject: Term | None = None
         self._statements: set[str] = set()
         self._closed: set[int] = set()
         self._triples = 0
-        self._ended: set[int] = set()  # ids: the readers that took the open run
 
-    def _derive(self, chunk: list) -> None:
+    def derive(self, chunk: list) -> None:
         subject, statements, closed = self._subject, self._statements, self._closed
         number = self._triples
         signatures = self.signatures = []
@@ -194,13 +186,13 @@ class SharedInstances(_SharedFacts):
                 subject = s
             statements.add(f"{p.token} {o.token}")
         self._subject, self._statements, self._triples = subject, statements, number
+        self.chunk = chunk
 
-    def final_signatures(self, reader) -> list[str]:
+    def final_signatures(self) -> list[str]:
         """The open run's signature, which only the end of the stream
-        closes: for `reader` once, and none before any triple."""
-        if self._subject is None or id(reader) in self._ended:
+        closes; none before any triple."""
+        if self._subject is None:
             return []
-        self._ended.add(id(reader))
         return ["\n".join(sorted(self._statements))]
 
 
@@ -228,26 +220,26 @@ class _ExtLinksBase:
         self.declared: str | None = None
         self.frequency: dict[str, int] = {}
 
-    def consume(self, triples: Iterable[Triple]) -> None:
+    def consume(self, chunk: list[Triple]) -> None:
         shared, add = self.shared, self._plds.add
+        _check_derived(shared, chunk)
         frequency, declared = self.frequency, self.declared
         object_uris = without_pld = 0
-        for chunk in shared.chunks(triples, self):
-            for (_, p, o), subject_pld, object_pld in zip(chunk, shared.subjects, shared.objects):
-                if subject_pld is not None:
-                    frequency[subject_pld] = frequency.get(subject_pld, 0) + 1
-                    if (
-                        declared is None
-                        and p.lexical == RDF_TYPE
-                        and o.kind is IRI
-                        and o.lexical in (VOID_DATASET, OWL_ONTOLOGY)
-                    ):
-                        declared = subject_pld
-                if object_pld is not None:
-                    object_uris += 1
-                    add(object_pld)
-                elif o.kind is IRI:
-                    without_pld += 1
+        for (_, p, o), subject_pld, object_pld in zip(chunk, shared.subjects, shared.objects):
+            if subject_pld is not None:
+                frequency[subject_pld] = frequency.get(subject_pld, 0) + 1
+                if (
+                    declared is None
+                    and p.lexical == RDF_TYPE
+                    and o.kind is IRI
+                    and o.lexical in (VOID_DATASET, OWL_ONTOLOGY)
+                ):
+                    declared = subject_pld
+            if object_pld is not None:
+                object_uris += 1
+                add(object_pld)
+            elif o.kind is IRI:
+                without_pld += 1
         self.declared = declared
         self.total_object_uris += object_uris
         self.objects_without_pld += without_pld
@@ -327,7 +319,8 @@ class ExtLinksExact(_ExtLinksBase):
 
 class _ConcisenessBase:
     """Counts the instances that `shared`, the pass's `SharedInstances`,
-    closes, and those a variant's `_is_duplicate` has seen before."""
+    closes, and those a variant's `_is_duplicate` has seen before. The
+    open run at the end of the stream is counted at the first `finalize`."""
 
     name = "extensional-conciseness"
 
@@ -335,10 +328,16 @@ class _ConcisenessBase:
         self.shared = shared if shared is not None else SharedInstances()
         self.total_instances = 0
         self.duplicate_instances = 0
+        self._open_run_counted = False
 
-    def consume(self, triples: Iterable[Triple]) -> None:
-        for _ in self.shared.chunks(triples, self):
-            self._count(self.shared.signatures)
+    def consume(self, chunk: list[Triple]) -> None:
+        _check_derived(self.shared, chunk)
+        self._count(self.shared.signatures)
+
+    def _count_open_run(self) -> None:
+        if not self._open_run_counted:
+            self._open_run_counted = True
+            self._count(self.shared.final_signatures())
 
     def _count(self, signatures: list[str]) -> None:
         self.duplicate_instances += sum(map(self._is_duplicate, signatures))
@@ -377,7 +376,7 @@ class ConcisenessEstimate(_ConcisenessBase):
         return self._filter.check_and_add(signature.encode("utf-8"))
 
     def finalize(self) -> MetricResult:
-        self._count(self.shared.final_signatures(self))  # before the filter's resets are read
+        self._count_open_run()  # before the filter's resets are read
         f = self._filter
         return self._result(
             parameters={"total_bits": f.total_bits, "num_filters": f.num_filters,
@@ -405,7 +404,7 @@ class ConcisenessExact(_ConcisenessBase):
         return False
 
     def finalize(self) -> MetricResult:
-        self._count(self.shared.final_signatures(self))
+        self._count_open_run()
         return self._result(parameters={}, counters={}, estimated=False)
 
 
@@ -433,25 +432,25 @@ class _DerefBase:
         self.uris_routed = 0
         self.uris_without_pld = 0
 
-    def consume(self, triples: Iterable[Triple]) -> None:
+    def consume(self, chunk: list[Triple]) -> None:
         shared, add = self.shared, self._uris.add
+        _check_derived(shared, chunk)
         routed = without_pld = 0
-        for chunk in shared.chunks(triples, self):
-            subject = shared.previous_subject
-            for (s, _, o), subject_pld, object_pld in zip(chunk, shared.subjects, shared.objects):
-                if s.kind is IRI:
-                    if subject_pld is None:
-                        without_pld += 1
-                    else:
-                        routed += 1
-                        if s is not subject:
-                            add(s.lexical)
-                subject = s
-                if object_pld is not None:
-                    routed += 1
-                    add(o.lexical)
-                elif o.kind is IRI:
+        subject = shared.previous_subject
+        for (s, _, o), subject_pld, object_pld in zip(chunk, shared.subjects, shared.objects):
+            if s.kind is IRI:
+                if subject_pld is None:
                     without_pld += 1
+                else:
+                    routed += 1
+                    if s is not subject:
+                        add(s.lexical)
+            subject = s
+            if object_pld is not None:
+                routed += 1
+                add(o.lexical)
+            elif o.kind is IRI:
+                without_pld += 1
         self.uris_routed += routed
         self.uris_without_pld += without_pld
 
@@ -554,9 +553,8 @@ class ClusteringMetric:
         self.seed = seed
         self.shared = shared if shared is not None else SharedGraph()
 
-    def consume(self, triples: Iterable[Triple]) -> None:
-        for _ in self.shared.chunks(triples, self):
-            pass  # deriving a chunk adds its triples to the graph
+    def consume(self, chunk: list[Triple]) -> None:
+        _check_derived(self.shared, chunk)  # deriving it added its triples to the graph
 
     def finalize(self) -> MetricResult:
         g = self.shared.graph

@@ -133,18 +133,9 @@ class StableBloomFilter:
     load factors) to `fpr_threshold`, so resets stay dormant while the
     filter is comfortably below its target rate and throttle the load once
     the target is reached.
-
-    `enable_resets=False` freezes the bit arrays for oracle runs in which
-    false negatives must be impossible.
     """
 
-    def __init__(
-        self,
-        total_bits: int,
-        fpr_threshold: float,
-        rng: SeededRng,
-        enable_resets: bool = True,
-    ):
+    def __init__(self, total_bits: int, fpr_threshold: float, rng: SeededRng):
         self.fpr_threshold = fpr_threshold
         self.num_filters = derive_num_filters(fpr_threshold)
         self.bits_per_filter = total_bits // self.num_filters
@@ -152,7 +143,6 @@ class StableBloomFilter:
             raise ValueError("total_bits too small for the derived filter count")
         self.total_bits = self.bits_per_filter * self.num_filters
         self.rng = rng
-        self.enable_resets = enable_resets
         self.resets = 0
         self._arrays = [bytearray(-(-self.bits_per_filter // 8)) for _ in range(self.num_filters)]
         self._set_counts = [0] * self.num_filters
@@ -173,8 +163,7 @@ class StableBloomFilter:
             pos = (pos + h2) % bpf
         else:
             return True
-        if self.enable_resets:
-            self._maybe_reset()
+        self._maybe_reset()
         # The reset may have cleared a bit already probed, so walk again.
         counts = self._set_counts
         pos = h1

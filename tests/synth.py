@@ -7,11 +7,18 @@ from typing import Callable
 
 from lodprobe import SeededRng, Triple, iri, literal, serialize_triple
 from lodprobe.graph import ResourceGraph
+from lodprobe.metrics import derived_chunks
+
+
+def feed(processor, triples) -> None:
+    """Feed every triple to a metric processor, in derived chunks."""
+    for chunk in derived_chunks(triples, [processor]):
+        processor.consume(chunk)
 
 
 def run(processor, triples):
     """Feed every triple to a metric processor, then finalize it."""
-    processor.consume(triples)
+    feed(processor, triples)
     return processor.finalize()
 
 

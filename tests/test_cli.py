@@ -18,7 +18,7 @@ from lodprobe.cli import main
 from lodprobe.deref import MockResolver
 from lodprobe.metrics import ClusteringMetric
 
-from synth import conciseness_stream, deref_fixture, write_ntriples
+from synth import conciseness_stream, deref_fixture, run, write_ntriples
 
 
 @pytest.fixture
@@ -507,10 +507,8 @@ def _assert_cc_as_standalone(report: dict, data: Path) -> None:
     assert rows
     for entry, result in rows:
         p = entry["parameters"]
-        alone = ClusteringMetric(entry["variant"] == "estimate", p["mixing_multiplier"],
-                                 p["min_steps"], seed)
-        alone.consume(triples)
-        expected = alone.finalize()
+        expected = run(ClusteringMetric(entry["variant"] == "estimate", p["mixing_multiplier"],
+                                        p["min_steps"], seed), triples)
         assert (result["value"], result["counters"]) == (expected.value, expected.counters)
 
 
@@ -688,7 +686,7 @@ def test_golden_report(command, tmp_path, monkeypatch):
     """
     expected = (DATA / f"golden-{command}.json").read_text()
     for chunk in (1, 7, 256):
-        monkeypatch.setattr(cli, "_CHUNK_TRIPLES", chunk)
+        monkeypatch.setattr(metrics, "CHUNK_TRIPLES", chunk)
         out = tmp_path / "report.json"
         code = main(_golden_args(command, out))
         assert code == 2

@@ -2,7 +2,6 @@ import json
 import subprocess
 import sys
 import tracemalloc
-from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -33,6 +32,8 @@ from lodprobe.metrics import (
     DerefExact,
     ExtLinksEstimate,
     ExtLinksExact,
+    SharedInstances,
+    derived_chunks,
 )
 
 from synth import (
@@ -40,6 +41,7 @@ from synth import (
     conciseness_stream,
     deref_fixture,
     er_graph,
+    feed,
     random_triple,
     run,
 )
@@ -56,7 +58,7 @@ def _t(s, p, o):
 
 def _base(triples):
     processor = ExtLinksExact()
-    processor.consume(triples)
+    feed(processor, triples)
     return processor.base_pld()
 
 
@@ -281,7 +283,8 @@ class TestConciseness:
         exact = run(ConcisenessExact(), triples)
         for seed in (1, 2, 3):
             est = ConcisenessEstimate(20_000, 0.01, seed)
-            est._filter = StableBloomFilter(20_000, 0.01, SeededRng(seed), enable_resets=False)
+            est._filter = StableBloomFilter(20_000, 0.01, SeededRng(seed))
+            est._filter._maybe_reset = lambda: None
             assert exact.value >= run(est, triples).value
 
     def test_estimate_identical_across_hash_seeds(self):
@@ -405,7 +408,7 @@ class TestDeref:
             )
         mappings = {"http://*": [{"status": 200, "content_type": "text/turtle"}]}
         processor = DerefEstimate(MockResolver({"http://": mappings["http://*"]}), 8, seed=3)
-        processor.consume(triples)
+        feed(processor, triples)
         assert len(processor._uris.contents()) <= 8
 
     def test_estimate_unbiased_when_sample_binds(self):
@@ -561,7 +564,7 @@ class TestSubjectReuse:
             if t.subject == previous and t.subject.lexical not in oracle._uris.held:
                 let_go += try_pld(t.subject.lexical) is not None
             previous = t.subject
-            reused.consume([t])
+            feed(reused, [t])
             _per_term_deref_consume(oracle, t)
             assert reused._uris.contents() == oracle._uris.contents()
         assert let_go > 0  # the stream exercises evicted and turned-away subjects
@@ -575,7 +578,7 @@ class TestSubjectReuse:
         reused = DerefExact(MockResolver({}))
         oracle = DerefExact(MockResolver({}))
         stream = _reuse_stream(4, shared)
-        reused.consume(stream)
+        feed(reused, stream)
         for t in stream:
             _per_term_deref_consume(oracle, t)
         assert reused._uris == oracle._uris
@@ -588,7 +591,7 @@ class TestSubjectReuse:
     def test_base_tracker_matches_per_triple_derivation(self, seed, shared):
         reused, oracle = ExtLinksExact(), ExtLinksExact()
         stream = _reuse_stream(seed, shared)
-        reused.consume(stream)
+        feed(reused, stream)
         for t in stream:
             _per_term_base_offer(oracle, t)
         assert reused.frequency == oracle.frequency
@@ -763,11 +766,11 @@ class TestMetricResultContract:
 
 
 # --------------------------------------------------------------------------
-# consume takes a chunk: how the stream is cut must not show in any result
+# consume takes a derived chunk: how the stream is cut must not show in any
+# result
 
-# None: the whole stream in one call, as a list or as a generator; "buffer":
-# 7-triple chunks refilled into one list, so every call passes the same list.
-_CHUNKINGS = [None, "generator", "buffer", 1, 3, 256, 1000]
+# Triples per chunk of `derived_chunks`; None: the whole stream in one chunk.
+_CHUNKINGS = [None, 1, 3, 256, 1000]
 _FIRST = iri("http://s0.org/first")  # the first run's subject, one triple long
 
 
@@ -841,33 +844,21 @@ _VARIANTS = {
 }
 
 
-def _feed(processor, triples: list[Triple], size: int | str | None) -> None:
-    if size is None:
-        processor.consume(triples)
-    elif size == "generator":
-        processor.consume(t for t in triples)
-    elif size == "buffer":
-        buffer: list[Triple] = []
-        it = iter(triples)
-        while chunk := list(islice(it, 7)):
-            buffer[:] = chunk
-            processor.consume(buffer)
-    else:
-        it = iter(triples)
-        while chunk := list(islice(it, size)):
-            processor.consume(chunk)
+def _feed(processor, triples: list[Triple], size: int | None, monkeypatch) -> None:
+    monkeypatch.setattr(metrics, "CHUNK_TRIPLES", size or len(triples))
+    feed(processor, triples)
 
 
 class TestChunking:
     @pytest.mark.parametrize("variant", sorted(_VARIANTS))
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_result_independent_of_chunking(self, variant, seed):
+    def test_result_independent_of_chunking(self, variant, seed, monkeypatch):
         triples = _chunking_stream(seed)
         assert len(triples) > 1000
         results = []
         for size in _CHUNKINGS:
             processor = _VARIANTS[variant]()
-            _feed(processor, triples, size)
+            _feed(processor, triples, size, monkeypatch)
             results.append(processor.finalize())
         assert all(r == results[0] for r in results[1:]), variant
 
@@ -876,7 +867,7 @@ class TestChunking:
         ext = run(ExtLinksEstimate(8, seed=5), triples)
         assert ext.counters["plds_offered"] > 8 and ext.counters["objects_without_pld"] > 0
         exact = ExtLinksExact()
-        exact.consume(triples)
+        feed(exact, triples)
         assert exact.declared == ext.parameters["base_pld"]
         assert run(ConcisenessExact(), triples).counters["duplicate_instances"] > 10
         deref = run(DerefExact(_chunking_resolver()), triples)
@@ -886,7 +877,7 @@ class TestChunking:
 
     @pytest.mark.parametrize("variant", ["extcon-estimate", "extcon-exact"])
     @pytest.mark.parametrize("at", [3, 255, 256, 999])
-    def test_sort_order_violation_number_independent_of_chunking(self, variant, at):
+    def test_sort_order_violation_number_independent_of_chunking(self, variant, at, monkeypatch):
         # The first subject comes back as triple `at + 1`: the first of a
         # chunk for 3-triple chunks at 3 and 256-triple chunks at 256.
         triples = _chunking_stream(1)
@@ -894,7 +885,7 @@ class TestChunking:
         numbers = []
         for size in _CHUNKINGS:
             with pytest.raises(SortOrderViolation) as exc_info:
-                _feed(_VARIANTS[variant](), triples, size)
+                _feed(_VARIANTS[variant](), triples, size, monkeypatch)
             assert exc_info.value.subject == "<http://s0.org/first>"
             numbers.append(exc_info.value.triple_number)
         assert numbers == [at + 1] * len(_CHUNKINGS)
@@ -910,12 +901,11 @@ class TestSharedInstances:
         digested = []
         digest = metrics.hash128
         monkeypatch.setattr(metrics, "hash128", lambda data: digested.append(data) or digest(data))
-        instances = metrics.SharedInstances()
+        instances = SharedInstances()
         processors = [ConcisenessEstimate(20_000, 0.01, seed=5, shared=instances),
                       ConcisenessExact(shared=instances)]
-        it = iter(triples)
-        while chunk := list(islice(it, size)):
-            instances.derive(chunk)
+        monkeypatch.setattr(metrics, "CHUNK_TRIPLES", size)
+        for chunk in derived_chunks(triples, processors):
             for processor in processors:
                 processor.consume(chunk)
         shared = [processor.finalize() for processor in processors]
@@ -926,3 +916,36 @@ class TestSharedInstances:
         assert shared == alone
         assert runs == alone[1].counters["total_instances"]  # one digest for both
         assert alone[1].counters["duplicate_instances"] > 10
+
+
+class TestDerivedChunksOnly:
+    """A processor reads only the chunk that `derived_chunks` yielded last:
+    anything else is refused before it touches any state."""
+
+    @pytest.mark.parametrize("variant", sorted(_VARIANTS))
+    @pytest.mark.parametrize("given", ["equal-copy", "generator"])
+    def test_consume_rejects_chunk_not_derived(self, variant, given):
+        triples = _chunking_stream(1)[:300]
+        processor, twin = _VARIANTS[variant](), _VARIANTS[variant]()
+        for chunk in derived_chunks(triples, [processor]):
+            processor.consume(chunk)
+            imposter = list(chunk) if given == "equal-copy" else (t for t in chunk)
+            with pytest.raises(ValueError, match="derived_chunks"):
+                processor.consume(imposter)
+        feed(twin, triples)
+        assert processor.finalize() == twin.finalize()
+
+    def test_second_reader_refuses_equal_copy(self):
+        # Ten sorted triples, the second reader handed an equal copy of the
+        # derived chunk: refused, not read as a stream that restarts at s0.
+        triples = [_t(f"http://a.org/s{i // 2}", "http://a.org/p", f"http://a.org/o{i}")
+                   for i in range(10)]
+        instances = SharedInstances()
+        first, second = ConcisenessExact(instances), ConcisenessExact(instances)
+        (chunk,) = derived_chunks(triples, [first, second])
+        first.consume(chunk)
+        with pytest.raises(ValueError, match="derived_chunks"):
+            second.consume(list(chunk))
+        second.consume(chunk)
+        assert first.finalize() == second.finalize() == run(ConcisenessExact(), triples)
+        assert first.finalize().counters["total_instances"] == 5

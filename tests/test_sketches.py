@@ -389,8 +389,14 @@ class TestHashBitIndex:
         assert p > 0.001
 
 
-def _filter(total_bits=8192, t=0.01, seed=0, **kw):
-    return StableBloomFilter(total_bits, t, SeededRng(seed), **kw)
+def _filter(total_bits=8192, t=0.01, seed=0):
+    return StableBloomFilter(total_bits, t, SeededRng(seed))
+
+
+def _frozen(f: StableBloomFilter) -> StableBloomFilter:
+    """`f` with its reset step switched off, so no bit is ever cleared."""
+    f._maybe_reset = lambda: None
+    return f
 
 
 def _tracked(f: StableBloomFilter):
@@ -486,8 +492,7 @@ class _ListedProbes(StableBloomFilter):
         arrays = self._arrays
         if all(arrays[i][pos >> 3] & (1 << (pos & 7)) for i, pos in enumerate(positions)):
             return True
-        if self.enable_resets:
-            self._maybe_reset()
+        self._maybe_reset()
         for i, pos in enumerate(positions):
             byte, mask = pos >> 3, 1 << (pos & 7)
             if not arrays[i][byte] & mask:
@@ -543,7 +548,7 @@ class TestStableBloomFilter:
         assert f1.resets == f2.resets
 
     def test_no_false_negatives_with_resets_disabled(self):
-        f = _filter(total_bits=4096, t=0.1, enable_resets=False)
+        f = _frozen(_filter(total_bits=4096, t=0.1))
         items = [f"k{i}".encode() for i in range(1500)]
         for item in items:
             f.check_and_add(item)
@@ -588,7 +593,7 @@ class TestStableBloomFilter:
         # comparison uses the same stream through a reset-free twin.
         stream = [f"stream-{i}".encode() for i in range(3_000)]
         throttled = _filter(total_bits=5120, t=0.05, seed=2)
-        frozen = _filter(total_bits=5120, t=0.05, seed=2, enable_resets=False)
+        frozen = _frozen(_filter(total_bits=5120, t=0.05, seed=2))
         for item in stream:
             throttled.check_and_add(item)
             frozen.check_and_add(item)
@@ -642,19 +647,22 @@ class TestStableBloomFilter:
         assert f.resets == ref.resets > 0
         assert f.rng._state == ref.rng._state
 
-    @pytest.mark.parametrize("total_bits, t, enable_resets", [
+    @pytest.mark.parametrize("total_bits, t, resets", [
         (100_000, 0.001, True), (6_000, 0.01, True), (6_000, 0.01, False),
         (2_000, 0.001, True),
     ])
-    def test_stepped_walk_matches_listed_probes(self, total_bits, t, enable_resets):
+    def test_stepped_walk_matches_listed_probes(self, total_bits, t, resets):
         # Every step leaves the same bits, counts, resets and generator
         # state as the listed walk, on a stream with repeats. In the
         # 2,000-bit filter a few resets clear a bit that the insert has
         # already probed, so the insert must set it again.
         rng = random.Random(29)
         items = [f"inst{rng.randrange(12_000)}".encode() for _ in range(20_000)]
-        f = StableBloomFilter(total_bits, t, SeededRng(31), enable_resets)
-        ref = _ListedProbes(total_bits, t, SeededRng(31), enable_resets)
+        f = StableBloomFilter(total_bits, t, SeededRng(31))
+        ref = _ListedProbes(total_bits, t, SeededRng(31))
+        if not resets:
+            _frozen(f)
+            _frozen(ref)
         duplicates = 0
         for item in items:
             dup = f.check_and_add(item)
@@ -664,7 +672,7 @@ class TestStableBloomFilter:
             assert (f.resets, f.rng._state) == (ref.resets, ref.rng._state)
             duplicates += dup
         assert duplicates > 1_000
-        assert (f.resets > 0) == enable_resets
+        assert (f.resets > 0) == resets
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
