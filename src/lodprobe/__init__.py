@@ -37,7 +37,6 @@ from .ntriples import (
     StreamSummary,
     parse_line,
     serialize_term,
-    serialize_triple,
 )
 from .pld import registrable_domain, try_pld
 from .rng import SeededRng, derive_seed
@@ -80,7 +79,6 @@ __all__ = [
     "random_walk",
     "registrable_domain",
     "serialize_term",
-    "serialize_triple",
     "sort_by_subject",
     "try_pld",
     "verify_subject_contiguous",

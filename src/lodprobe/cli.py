@@ -34,12 +34,9 @@ from .deref import LiveResolver, MockResolver
 from .extsort import sort_by_subject, write_atomically
 from .metrics import (
     ClusteringMetric,
-    ConcisenessEstimate,
-    ConcisenessExact,
-    DerefEstimate,
-    DerefExact,
-    ExtLinksEstimate,
-    ExtLinksExact,
+    ConcisenessMetric,
+    DerefMetric,
+    ExtLinksMetric,
     SharedGraph,
     SharedInstances,
     SharedPlds,
@@ -181,19 +178,14 @@ def _build_resolver(spec: str | None):
 def _build_processor(metric: str, variant: str, p: dict, seed: int, resolver, shared):
     """A processor of `metric`, reading the run's one `SharedInstances`,
     `SharedGraph` or `SharedPlds`: `shared(kind)`, made for its first reader."""
+    estimated = variant == "estimate"
     if metric == "extensional-conciseness":
-        instances = shared(SharedInstances)
-        return (ConcisenessEstimate(p["total_bits"], p["fpr_threshold"], seed, instances)
-                if variant == "estimate" else ConcisenessExact(instances))
+        return ConcisenessMetric(estimated, **p, seed=seed, shared=shared(SharedInstances))
     if metric == "clustering-coefficient":
-        return ClusteringMetric(variant == "estimate", p["mixing_multiplier"], p["min_steps"],
-                                seed, shared(SharedGraph))
-    plds = shared(SharedPlds)
+        return ClusteringMetric(estimated, **p, seed=seed, shared=shared(SharedGraph))
     if metric == "external-links":
-        return (ExtLinksEstimate(p["reservoir_capacity"], seed, plds)
-                if variant == "estimate" else ExtLinksExact(plds))
-    return (DerefEstimate(resolver, p["sample_capacity"], seed, plds)
-            if variant == "estimate" else DerefExact(resolver, plds))
+        return ExtLinksMetric(estimated, **p, seed=seed, shared=shared(SharedPlds))
+    return DerefMetric(estimated, resolver, **p, seed=seed, shared=shared(SharedPlds))
 
 
 def _stream_into(reader: NTriplesReader, timed_processors: list) -> float:

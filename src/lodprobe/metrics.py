@@ -1,9 +1,17 @@
-"""The four quality metrics, each as a streaming processor in two variants.
+"""The four quality metrics, each one streaming processor class in two variants.
 
-Every metric is a processor with `consume(chunk)` / `finalize()`, so one
-pass over a dataset can feed any number of them. Each processor runs its
-own loop over a chunk, so the pass makes one call per chunk, not one per
-triple, and the state after a stream does not depend on how it was cut.
+Every metric is one processor class with `consume(chunk)` / `finalize()`,
+so one pass over a dataset can feed any number of them. Each processor
+runs its own loop over a chunk, so the pass makes one call per chunk, not
+one per triple, and the state after a stream does not depend on how it
+was cut.
+
+A constructor takes `estimated` first: True builds the probabilistic
+variant (a bottom-k sample, a stable Bloom filter or a random walk),
+False the exact reference. Both variants take the metric's keyword
+parameters, with the command line's defaults, and refuse a bad value
+with `ValueError`; the exact variant reads none of them, builds no
+sketch, and reports neither them nor a seed.
 
 Facts that several processors read are derived once per chunk by a shared
 object they hold: `SharedPlds` (the PLDs of subjects and object IRIs, for
@@ -25,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Collection, Iterable, Iterator
+from typing import Iterable, Iterator
 
 # pld_alive is unused here; it stays bound because perfbench/tracer.py patches it.
 from .deref import CachedResolver, Resolver, classify, pld_alive
@@ -42,7 +50,7 @@ from .murmur3 import murmur3_x64_128
 from .ntriples import serialize_term
 from .pld import try_pld
 from .rng import derive_seed, SeededRng
-from .sketches import ReservoirSampler, StableBloomFilter, hash128
+from .sketches import ReservoirSampler, StableBloomFilter, check_capacity, filter_shape, hash128
 from .terms import IRI, Term, Triple
 
 # Triples per chunk, per derivation and per clock pair in the pass; larger
@@ -200,9 +208,13 @@ class SharedInstances:
 # Existence of links to external data providers
 
 
-class _ExtLinksBase:
-    """Routes each object IRI's PLD into `plds`, a set or a sample, and
-    finds the dataset's own (base) PLD in the same loop. Both PLDs come
+class ExtLinksMetric:
+    """External share of the distinct object PLDs, per object URI. Each
+    object IRI's PLD goes into `plds`: the exact variant's set, or the
+    estimate's bottom-k sample, whose share is scaled to the distinct count
+    it estimates. That count is exact until a PLD is turned away, so with
+    capacity >= distinct PLDs the estimate equals the exact value. The
+    dataset's own (base) PLD is found in the same loop; both PLDs come
     from `shared`, the pass's `SharedPlds`.
 
     Base PLD detection: a triple typing its subject as void:Dataset or
@@ -212,9 +224,14 @@ class _ExtLinksBase:
 
     name = "external-links"
 
-    def __init__(self, plds, shared: SharedPlds | None):
-        self._plds = plds
+    def __init__(self, estimated: bool, reservoir_capacity: int = 20000, seed: int = 0,
+                 shared: SharedPlds | None = None):
+        check_capacity(reservoir_capacity)
+        self.estimated = estimated
+        self.seed = seed
         self.shared = shared if shared is not None else SharedPlds()
+        self._plds = (ReservoirSampler(reservoir_capacity, derive_seed(seed, "ext-links"))
+                      if estimated else set())
         self.total_object_uris = 0
         self.objects_without_pld = 0
         self.declared: str | None = None
@@ -253,17 +270,23 @@ class _ExtLinksBase:
         # max count first, then lexicographically smallest PLD
         return min(self.frequency, key=lambda p: (-self.frequency[p], p))
 
-    def _result(self, plds: Collection[str], distinct: float, parameters: dict,
-                counters: dict, **fields) -> MetricResult:
-        """External share of `plds`, scaled to `distinct` PLDs, per object
-        URI, with the base PLD and the shared counters added to a variant's
-        `parameters`, `counters` and other result `fields`."""
+    def finalize(self) -> MetricResult:
+        if self.estimated:
+            plds = self._plds.contents()
+            distinct = self._plds.distinct()
+            parameters = {"reservoir_capacity": self._plds.capacity}
+            counters = {"plds_sampled": len(plds), "plds_offered": round(distinct)}
+        else:
+            plds = self._plds
+            distinct = len(plds)
+            parameters, counters = {}, {"distinct_plds": distinct}
         base = self.base_pld()
         total = self.total_object_uris
         external = sum(1 for p in plds if p != base)
         return MetricResult(
             metric=self.name,
             value=min(1.0, external * distinct / len(plds) / total) if total else 0.0,
+            estimated=self.estimated,
             parameters={**parameters, "base_pld": base},
             counters={
                 **counters,
@@ -271,45 +294,7 @@ class _ExtLinksBase:
                 "objects_without_pld": self.objects_without_pld,
                 "zero_denominator": int(total == 0),
             },
-            **fields,
-        )
-
-
-class ExtLinksEstimate(_ExtLinksBase):
-    """Distinct object PLDs in a bottom-k sample, scaled to the distinct
-    count it estimates; denominator counts every object URI streamed. The
-    count is exact until a PLD is turned away, so with capacity >= distinct
-    PLDs the estimate equals the exact value."""
-
-    def __init__(self, reservoir_capacity: int, seed: int, shared: SharedPlds | None = None):
-        super().__init__(
-            ReservoirSampler(reservoir_capacity, derive_seed(seed, "ext-links")), shared
-        )
-        self.seed = seed
-
-    def finalize(self) -> MetricResult:
-        plds = self._plds.contents()
-        distinct = self._plds.distinct()
-        return self._result(
-            plds, distinct,
-            parameters={"reservoir_capacity": self._plds.capacity},
-            counters={"plds_sampled": len(plds), "plds_offered": round(distinct)},
-            estimated=True,
-            seed=self.seed,
-        )
-
-
-class ExtLinksExact(_ExtLinksBase):
-    """Exhaustive distinct-PLD set instead of a reservoir."""
-
-    def __init__(self, shared: SharedPlds | None = None):
-        super().__init__(set(), shared)
-
-    def finalize(self) -> MetricResult:
-        distinct = len(self._plds)
-        return self._result(
-            self._plds, distinct, parameters={}, counters={"distinct_plds": distinct},
-            estimated=False,
+            seed=self.seed if self.estimated else None,
         )
 
 
@@ -317,15 +302,30 @@ class ExtLinksExact(_ExtLinksBase):
 # Extensional conciseness
 
 
-class _ConcisenessBase:
-    """Counts the instances that `shared`, the pass's `SharedInstances`,
-    closes, and those a variant's `_is_duplicate` has seen before. The
-    open run at the end of the stream is counted at the first `finalize`."""
+class ConcisenessMetric:
+    """Unique share of the instances that `shared`, the pass's
+    `SharedInstances`, closes. The estimate detects a duplicate through
+    the stable Bloom filter. The exact variant is the reference: the
+    straightforward check that compares each signature against every
+    distinct one seen so far, quadratic in instances, which is exactly why
+    the estimate exists. The open run at the end of the stream is counted
+    at the first `finalize`."""
 
     name = "extensional-conciseness"
 
-    def __init__(self, shared: SharedInstances | None):
+    def __init__(self, estimated: bool, total_bits: int = 100000,
+                 fpr_threshold: float = 0.001, seed: int = 0,
+                 shared: SharedInstances | None = None):
+        filter_shape(total_bits, fpr_threshold)
+        self.estimated = estimated
+        self.seed = seed
         self.shared = shared if shared is not None else SharedInstances()
+        if estimated:
+            self._filter = StableBloomFilter(
+                total_bits, fpr_threshold, SeededRng(derive_seed(seed, "conciseness"))
+            )
+        else:
+            self._signatures: list[str] = []
         self.total_instances = 0
         self.duplicate_instances = 0
         self._open_run_counted = False
@@ -334,69 +334,15 @@ class _ConcisenessBase:
         _check_derived(self.shared, chunk)
         self._count(self.shared.signatures)
 
-    def _count_open_run(self) -> None:
-        if not self._open_run_counted:
-            self._open_run_counted = True
-            self._count(self.shared.final_signatures())
-
     def _count(self, signatures: list[str]) -> None:
-        self.duplicate_instances += sum(map(self._is_duplicate, signatures))
+        is_duplicate = self._in_filter if self.estimated else self._in_list
+        self.duplicate_instances += sum(map(is_duplicate, signatures))
         self.total_instances += len(signatures)
 
-    def _result(self, parameters: dict, counters: dict, **fields) -> MetricResult:
-        """Unique share of the instances, with the shared counters added to a
-        variant's `counters`, and its `parameters` and other result `fields`."""
-        total, duplicates = self.total_instances, self.duplicate_instances
-        return MetricResult(
-            metric=self.name,
-            value=(total - duplicates) / total if total else 1.0,
-            parameters=parameters,
-            counters={
-                **counters,
-                "total_instances": total,
-                "duplicate_instances": duplicates,
-                "zero_denominator": int(total == 0),
-            },
-            **fields,
-        )
-
-
-class ConcisenessEstimate(_ConcisenessBase):
-    """Duplicate detection through the stable Bloom filter."""
-
-    def __init__(self, total_bits: int, fpr_threshold: float, seed: int,
-                 shared: SharedInstances | None = None):
-        super().__init__(shared)
-        self.seed = seed
-        self._filter = StableBloomFilter(
-            total_bits, fpr_threshold, SeededRng(derive_seed(seed, "conciseness"))
-        )
-
-    def _is_duplicate(self, signature: str) -> bool:
+    def _in_filter(self, signature: str) -> bool:
         return self._filter.check_and_add(signature.encode("utf-8"))
 
-    def finalize(self) -> MetricResult:
-        self._count_open_run()  # before the filter's resets are read
-        f = self._filter
-        return self._result(
-            parameters={"total_bits": f.total_bits, "num_filters": f.num_filters,
-                        "fpr_threshold": f.fpr_threshold},
-            counters={"filter_resets": f.resets},
-            estimated=True,
-            seed=self.seed,
-        )
-
-
-class ConcisenessExact(_ConcisenessBase):
-    """Reference variant: the straightforward uniqueness check that compares
-    each instance's signature against every distinct one seen so far.
-    Quadratic in instances, which is exactly why the estimate exists."""
-
-    def __init__(self, shared: SharedInstances | None = None):
-        super().__init__(shared)
-        self._signatures: list[str] = []
-
-    def _is_duplicate(self, signature: str) -> bool:
+    def _in_list(self, signature: str) -> bool:
         for seen in self._signatures:
             if seen == signature:
                 return True
@@ -404,18 +350,43 @@ class ConcisenessExact(_ConcisenessBase):
         return False
 
     def finalize(self) -> MetricResult:
-        self._count_open_run()
-        return self._result(parameters={}, counters={}, estimated=False)
+        if not self._open_run_counted:  # before the filter's resets are read
+            self._open_run_counted = True
+            self._count(self.shared.final_signatures())
+        if self.estimated:
+            f = self._filter
+            parameters = {"total_bits": f.total_bits, "num_filters": f.num_filters,
+                          "fpr_threshold": f.fpr_threshold}
+            counters = {"filter_resets": f.resets}
+        else:
+            parameters, counters = {}, {}
+        total, duplicates = self.total_instances, self.duplicate_instances
+        return MetricResult(
+            metric=self.name,
+            value=(total - duplicates) / total if total else 1.0,
+            estimated=self.estimated,
+            parameters=parameters,
+            counters={
+                **counters,
+                "total_instances": total,
+                "duplicate_instances": duplicates,
+                "zero_denominator": int(total == 0),
+            },
+            seed=self.seed if self.estimated else None,
+        )
 
 
 # --------------------------------------------------------------------------
 # Dereferenceability
 
 
-class _DerefBase:
-    """Routes each subject/object IRI that has a PLD into `uris`, a set or
-    a sample; both variants classify what that holds. Whether a PLD exists
-    comes from `shared`, the pass's `SharedPlds`.
+class DerefMetric:
+    """Dereferenceable share of the distinct subject/object IRIs that have
+    a PLD, which `shared`, the pass's `SharedPlds`, tells. Each goes into
+    `uris`: the exact variant's set, all of it classified, which is only
+    practical against the mock or tiny datasets; or the estimate's
+    bottom-k sample, whose share is an unbiased estimate of the exact
+    ratio, at most `sample_capacity` classifications.
 
     Subjects and objects take one rule. A subject is offered once per run
     of triples sharing its `Term`: offering it again would change neither
@@ -425,10 +396,15 @@ class _DerefBase:
 
     name = "dereferenceability"
 
-    def __init__(self, resolver: Resolver, uris, shared: SharedPlds | None):
+    def __init__(self, estimated: bool, resolver: Resolver, sample_capacity: int = 1000,
+                 seed: int = 0, shared: SharedPlds | None = None):
+        check_capacity(sample_capacity)
+        self.estimated = estimated
+        self.seed = seed
         self.resolver = CachedResolver(resolver)
-        self._uris = uris
         self.shared = shared if shared is not None else SharedPlds()
+        self._uris = (ReservoirSampler(sample_capacity, derive_seed(seed, "dereferenceability"))
+                      if estimated else set())
         self.uris_routed = 0
         self.uris_without_pld = 0
 
@@ -454,11 +430,16 @@ class _DerefBase:
         self.uris_routed += routed
         self.uris_without_pld += without_pld
 
-    def _result(self, uris: Collection[str], parameters: dict, counters: dict,
-                **fields) -> MetricResult:
-        """Dereferenceable share of `uris`, classified in their order, with
-        the shared counters added to a variant's `counters` and other result
-        `fields`."""
+    def finalize(self) -> MetricResult:
+        """Classifies the held URIs: the sample in admission order, the set
+        sorted."""
+        if self.estimated:
+            uris = self._uris.contents()
+            parameters = {"sample_capacity": self._uris.capacity}
+            counters = {"uris_routed": self.uris_routed, "uris_sampled": len(uris)}
+        else:
+            uris = sorted(self._uris)
+            parameters, counters = {}, {"distinct_uris": len(uris)}
         deref_ok = transport_errors = 0
         for uri in uris:
             verdict = classify(uri, self.resolver)
@@ -469,6 +450,7 @@ class _DerefBase:
         return MetricResult(
             metric=self.name,
             value=deref_ok / len(uris) if uris else 0.0,
+            estimated=self.estimated,
             parameters=parameters,
             counters={
                 **counters,
@@ -477,47 +459,8 @@ class _DerefBase:
                 "uris_without_pld": self.uris_without_pld,
                 "zero_denominator": int(not uris),
             },
-            **fields,
+            seed=self.seed if self.estimated else None,
         )
-
-
-class DerefEstimate(_DerefBase):
-    """Bottom-k sample of the distinct routed URIs; the value is the
-    dereferenceable share of the sample, an unbiased estimate of the
-    exact ratio, at most `sample_capacity` classifications."""
-
-    def __init__(self, resolver: Resolver, sample_capacity: int, seed: int,
-                 shared: SharedPlds | None = None):
-        super().__init__(
-            resolver, ReservoirSampler(sample_capacity, derive_seed(seed, "dereferenceability")),
-            shared,
-        )
-        self.seed = seed
-
-    def finalize(self) -> MetricResult:
-        uris = self._uris.contents()
-        return self._result(
-            uris,
-            parameters={"sample_capacity": self._uris.capacity},
-            counters={"uris_routed": self.uris_routed, "uris_sampled": len(uris)},
-            estimated=True,
-            seed=self.seed,
-        )
-
-
-class DerefExact(_DerefBase):
-    """Classifies every distinct subject/object URI. Only practical against
-    the mock or tiny datasets; the approximate variant is the point."""
-
-    def __init__(self, resolver: Resolver, shared: SharedPlds | None = None):
-        super().__init__(resolver, set(), shared)
-
-    def finalize(self) -> MetricResult:
-        uris = sorted(self._uris)
-        return self._result(
-            uris, parameters={}, counters={"distinct_uris": len(uris)}, estimated=False
-        )
-
 
 # --------------------------------------------------------------------------
 # Clustering coefficient of the resource network

@@ -313,8 +313,3 @@ class NTriplesReader:
 def serialize_term(term: Term) -> str:
     """Canonical N-Triples form of a term: its token."""
     return term.token
-
-
-def serialize_triple(t: Triple) -> str:
-    """Canonical one-line form; parse_line round-trips it exactly."""
-    return f"{t.subject.token} {t.predicate.token} {t.object.token} ."

@@ -46,6 +46,13 @@ _REPLACED = AddOutcome(False, True)
 _DISCARDED = AddOutcome(False, False)
 
 
+def check_capacity(capacity: int) -> int:
+    """`capacity` when a bottom-k sample can hold it, else ValueError."""
+    if capacity < 2:  # (k-1)/U_(k) needs k >= 2
+        raise ValueError("capacity must be >= 2")
+    return capacity
+
+
 class ReservoirSampler:
     """Bottom-k sample of the distinct items of a stream of unknown length.
 
@@ -61,9 +68,7 @@ class ReservoirSampler:
     """
 
     def __init__(self, capacity: int, seed: int):
-        if capacity < 2:  # (k-1)/U_(k) needs k >= 2
-            raise ValueError("capacity must be >= 2")
-        self.capacity = capacity
+        self.capacity = check_capacity(capacity)
         self._hasher = blake2b(digest_size=8, key=(seed % 2**64).to_bytes(8, "little"))
         self.held: dict[str, None] = {}
         # A max-heap of (-rank, item), built at the first overflow: a sample
@@ -122,6 +127,17 @@ def derive_num_filters(fpr_threshold: float) -> int:
     return max(1, math.ceil(math.log2(1.0 / fpr_threshold)))
 
 
+def filter_shape(total_bits: int, fpr_threshold: float) -> tuple[int, int]:
+    """(sub-filters, bits per sub-filter) of a filter with these settings;
+    ValueError for a threshold outside (0, 1) or a budget that leaves a
+    sub-filter fewer than 8 bits."""
+    num_filters = derive_num_filters(fpr_threshold)
+    bits_per_filter = total_bits // num_filters
+    if bits_per_filter < 8:
+        raise ValueError("total_bits too small for the derived filter count")
+    return num_filters, bits_per_filter
+
+
 class StableBloomFilter:
     """Duplicate detector over an unbounded stream with a fixed bit budget.
 
@@ -137,10 +153,7 @@ class StableBloomFilter:
 
     def __init__(self, total_bits: int, fpr_threshold: float, rng: SeededRng):
         self.fpr_threshold = fpr_threshold
-        self.num_filters = derive_num_filters(fpr_threshold)
-        self.bits_per_filter = total_bits // self.num_filters
-        if self.bits_per_filter < 8:
-            raise ValueError("total_bits too small for the derived filter count")
+        self.num_filters, self.bits_per_filter = filter_shape(total_bits, fpr_threshold)
         self.total_bits = self.bits_per_filter * self.num_filters
         self.rng = rng
         self.resets = 0

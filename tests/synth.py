@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable
 
-from lodprobe import SeededRng, Triple, iri, literal, serialize_triple
+from lodprobe import SeededRng, Triple, iri, literal
 from lodprobe.graph import ResourceGraph
 from lodprobe.metrics import derived_chunks
 
@@ -111,6 +111,11 @@ def random_triple(rng: SeededRng, n_subjects: int = 50, n_objects: int = 80) -> 
     p = iri(f"http://ex.org/vocab/p{rng.uniform_below(5)}")
     o = iri(f"http://ex.org/r{rng.uniform_below(n_objects)}")
     return Triple(s, p, o)
+
+
+def serialize_triple(t: Triple) -> str:
+    """Canonical one-line form; parse_line round-trips it exactly."""
+    return f"{t.subject.token} {t.predicate.token} {t.object.token} ."
 
 
 def write_ntriples(path, triples) -> None:

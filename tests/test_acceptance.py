@@ -35,12 +35,9 @@ from lodprobe import (
 from lodprobe.cli import main
 from lodprobe.extsort import subject_sort_key
 from lodprobe.metrics import (
-    ConcisenessEstimate,
-    ConcisenessExact,
-    DerefEstimate,
-    DerefExact,
-    ExtLinksEstimate,
-    ExtLinksExact,
+    ConcisenessMetric,
+    DerefMetric,
+    ExtLinksMetric,
 )
 
 from synth import (
@@ -139,13 +136,13 @@ def test_criterion_3_conciseness_accuracy():
     assert len(triples) == 100_000
     assert exact_value == 0.85
 
-    exact = run(ConcisenessExact(), triples)
+    exact = run(ConcisenessMetric(False), triples)
     assert exact.value == 0.85  # exactly, by construction
 
     # Published P3-style setting: 10 filters over 100,000 bits
     # (fpr threshold 0.001 derives 10 sub-filters).
     estimate = run(
-        ConcisenessEstimate(total_bits=100_000, fpr_threshold=0.001, seed=31), triples
+        ConcisenessMetric(True, total_bits=100_000, fpr_threshold=0.001, seed=31), triples
     )
     assert estimate.parameters["num_filters"] == 10
     delta = abs(estimate.value - exact.value)
@@ -168,7 +165,8 @@ def test_criterion_3_conciseness_runtime_at_1m_triples():
     # derives its own instances inside its own clock, so both pay for the
     # subject runs and signatures. Filter sized for the 10x-larger stream
     # (P4-style bit budget); hash cost is unchanged.
-    exact_proc, est_proc = ConcisenessExact(), ConcisenessEstimate(10_000_000, 0.001, seed=33)
+    exact_proc = ConcisenessMetric(False)
+    est_proc = ConcisenessMetric(True, 10_000_000, 0.001, seed=33)
     clock = time.perf_counter
     exact_elapsed = est_elapsed = 0.0
     count = 0
@@ -240,13 +238,13 @@ def test_criterion_5_dereferenceability_mock():
     triples, mappings, expected = deref_fixture(20, 50, verdict_of)
     resolver_mappings = mappings
 
-    exact = run(DerefExact(MockResolver(resolver_mappings)), triples)
+    exact = run(DerefMetric(False, MockResolver(resolver_mappings)), triples)
     assert exact.value == pytest.approx(expected, abs=1e-12)
 
     # The default sample of 1,000 URIs over 20 seeds.
     max_delta = 0.0
     for seed in range(20):
-        est = run(DerefEstimate(MockResolver(resolver_mappings), 1000, seed), triples)
+        est = run(DerefMetric(True, MockResolver(resolver_mappings), 1000, seed), triples)
         max_delta = max(max_delta, abs(est.value - expected))
     assert max_delta <= 0.1, f"max |estimate - exhaustive| = {max_delta}"
 
@@ -255,8 +253,8 @@ def test_criterion_5_dereferenceability_mock():
         6, 10, lambda p, u: "500", dead_root_plds=set(range(6))
     )
     assert dead_expected == 0.0
-    dead_est = run(DerefEstimate(MockResolver(dead_mappings), 1000, seed=3), dead_triples)
-    dead_exact = run(DerefExact(MockResolver(dead_mappings)), dead_triples)
+    dead_est = run(DerefMetric(True, MockResolver(dead_mappings), 1000, seed=3), dead_triples)
+    dead_exact = run(DerefMetric(False, MockResolver(dead_mappings)), dead_triples)
     assert dead_est.value == 0.0
     assert dead_exact.value == 0.0
 
@@ -281,9 +279,9 @@ def test_criterion_6_ext_links_exact_under_full_retention():
                 iri(f"http://{pld_name}/r{k}"),
             ))
         distinct = len(set(externals)) + 1
-        exact = run(ExtLinksExact(), triples)
+        exact = run(ExtLinksMetric(False), triples)
         for capacity in (distinct, distinct + 3, 4 * distinct):
-            est = run(ExtLinksEstimate(capacity, seed=trial), triples)
+            est = run(ExtLinksMetric(True, capacity, seed=trial), triples)
             assert est.value == exact.value, (trial, capacity)
 
     _report(6, "external links: estimate == exact bit-for-bit whenever "

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import json
 import os
 import re
@@ -695,6 +696,48 @@ def test_golden_report(command, tmp_path, monkeypatch):
             input="golden.nt", output="report.json", resolver="mock:golden-mock.json"
         )
         assert json.dumps(report, indent=2, sort_keys=True) + "\n" == expected, chunk
+
+
+# A parameter value that its metric refuses: (metric flag, --param, the
+# error's expected ending). Each variant checks it, whether or not it reads it.
+BAD_PARAMETERS = [
+    ("cc", "min_steps=1", "min_steps must be in [3, 1000000]"),
+    ("deref", "sample_capacity=0", "capacity must be >= 2"),
+    ("ext-links", "reservoir_capacity=1", "capacity must be >= 2"),
+    ("extcon", "fpr_threshold=2", "fpr_threshold must be in (0, 1)"),
+    ("extcon", "total_bits=10", "total_bits too small for the derived filter count"),
+]
+
+
+@pytest.mark.parametrize("variant", ["exact", "estimate"])
+@pytest.mark.parametrize("metric, param, expected", BAD_PARAMETERS,
+                         ids=[f"{m} {p}" for m, p, _ in BAD_PARAMETERS])
+def test_both_variants_check_parameters(metric, param, expected, variant, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main([
+        "assess", "--input", str(DATA / "golden.nt"), "--metric", f"{metric}:{variant}",
+        "--param", param, "--resolver", f"mock:{DATA / 'golden-mock.json'}",
+        "--seed", "42", "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    canonical = cli.METRIC_ALIASES[metric]
+    assert err.startswith(f"error: {canonical}:{variant} (") and err.endswith(f"): {expected}\n"), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("metric, processor", [
+    ("external-links", metrics.ExtLinksMetric),
+    ("extensional-conciseness", metrics.ConcisenessMetric),
+    ("dereferenceability", metrics.DerefMetric),
+    ("clustering-coefficient", metrics.ClusteringMetric),
+])
+def test_processor_defaults_equal_cli_defaults(metric, processor):
+    keywords = [(name, type(p.default), p.default)
+                for name, p in inspect.signature(processor).parameters.items()
+                if p.default is not p.empty and name not in ("seed", "shared")]
+    assert keywords == [(name, type(v), v) for name, v in cli.DEFAULTS[metric].items()]
 
 
 class TestSort:

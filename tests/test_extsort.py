@@ -9,8 +9,7 @@ from lodprobe import SeededRng, extsort, sort_by_subject, verify_subject_contigu
 from lodprobe.extsort import _subject_keys, subject_sort_key, write_atomically
 from lodprobe.ntriples import NTriplesParseError, parse_line, serialize_term
 
-from synth import random_triple
-from lodprobe import serialize_triple
+from synth import random_triple, serialize_triple
 
 
 def _oracle_sort(lines: list[bytes]) -> list[bytes]:

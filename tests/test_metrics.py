@@ -26,12 +26,9 @@ from lodprobe import (
 from lodprobe.cli import DEFAULTS
 from lodprobe.metrics import (
     ClusteringMetric,
-    ConcisenessEstimate,
-    ConcisenessExact,
-    DerefEstimate,
-    DerefExact,
-    ExtLinksEstimate,
-    ExtLinksExact,
+    ConcisenessMetric,
+    DerefMetric,
+    ExtLinksMetric,
     SharedInstances,
     derived_chunks,
 )
@@ -57,7 +54,7 @@ def _t(s, p, o):
 
 
 def _base(triples):
-    processor = ExtLinksExact()
+    processor = ExtLinksMetric(False)
     feed(processor, triples)
     return processor.base_pld()
 
@@ -120,20 +117,20 @@ class TestExtLinks:
             Triple(iri(f"http://a.org/s{i}"), iri("http://p.org/p"), literal(f"v{i}"))
             for i in range(10)
         ]
-        assert run(ExtLinksExact(), triples).value == 0.0
-        assert run(ExtLinksEstimate(100, seed=1), triples).value == 0.0
+        assert run(ExtLinksMetric(False), triples).value == 0.0
+        assert run(ExtLinksMetric(True, 100, seed=1), triples).value == 0.0
 
     def test_single_external_among_thousand(self):
         triples = _dataset_with_externals(999, ["ext.org"])
         # Brute-force oracle: 1000 object URIs, 1 distinct external PLD.
-        result = run(ExtLinksEstimate(reservoir_capacity=10, seed=3), triples)
+        result = run(ExtLinksMetric(True, reservoir_capacity=10, seed=3), triples)
         assert result.value == pytest.approx(1 / 1000)
         assert result.counters["total_object_uris"] == 1000
 
     def test_exact_construction(self):
         externals = [f"ext{k}.org" for k in range(7)]
         triples = _dataset_with_externals(93, externals)
-        result = run(ExtLinksExact(), triples)
+        result = run(ExtLinksMetric(False), triples)
         assert result.value == pytest.approx(7 / 100)
         assert result.counters["distinct_plds"] == 8  # a.org + 7 externals
         assert result.estimated is False
@@ -142,8 +139,8 @@ class TestExtLinks:
         rng = SeededRng(44)
         externals = [f"x{rng.uniform_below(20)}.net" for _ in range(30)]
         triples = _dataset_with_externals(200, externals)
-        exact = run(ExtLinksExact(), triples)
-        estimate = run(ExtLinksEstimate(reservoir_capacity=64, seed=9), triples)
+        exact = run(ExtLinksMetric(False), triples)
+        estimate = run(ExtLinksMetric(True, reservoir_capacity=64, seed=9), triples)
         assert estimate.value == exact.value  # bit-for-bit float equality
 
     def test_small_reservoir_in_range_and_centred(self):
@@ -155,7 +152,7 @@ class TestExtLinks:
         triples = _dataset_with_externals(10, externals)
         values = []
         for seed in range(20):
-            result = run(ExtLinksEstimate(reservoir_capacity=5, seed=seed), triples)
+            result = run(ExtLinksMetric(True, reservoir_capacity=5, seed=seed), triples)
             assert result.counters["plds_sampled"] == 5
             assert 0.0 <= result.value <= 1.0
             values.append(result.value)
@@ -175,10 +172,10 @@ class TestExtLinks:
         # distinct count, so the value keeps within 3/sqrt(k) of exact.
         capacity = 1_000
         triples = _dataset_with_externals(500, [f"x{k:04d}.net" for k in range(1_499)])
-        exact = run(ExtLinksExact(), triples)
+        exact = run(ExtLinksMetric(False), triples)
         assert exact.counters["distinct_plds"] == 1_500
         for seed in range(20):
-            est = run(ExtLinksEstimate(capacity, seed=seed), triples)
+            est = run(ExtLinksMetric(True, capacity, seed=seed), triples)
             assert est.counters["plds_sampled"] == capacity
             assert abs(est.value / exact.value - 1) <= 3 / capacity**0.5, seed
 
@@ -188,7 +185,7 @@ class TestExtLinks:
             Triple(iri("http://a.org/s"), iri("http://p.org/p"), blank("b0")),
             Triple(iri("http://a.org/s"), iri("http://p.org/p"), literal("x")),
         ]
-        result = run(ExtLinksExact(), triples)
+        result = run(ExtLinksMetric(False), triples)
         assert result.counters["total_object_uris"] == 1
 
     def test_no_base_pld_counts_all_external(self):
@@ -196,7 +193,7 @@ class TestExtLinks:
             Triple(blank("b0"), iri("http://p.org/p"), iri("http://e1.org/x")),
             Triple(blank("b1"), iri("http://p.org/p"), iri("http://e2.org/y")),
         ]
-        result = run(ExtLinksExact(), triples)
+        result = run(ExtLinksMetric(False), triples)
         assert result.value == pytest.approx(1.0)
         assert result.parameters["base_pld"] is None
 
@@ -205,26 +202,27 @@ class TestConciseness:
     def test_all_distinct_instances(self):
         triples, exact_value = conciseness_stream(4, 0, seed=1, triples_per_instance=3)
         assert exact_value == 1.0
-        assert run(ConcisenessExact(), triples).value == 1.0
-        assert run(ConcisenessEstimate(100_000, 0.01, seed=1), triples).value == 1.0
+        assert run(ConcisenessMetric(False), triples).value == 1.0
+        assert run(ConcisenessMetric(True, 100_000, 0.01, seed=1), triples).value == 1.0
 
     def test_two_of_four_share_signature(self):
         triples, exact_value = conciseness_stream(4, 1, seed=2, triples_per_instance=3)
         assert exact_value == 0.75
-        assert run(ConcisenessExact(), triples).value == 0.75
-        assert run(ConcisenessEstimate(100_000, 0.01, seed=2), triples).value == 0.75
+        assert run(ConcisenessMetric(False), triples).value == 0.75
+        assert run(ConcisenessMetric(True, 100_000, 0.01, seed=2), triples).value == 0.75
 
     def test_five_identical_instances(self):
         body = [("http://p.org/p", literal("same"))]
         triples = [
             Triple(iri(f"http://a.org/s{i}"), iri(p), o) for i in range(5) for p, o in body
         ]
-        assert run(ConcisenessExact(), triples).value == pytest.approx(0.2)
-        assert run(ConcisenessEstimate(100_000, 0.01, seed=3), triples).value == pytest.approx(0.2)
+        assert run(ConcisenessMetric(False), triples).value == pytest.approx(0.2)
+        assert (run(ConcisenessMetric(True, 100_000, 0.01, seed=3), triples).value
+                == pytest.approx(0.2))
 
     def test_empty_dataset_vacuously_concise(self):
-        assert run(ConcisenessExact(), []).value == 1.0
-        result = run(ConcisenessEstimate(10_000, 0.01, seed=1), [])
+        assert run(ConcisenessMetric(False), []).value == 1.0
+        result = run(ConcisenessMetric(True, 10_000, 0.01, seed=1), [])
         assert result.value == 1.0
         assert result.counters["zero_denominator"] == 1
 
@@ -235,7 +233,7 @@ class TestConciseness:
             _t("http://a.org/s2", "http://p.org/p2", "http://a.org/o2"),
             _t("http://a.org/s2", "http://p.org/p1", "http://a.org/o1"),
         ]
-        result = run(ConcisenessExact(), a)
+        result = run(ConcisenessMetric(False), a)
         assert result.value == 0.5  # the two instances are duplicates
         assert result.counters["duplicate_instances"] == 1
 
@@ -245,7 +243,7 @@ class TestConciseness:
             _t("http://a.org/s1", "http://p.org/p", "http://a.org/o"),
             _t("http://a.org/s2", "http://p.org/p", "http://a.org/o"),
         ]
-        assert run(ConcisenessExact(), triples).counters["duplicate_instances"] == 1
+        assert run(ConcisenessMetric(False), triples).counters["duplicate_instances"] == 1
 
     def test_sort_order_violation(self):
         triples = [
@@ -254,7 +252,7 @@ class TestConciseness:
             _t("http://a.org/s1", "http://p.org/p", "http://a.org/o2"),
         ]
         with pytest.raises(SortOrderViolation) as exc_info:
-            run(ConcisenessExact(), triples)
+            run(ConcisenessMetric(False), triples)
         assert exc_info.value.triple_number == 3
 
     def test_subject_serialised_once_per_run(self, monkeypatch):
@@ -267,22 +265,22 @@ class TestConciseness:
         triples.append(_t("http://a.org/s2", "http://p.org/p0", "http://a.org/o"))
         assert triples[0].subject == triples[1].subject
         assert triples[0].subject is not triples[1].subject
-        result = run(ConcisenessExact(), triples)
+        result = run(ConcisenessMetric(False), triples)
         assert result.counters["total_instances"] == 2
         assert digested == [b"<http://a.org/s1>", b"<http://a.org/s2>"]
 
     def test_estimate_within_tolerance_at_moderate_size(self):
         triples, exact_value = conciseness_stream(2000, 300, seed=7, triples_per_instance=5)
         assert exact_value == 0.85
-        estimate = run(ConcisenessEstimate(100_000, 0.001, seed=7), triples)
+        estimate = run(ConcisenessMetric(True, 100_000, 0.001, seed=7), triples)
         assert abs(estimate.value - exact_value) <= 0.02
 
     def test_exact_geq_estimate_with_resets_disabled(self):
         # False positives only inflate the duplicate count.
         triples, _ = conciseness_stream(1500, 150, seed=11, triples_per_instance=4)
-        exact = run(ConcisenessExact(), triples)
+        exact = run(ConcisenessMetric(False), triples)
         for seed in (1, 2, 3):
-            est = ConcisenessEstimate(20_000, 0.01, seed)
+            est = ConcisenessMetric(True, 20_000, 0.01, seed)
             est._filter = StableBloomFilter(20_000, 0.01, SeededRng(seed))
             est._filter._maybe_reset = lambda: None
             assert exact.value >= run(est, triples).value
@@ -296,9 +294,9 @@ class TestConciseness:
         snippet = (
             f"import json, sys; sys.path[:0] = {paths!r}; "
             "from synth import conciseness_stream, run; "
-            "from lodprobe.metrics import ConcisenessEstimate; "
+            "from lodprobe.metrics import ConcisenessMetric; "
             "triples, _ = conciseness_stream(3000, 400, seed=5, triples_per_instance=3); "
-            "r = run(ConcisenessEstimate(8_000, 0.01, seed=9), triples); "
+            "r = run(ConcisenessMetric(True, 8_000, 0.01, seed=9), triples); "
             "print(json.dumps([r.value, r.counters, r.parameters]))"
         )
         outputs = set()
@@ -317,7 +315,7 @@ class TestConciseness:
 
     def test_counters_and_runs(self):
         triples, _ = conciseness_stream(50, 10, seed=4, triples_per_instance=2)
-        result = run(ConcisenessExact(), triples)
+        result = run(ConcisenessMetric(False), triples)
         assert result.counters["total_instances"] == 50
         assert result.counters["duplicate_instances"] == 10
         assert result.counters["duplicate_instances"] <= result.counters["total_instances"]
@@ -334,7 +332,8 @@ class TestConciseness:
         shuffled = []
         while keys:
             shuffled.extend(blocks[keys.pop(rng.uniform_below(len(keys)))])
-        assert run(ConcisenessExact(), shuffled).value == run(ConcisenessExact(), triples).value
+        assert (run(ConcisenessMetric(False), shuffled).value
+                == run(ConcisenessMetric(False), triples).value)
 
 
 class TestDeref:
@@ -342,7 +341,7 @@ class TestDeref:
         triples, mappings, _ = deref_fixture(
             4, 5, lambda p, u: "500", dead_root_plds={0, 1, 2, 3}
         )
-        result = run(DerefEstimate(MockResolver(mappings), 100, seed=1), triples)
+        result = run(DerefMetric(True, MockResolver(mappings), 100, seed=1), triples)
         assert result.value == 0.0
         assert result.counters["uris_sampled"] == 21  # each URI classified, no root shortcut
 
@@ -351,8 +350,8 @@ class TestDeref:
         triples, mappings, expected = deref_fixture(
             4, 5, lambda p, u: "hash-ok", dead_root_plds={0, 1, 2, 3}
         )
-        exact = run(DerefExact(MockResolver(mappings)), triples)
-        estimate = run(DerefEstimate(MockResolver(mappings), 100, seed=1), triples)
+        exact = run(DerefMetric(False, MockResolver(mappings)), triples)
+        estimate = run(DerefMetric(True, MockResolver(mappings), 100, seed=1), triples)
         assert expected == pytest.approx(20 / 21)
         assert estimate.value == exact.value == pytest.approx(expected)
 
@@ -363,14 +362,14 @@ class TestDeref:
             {"status": 303, "location": "http://base.org/data"},
             {"status": 200, "content_type": "text/turtle"},
         ]
-        result = run(DerefEstimate(MockResolver(mappings), 100, seed=2), triples)
+        result = run(DerefMetric(True, MockResolver(mappings), 100, seed=2), triples)
         assert result.value == 1.0
-        assert run(DerefExact(MockResolver(mappings)), triples).value == 1.0
+        assert run(DerefMetric(False, MockResolver(mappings)), triples).value == 1.0
 
     def test_exact_matches_hand_computed_ratio(self):
         verdicts = ["hash-ok", "303-ok", "direct-200", "404", "500"]
         triples, mappings, expected = deref_fixture(2, 5, lambda p, u: verdicts[u])
-        result = run(DerefExact(MockResolver(mappings)), triples)
+        result = run(DerefMetric(False, MockResolver(mappings)), triples)
         # 2 PLDs x (2 ok of 5) + the 404 subject URI: 4/11.
         assert expected == pytest.approx(4 / 11)
         assert result.value == pytest.approx(expected)
@@ -378,8 +377,8 @@ class TestDeref:
     def test_estimate_equals_exact_with_full_capacity(self):
         verdicts = ["hash-ok", "303-ok", "404"]
         triples, mappings, expected = deref_fixture(5, 3, lambda p, u: verdicts[u % 3])
-        exact = run(DerefExact(MockResolver(mappings)), triples)
-        estimate = run(DerefEstimate(MockResolver(mappings), 1000, seed=5), triples)
+        exact = run(DerefMetric(False, MockResolver(mappings)), triples)
+        estimate = run(DerefMetric(True, MockResolver(mappings), 1000, seed=5), triples)
         assert exact.value == pytest.approx(expected)
         assert estimate.value == exact.value
 
@@ -387,15 +386,15 @@ class TestDeref:
         verdicts = ["hash-ok", "404"]
         triples, mappings, _ = deref_fixture(3, 2, lambda p, u: verdicts[u])
         doubled = [t for t in triples for _ in range(3)]
-        base = run(DerefEstimate(MockResolver(mappings), 100, seed=6), triples)
-        dup = run(DerefEstimate(MockResolver(mappings), 100, seed=6), doubled)
+        base = run(DerefMetric(True, MockResolver(mappings), 100, seed=6), triples)
+        dup = run(DerefMetric(True, MockResolver(mappings), 100, seed=6), doubled)
         assert base.value == dup.value
         assert base.counters["uris_sampled"] == dup.counters["uris_sampled"]
 
     def test_transport_failures_tallied(self):
         triples, mappings, _ = deref_fixture(1, 3, lambda p, u: "404")
         mappings["http://pld000.org/res0"] = [{"error": "timeout"}]
-        result = run(DerefExact(MockResolver(mappings)), triples)
+        result = run(DerefMetric(False, MockResolver(mappings)), triples)
         assert result.counters["transport_errors"] == 1
 
     def test_eviction_bounds_memory(self):
@@ -407,7 +406,7 @@ class TestDeref:
                 _t(f"http://{pld_name}/s{i}", "http://v.org/p", f"http://{pld_name}/o{i}")
             )
         mappings = {"http://*": [{"status": 200, "content_type": "text/turtle"}]}
-        processor = DerefEstimate(MockResolver({"http://": mappings["http://*"]}), 8, seed=3)
+        processor = DerefMetric(True, MockResolver({"http://": mappings["http://*"]}), 8, seed=3)
         feed(processor, triples)
         assert len(processor._uris.contents()) <= 8
 
@@ -422,9 +421,9 @@ class TestDeref:
             200, size, lambda p, u: "hash-ok" if 5 * u < (1 + p % 3) * size(p) else "404"
         )
         resolver = CachedResolver(MockResolver(mappings))  # shared: resolve each URI once
-        exact = run(DerefExact(resolver), triples).value
+        exact = run(DerefMetric(False, resolver), triples).value
         errors = [
-            run(DerefEstimate(resolver, DEREF_CAPACITY, seed), triples).value - exact
+            run(DerefMetric(True, resolver, DEREF_CAPACITY, seed), triples).value - exact
             for seed in range(20)
         ]
         assert max(map(abs, errors)) <= 0.1, errors
@@ -442,13 +441,13 @@ class TestDeref:
         assert expected == pytest.approx(0.6676, abs=1e-4)
         resolver = CachedResolver(MockResolver(mappings))  # shared: resolve each URI once
         errors = [
-            run(DerefEstimate(resolver, DEREF_CAPACITY, seed), triples).value - expected
+            run(DerefMetric(True, resolver, DEREF_CAPACITY, seed), triples).value - expected
             for seed in range(20)
         ]
         assert max(map(abs, errors)) <= 0.1, errors
 
     def test_empty_dataset_zero(self):
-        result = run(DerefExact(MockResolver({})), [])
+        result = run(DerefMetric(False, MockResolver({})), [])
         assert result.value == 0.0
         assert result.counters["zero_denominator"] == 1
 
@@ -461,7 +460,7 @@ class TestDeref:
         triples = [
             _t("http://a.org/doc#s1", "http://v.org/p", "http://a.org/doc#s2"),
         ]
-        result = run(DerefExact(mock), triples)
+        result = run(DerefMetric(False, mock), triples)
         assert result.value == 1.0
         assert mock.calls["http://a.org/doc"] == 1  # cache collapsed the probes
 
@@ -533,7 +532,7 @@ def _per_term_deref_consume(proc, t: Triple) -> None:
             proc._uris.add(term.lexical)
 
 
-def _per_term_base_offer(tracker: ExtLinksExact, t: Triple) -> None:
+def _per_term_base_offer(tracker: ExtLinksMetric, t: Triple) -> None:
     """Base PLD detection deriving the subject's PLD on every triple."""
     subject_pld = try_pld(t.subject.lexical) if t.subject.kind is TermKind.IRI else None
     if (
@@ -556,8 +555,8 @@ class TestSubjectReuse:
     @pytest.mark.parametrize("capacity", [2, 3])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_deref_estimate_matches_per_term_loop(self, seed, capacity, shared):
-        reused = DerefEstimate(MockResolver({}), capacity, seed)
-        oracle = DerefEstimate(MockResolver({}), capacity, seed)
+        reused = DerefMetric(True, MockResolver({}), capacity, seed)
+        oracle = DerefMetric(True, MockResolver({}), capacity, seed)
         let_go = 0  # re-offers of a run's subject after the sample let it go
         previous = None
         for t in _reuse_stream(seed, shared):
@@ -575,8 +574,8 @@ class TestSubjectReuse:
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "equal-copies"])
     def test_deref_exact_matches_per_term_loop(self, shared):
-        reused = DerefExact(MockResolver({}))
-        oracle = DerefExact(MockResolver({}))
+        reused = DerefMetric(False, MockResolver({}))
+        oracle = DerefMetric(False, MockResolver({}))
         stream = _reuse_stream(4, shared)
         feed(reused, stream)
         for t in stream:
@@ -589,7 +588,7 @@ class TestSubjectReuse:
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "equal-copies"])
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_base_tracker_matches_per_triple_derivation(self, seed, shared):
-        reused, oracle = ExtLinksExact(), ExtLinksExact()
+        reused, oracle = ExtLinksMetric(False), ExtLinksMetric(False)
         stream = _reuse_stream(seed, shared)
         feed(reused, stream)
         for t in stream:
@@ -710,8 +709,8 @@ class TestFlatEstimateMemory:
     MARGIN = 16 * 1024
 
     @pytest.mark.parametrize("make", [
-        lambda: ExtLinksEstimate(200, seed=4),
-        lambda: DerefEstimate(MockResolver({"http://*": [
+        lambda: ExtLinksMetric(True, 200, seed=4),
+        lambda: DerefMetric(True, MockResolver({"http://*": [
             {"status": 303, "location": "http://d.org/"},
             {"status": 200, "content_type": "text/turtle"},
         ]}), 200, seed=4),
@@ -746,8 +745,8 @@ class TestMetricResultContract:
     def test_determinism_same_seed_same_everything(self):
         rng = SeededRng(123)
         triples = [random_triple(rng) for _ in range(500)]
-        a = run(ExtLinksEstimate(10, seed=42), triples)
-        b = run(ExtLinksEstimate(10, seed=42), triples)
+        a = run(ExtLinksMetric(True, 10, seed=42), triples)
+        b = run(ExtLinksMetric(True, 10, seed=42), triples)
         assert a.value == b.value
         assert a.counters == b.counters
         c = run(ClusteringMetric(True, seed=42), triples)
@@ -758,7 +757,8 @@ class TestMetricResultContract:
         rng = SeededRng(321)
         triples = [random_triple(rng) for _ in range(300)]
         reversed_triples = list(reversed(triples))
-        assert run(ExtLinksExact(), triples).value == run(ExtLinksExact(), reversed_triples).value
+        assert (run(ExtLinksMetric(False), triples).value
+                == run(ExtLinksMetric(False), reversed_triples).value)
         assert (
             run(ClusteringMetric(False), triples).value
             == run(ClusteringMetric(False), reversed_triples).value
@@ -833,12 +833,12 @@ def _chunking_resolver() -> MockResolver:
 
 
 _VARIANTS = {
-    "ext-links-estimate": lambda: ExtLinksEstimate(8, seed=5),
-    "ext-links-exact": ExtLinksExact,
-    "extcon-estimate": lambda: ConcisenessEstimate(20_000, 0.01, seed=5),
-    "extcon-exact": ConcisenessExact,
-    "deref-estimate": lambda: DerefEstimate(_chunking_resolver(), 16, seed=5),
-    "deref-exact": lambda: DerefExact(_chunking_resolver()),
+    "ext-links-estimate": lambda: ExtLinksMetric(True, 8, seed=5),
+    "ext-links-exact": lambda: ExtLinksMetric(False),
+    "extcon-estimate": lambda: ConcisenessMetric(True, 20_000, 0.01, seed=5),
+    "extcon-exact": lambda: ConcisenessMetric(False),
+    "deref-estimate": lambda: DerefMetric(True, _chunking_resolver(), 16, seed=5),
+    "deref-exact": lambda: DerefMetric(False, _chunking_resolver()),
     "cc-estimate": lambda: ClusteringMetric(True, seed=5),
     "cc-exact": lambda: ClusteringMetric(False),
 }
@@ -864,13 +864,13 @@ class TestChunking:
 
     def test_stream_exercises_every_path(self):
         triples = _chunking_stream(1)
-        ext = run(ExtLinksEstimate(8, seed=5), triples)
+        ext = run(ExtLinksMetric(True, 8, seed=5), triples)
         assert ext.counters["plds_offered"] > 8 and ext.counters["objects_without_pld"] > 0
-        exact = ExtLinksExact()
+        exact = ExtLinksMetric(False)
         feed(exact, triples)
         assert exact.declared == ext.parameters["base_pld"]
-        assert run(ConcisenessExact(), triples).counters["duplicate_instances"] > 10
-        deref = run(DerefExact(_chunking_resolver()), triples)
+        assert run(ConcisenessMetric(False), triples).counters["duplicate_instances"] > 10
+        deref = run(DerefMetric(False, _chunking_resolver()), triples)
         assert deref.counters["distinct_uris"] > 16  # the estimate's sample binds
         assert deref.counters["transport_errors"] > 0 and 0 < deref.value < 1
         assert run(ClusteringMetric(False), triples).counters["edges"] > 100
@@ -902,8 +902,8 @@ class TestSharedInstances:
         digest = metrics.hash128
         monkeypatch.setattr(metrics, "hash128", lambda data: digested.append(data) or digest(data))
         instances = SharedInstances()
-        processors = [ConcisenessEstimate(20_000, 0.01, seed=5, shared=instances),
-                      ConcisenessExact(shared=instances)]
+        processors = [ConcisenessMetric(True, 20_000, 0.01, seed=5, shared=instances),
+                      ConcisenessMetric(False, shared=instances)]
         monkeypatch.setattr(metrics, "CHUNK_TRIPLES", size)
         for chunk in derived_chunks(triples, processors):
             for processor in processors:
@@ -911,8 +911,8 @@ class TestSharedInstances:
         shared = [processor.finalize() for processor in processors]
         assert [processor.finalize() for processor in processors] == shared
         runs = len(digested)
-        alone = [run(ConcisenessEstimate(20_000, 0.01, seed=5), triples),
-                 run(ConcisenessExact(), triples)]
+        alone = [run(ConcisenessMetric(True, 20_000, 0.01, seed=5), triples),
+                 run(ConcisenessMetric(False), triples)]
         assert shared == alone
         assert runs == alone[1].counters["total_instances"]  # one digest for both
         assert alone[1].counters["duplicate_instances"] > 10
@@ -941,11 +941,12 @@ class TestDerivedChunksOnly:
         triples = [_t(f"http://a.org/s{i // 2}", "http://a.org/p", f"http://a.org/o{i}")
                    for i in range(10)]
         instances = SharedInstances()
-        first, second = ConcisenessExact(instances), ConcisenessExact(instances)
+        first, second = (ConcisenessMetric(False, shared=instances),
+                         ConcisenessMetric(False, shared=instances))
         (chunk,) = derived_chunks(triples, [first, second])
         first.consume(chunk)
         with pytest.raises(ValueError, match="derived_chunks"):
             second.consume(list(chunk))
         second.consume(chunk)
-        assert first.finalize() == second.finalize() == run(ConcisenessExact(), triples)
+        assert first.finalize() == second.finalize() == run(ConcisenessMetric(False), triples)
         assert first.finalize().counters["total_instances"] == 5

@@ -19,12 +19,11 @@ from lodprobe import (
     literal,
     ntriples,
     parse_line,
-    serialize_triple,
 )
 from lodprobe import extsort
 from lodprobe.ntriples import ParseFailure, serialize_term
 
-from synth import conciseness_stream, deref_fixture, random_triple
+from synth import conciseness_stream, deref_fixture, random_triple, serialize_triple
 
 
 def test_minimal_statement():
