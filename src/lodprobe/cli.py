@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 success but the input had parse errors, 1 fatal.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -60,13 +61,14 @@ METRIC_ALIASES = {
     "cc": "clustering-coefficient",
 }
 
-# Defaults follow the best-performing published settings (P3-style), except
-# deref's one sample of 1,000 URIs, whose share has standard error <= 0.016.
+# Each metric's parameters and their defaults: its constructor's keyword
+# defaults, bar `seed` and `shared`.
 DEFAULTS = {
-    "external-links": {"reservoir_capacity": 20000},
-    "extensional-conciseness": {"total_bits": 100000, "fpr_threshold": 0.001},
-    "dereferenceability": {"sample_capacity": 1000},
-    "clustering-coefficient": {"mixing_multiplier": 1.0, "min_steps": 3},
+    processor.name: {
+        name: p.default for name, p in inspect.signature(processor).parameters.items()
+        if p.default is not p.empty and name not in ("seed", "shared")
+    }
+    for processor in (ExtLinksMetric, ConcisenessMetric, DerefMetric, ClusteringMetric)
 }
 _PARAM_NAMES = sorted({key for params in DEFAULTS.values() for key in params})
 

@@ -9,9 +9,11 @@ was cut.
 A constructor takes `estimated` first: True builds the probabilistic
 variant (a bottom-k sample, a stable Bloom filter or a random walk),
 False the exact reference. Both variants take the metric's keyword
-parameters, with the command line's defaults, and refuse a bad value
-with `ValueError`; the exact variant reads none of them, builds no
-sketch, and reports neither them nor a seed.
+parameters and refuse a bad value with `ValueError`; the exact variant
+reads none of them, builds no sketch, and reports neither them nor a
+seed. Their defaults, which the command line reads, follow the
+best-performing published settings (P3-style), except deref's one sample
+of 1,000 URIs, whose share has standard error <= 0.016.
 
 Facts that several processors read are derived once per chunk by a shared
 object they hold: `SharedPlds` (the PLDs of subjects and object IRIs, for

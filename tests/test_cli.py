@@ -1,8 +1,9 @@
+import ast
 import gc
-import inspect
 import json
 import os
 import re
+import shutil
 import stat
 import time
 import weakref
@@ -138,15 +139,33 @@ class TestAssess:
         assert code == 2
 
     def test_unsorted_conciseness_suggests_sort(self, tmp_path, capsys):
-        path = tmp_path / "unsorted.nt"
+        # Subject s1 comes back at triple 3: assess and compare each stop
+        # with one error line naming it, plus the sort hint. Once sorted,
+        # both variants count the same two instances and agree.
+        path, sorted_path = tmp_path / "unsorted.nt", tmp_path / "sorted.nt"
         path.write_text(
             "<http://a.org/s1> <http://a.org/p> <http://a.org/o1> .\n"
             "<http://a.org/s2> <http://a.org/p> <http://a.org/o1> .\n"
             "<http://a.org/s1> <http://a.org/p> <http://a.org/o2> .\n"
         )
-        code = main(["assess", "--input", str(path), "--metric", "extcon:exact"])
-        assert code == 1
-        assert "sort" in capsys.readouterr().err
+        assert main(["sort", "--input", str(path), "--output", str(sorted_path)]) == 0
+        capsys.readouterr()
+        for command, metrics_flags in [
+            ("assess", ["--metric", "extcon:exact", "--metric", "extcon:estimate"]),
+            ("compare", ["--metric", "extcon"]),
+        ]:
+            code = main([command, "--input", str(path), *metrics_flags, "--seed", "42"])
+            assert code == 1
+            error, hint = capsys.readouterr().err.splitlines()
+            assert error.startswith("error: subject <http://a.org/s1> reappeared at triple 3;")
+            assert hint.startswith("hint: ") and "sort" in hint
+            out = tmp_path / f"{command}.json"
+            assert main([command, "--input", str(sorted_path), *metrics_flags,
+                         "--seed", "42", "--out", str(out)]) == 0
+            exact, estimate = json.loads(out.read_text())["results"]
+            assert (exact["estimated"], estimate["estimated"]) == (False, True)
+            assert exact["value"] == estimate["value"]
+            assert [r["counters"]["total_instances"] for r in (exact, estimate)] == [2, 2]
 
     def test_seed_env_var(self, tiny_dataset, tmp_path, monkeypatch):
         out = tmp_path / "r.json"
@@ -337,6 +356,28 @@ class TestAssess:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["results"][0]["value"] == pytest.approx(expected)
+
+        # Authorities off the plain path: an upper-case scheme, userinfo and
+        # a port, a bracketed host, a percent-encoded host and a non-ASCII
+        # host. example.org is the base PLD; [::1] has none, three are external.
+        objects = ["http://a.example.org/o1", "HTTP://B.Example.ORG/o",
+                   "http://user:pw@c.example.net:8080/o", "http://[::1]/o",
+                   "http://d%2Eexample.com/o", "http://b\u00fccher.example/"]
+        data.write_text("".join(f"<http://a.example.org/s1> <http://a.example.org/p> <{o}> .\n"
+                                for o in objects), encoding="utf-8")
+        script.write_text(json.dumps({"mappings": [
+            {"pattern": f"{prefix}/*", "responses": [
+                {"status": 303, "location": f"{prefix.lower()}/doc"},
+                {"status": 200, "content_type": "text/turtle"}]}
+            for prefix in ("http://a.example.org", "HTTP://B.Example.ORG")]}))
+        assert main(["compare", "--input", str(data), "--metric", "ext-links",
+                     "--metric", "deref", "--resolver", f"mock:{script}", "--seed", "42",
+                     "--out", str(out)]) == 0
+        results = {(r["metric"], r["estimated"]): r for r in json.loads(out.read_text())["results"]}
+        links, deref = results["external-links", False], results["dereferenceability", False]
+        assert (links["value"], links["parameters"]["base_pld"]) == (0.6, "example.org")
+        assert (deref["counters"]["distinct_uris"], deref["counters"]["uris_without_pld"],
+                deref["counters"]["deref_ok"]) == (6, 1, 3)
 
     def test_live_resolver_through_a_proxy(self, lod_server, tmp_path, monkeypatch):
         # The local server is the proxy, so hostnamed URIs get a PLD and
@@ -698,6 +739,29 @@ def test_golden_report(command, tmp_path, monkeypatch):
         assert json.dumps(report, indent=2, sort_keys=True) + "\n" == expected, chunk
 
 
+def test_readme_library_example(tmp_path, monkeypatch, capsys):
+    """README's Library example, run as written beside a sorted golden.nt
+    and golden-mock.json, prints the value and counters that assess reports
+    for the same five processors, resolver and seed."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"## Library\n.*?```python\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(DATA / "golden-mock.json", tmp_path)
+    assert main(["sort", "--input", str(DATA / "golden.nt"), "--output", "sorted.nt"]) == 0
+    capsys.readouterr()
+    exec(compile(example, "README.md", "exec"), {})
+    printed = [line.split(" ", 3) for line in capsys.readouterr().out.splitlines()]
+    printed = [(m, e == "True", float(v), ast.literal_eval(c)) for m, e, v, c in printed]
+    # golden.nt's malformed line makes assess exit 2
+    assert main(["assess", "--input", "sorted.nt", "--metric", "extcon:exact",
+                 "--metric", "extcon:estimate", "--metric", "ext-links:estimate",
+                 "--metric", "deref:estimate", "--metric", "cc:estimate",
+                 "--resolver", "mock:golden-mock.json", "--seed", "42", "--out", "r.json"]) == 2
+    reported = [(r["metric"], r["estimated"], r["value"], r["counters"])
+                for r in json.loads((tmp_path / "r.json").read_text())["results"]]
+    assert len(printed) == 5 and printed == reported
+
+
 # A parameter value that its metric refuses: (metric flag, --param, the
 # error's expected ending). Each variant checks it, whether or not it reads it.
 BAD_PARAMETERS = [
@@ -725,19 +789,6 @@ def test_both_variants_check_parameters(metric, param, expected, variant, tmp_pa
     canonical = cli.METRIC_ALIASES[metric]
     assert err.startswith(f"error: {canonical}:{variant} (") and err.endswith(f"): {expected}\n"), err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("metric, processor", [
-    ("external-links", metrics.ExtLinksMetric),
-    ("extensional-conciseness", metrics.ConcisenessMetric),
-    ("dereferenceability", metrics.DerefMetric),
-    ("clustering-coefficient", metrics.ClusteringMetric),
-])
-def test_processor_defaults_equal_cli_defaults(metric, processor):
-    keywords = [(name, type(p.default), p.default)
-                for name, p in inspect.signature(processor).parameters.items()
-                if p.default is not p.empty and name not in ("seed", "shared")]
-    assert keywords == [(name, type(v), v) for name, v in cli.DEFAULTS[metric].items()]
 
 
 class TestSort:
@@ -822,15 +873,20 @@ class TestSort:
         assert summary == {"lines": 1, "chunks": 0, "malformed_lines": 0}
 
     def test_sort_malformed_passthrough_warns(self, tmp_path, capsys):
+        # Three subjects that assess rejects and one statement: all four
+        # lines pass through, and the warning counts the three.
+        lines = [
+            "_:b. <http://a/p> <http://a/o> .",
+            "_:b:c <http://a/p> <http://a/o> .",
+            "<http://a/s b> <http://a/p> <http://a/o> .",
+            "<http://a/s> <http://a/p> <http://a/o> .",
+        ]
         src = tmp_path / "in.nt"
-        src.write_text(
-            "<http://a.org/s> <http://a.org/p> <http://a.org/o> .\n"
-            "bad line one\n"
-            "bad line two\n"
-        )
+        src.write_text("".join(line + "\n" for line in lines))
         dst = tmp_path / "out.nt"
         assert main(["sort", "--input", str(src), "--output", str(dst)]) == 0
-        assert "2 line(s)" in capsys.readouterr().err
+        assert "warning: 3 line(s) without a parseable subject" in capsys.readouterr().err
+        assert sorted(dst.read_text().splitlines()) == sorted(lines)
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)], ids=["022", "027"])

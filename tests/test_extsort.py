@@ -368,6 +368,7 @@ def test_merge_edge_cases_across_runs(tmp_path, monkeypatch, merge_block, budget
     summary = sort_by_subject(src, dst, memory_budget=budget)
     assert runs[0] <= summary.chunks <= runs[1], summary.chunks
     assert summary.lines == len(lines)
+    assert summary.malformed_lines == 8  # each odd line bar the escaped subject, twice
     assert dst.read_bytes() == b"".join(line + b"\n" for line in _oracle_sort(lines))
 
 

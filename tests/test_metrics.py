@@ -763,6 +763,16 @@ class TestMetricResultContract:
             run(ClusteringMetric(False), triples).value
             == run(ClusteringMetric(False), reversed_triples).value
         )
+        # A binding 5-item deref sample, its objects repeating over 60
+        # mock-backed URIs, holds the same URIs read backwards.
+        uris = [f"http://{host}.org/r{i}" for host in "abd" for i in range(20)]
+        repeats = [_t(f"http://a.org/s{i // 5}", "http://a.org/p", uris[rng.uniform_below(60)])
+                   for i in range(300)]
+        resolver = MockResolver.from_file(Path(__file__).parent / "data" / "golden-mock.json")
+        forward, backward = (run(DerefMetric(True, resolver, 5, seed=42), stream)
+                             for stream in (repeats, repeats[::-1]))
+        assert forward.counters["uris_sampled"] == 5
+        assert (forward.value, forward.counters) == (backward.value, backward.counters)
 
 
 # --------------------------------------------------------------------------

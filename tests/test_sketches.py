@@ -286,14 +286,14 @@ class TestReservoir:
                 ReservoirSampler(capacity, seed=0)
 
 
-def _cli_import_modules() -> tuple[set[str], set[str]]:
+def _cli_import_modules(then: str = "pass") -> tuple[set[str], set[str]]:
     """(every module, top-level modules the import added) after a fresh
     child imports `lodprobe.cli` from the checkout under test, not from an
-    installed lodprobe."""
+    installed lodprobe, and runs the statement `then`."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (
         f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
-        "import lodprobe.cli; "
+        f"import lodprobe.cli; {then}; "
         "print(' '.join(sys.modules)); "
         "print(' '.join({m.partition('.')[0] for m in set(sys.modules) - before}))"
     )
@@ -315,6 +315,12 @@ def test_cli_import_loads_only_the_standard_library():
     # The core is stdlib-only: the CLI's import chain may add lodprobe
     # itself and standard-library modules, nothing installed beside them.
     _, added = _cli_import_modules()
+    assert added - sys.stdlib_module_names == {"lodprobe"}
+    # So may the live resolver's lazy imports, which an ftp URI runs
+    # without opening a socket.
+    loaded, added = _cli_import_modules(
+        "lodprobe.cli.LiveResolver().resolve('ftp://example.org/')")
+    assert {"urllib.request", "http.client"} <= loaded
     assert added - sys.stdlib_module_names == {"lodprobe"}
 
 
