@@ -102,7 +102,7 @@ def classify(uri: str, resolver: Resolver) -> Verdict:
 
     # A slash URI must answer its first hop with 303; a hash URI need not.
     if not is_hash and res.status_chain[0] != 303:
-        if final is not None and 300 <= res.status_chain[0] < 400:
+        if 300 <= res.status_chain[0] < 400:
             return _not_ok(f"redirect-{res.status_chain[0]}-not-303")
         return _not_ok("no-303-redirect")
     if final == 200:
@@ -110,7 +110,7 @@ def classify(uri: str, resolver: Resolver) -> Verdict:
             return Verdict(VerdictKind.DEREFERENCEABLE_HASH if is_hash
                            else VerdictKind.DEREFERENCEABLE_303)
         return _not_ok(f"non-rdf-content-type: {content_type}")
-    if final is not None and 300 <= final < 400:
+    if 300 <= final < 400:
         return _not_ok("redirect-not-followed-to-completion")
     return _not_ok(f"http-{final}")
 

@@ -1,19 +1,18 @@
 """External merge sort that groups an N-Triples file by subject.
 
-Works on raw lines, not parsed triples: the key is the subject token in
-the canonical form the parser gives it, so escaped spellings of one subject
-sort together; the full line breaks ties. A subject is recognised exactly
-when the parser would take it: the statement grammar's IRI or blank-node
-piece, then a blank or tab, then the parser's term checks. Other lines
-(junk, comments, blanks, malformed subjects) still pass through, keyed by
-their leading token, and are counted in the summary.
+Works on raw lines, not parsed triples: the key is the subject's canonical
+token, which `ntriples.line_subject` gives exactly when the parser would take
+the subject, so escaped spellings of one subject sort together; the full
+line breaks ties. Other lines (junk, comments, blanks, malformed subjects)
+still pass through, keyed by their leading token, and are counted in the
+summary. `ntriples` decides what a subject is and its canonical bytes; this
+module decides subject order and, in `subject_reappears`, whether a subject's
+run started before. `verify_subject_contiguous` and conciseness both ask it.
 
 Lines are read and keyed in batches of about `_READ_BATCH` bytes, one list
-comprehension per batch. Most subjects are canonical as written: an ASCII
-IRI without escapes, or a blank node. One regular expression built from the
-parser's pieces takes those, and only the other lines go through
-`subject_sort_key`, the reference rule, which `verify_subject_contiguous`
-shares.
+comprehension per batch. Most subjects are canonical as written, and
+`ntriples.PLAIN_SUBJECT_TOKEN_RE` takes those; only the other lines go
+through `subject_sort_key`, the reference rule.
 
 Memory is bounded by `memory_budget` using per-line `sys.getsizeof`
 accounting: a chunk is sorted and spilled to a temp file once its strings
@@ -40,7 +39,7 @@ from typing import Callable, Iterable, Iterator
 
 # murmur3_x64_128 is unused here; it stays bound because perfbench/tracer.py patches it.
 from .murmur3 import murmur3_x64_128
-from .ntriples import _BNODE, _IRI, _IRI_RUN, canonical_subject
+from .ntriples import PLAIN_SUBJECT_TOKEN_RE, line_subject
 from .sketches import hash128
 
 _LIST_SLOT_BYTES = 8
@@ -51,16 +50,6 @@ _MERGE_FAN_IN = 64  # runs open at once, well under the usual 1,024-file limit
 _MERGE_BLOCK = 32 * 1024  # bytes read from each run at a time by the merge
 _READ_BATCH = 16 * 1024  # bytes of input lines keyed at a time
 _WRITE_SLICE = 1024  # records joined per write, so no write copies a chunk
-_BACKSLASH = 92  # an int needle: `bytes in bytes` first fails an int conversion
-# The parser's subject pieces over bytes: each byte of a UTF-8 encoded
-# non-ASCII character is above the IRI piece's excluded range, as the
-# character is in the parser's str match.
-_SUBJECT_TOKEN_RE = re.compile(rb"[ \t]*(" + f"{_IRI}|{_BNODE}".encode("ascii") + rb")[ \t]")
-# The subjects whose token is their key: the parser's IRI run, also without
-# non-ASCII bytes and at least one character long, so without escapes, or
-# its blank node; then a blank or tab, at the start of the line.
-_ASCII_IRI = "<" + _IRI_RUN.removesuffix("]*") + r"\x80-\xff]+>"
-_FAST_SUBJECT_RE = re.compile(f"({_ASCII_IRI}|{_BNODE})[ \t]".encode("ascii"))
 _RAW_PREFIX_RE = re.compile(rb"[^\x00-\x20]*")
 # A merged record without its terminator: compared with it, a line that
 # extends another line would sort before it whenever the extension starts
@@ -78,24 +67,16 @@ class SortSummary:
 def subject_sort_key(line: bytes) -> tuple[bytes, bool]:
     """(sort key, subject recognised). No key holds a byte at or below a
     blank, so a tab after a key sorts before every longer key."""
-    m = _SUBJECT_TOKEN_RE.match(line)
-    if m is not None:
-        key = m[1]
-        if key.isascii() and _BACKSLASH not in key and key != b"<>":
-            return key, True
-        # escapes, `<>` and non-ASCII bytes take the parser's term checks,
-        # and an escaped key becomes its canonical form
-        try:
-            return canonical_subject(key.decode("utf-8")).encode("utf-8"), True
-        except ValueError:  # UnicodeDecodeError included
-            pass
+    key = line_subject(line)
+    if key is not None:
+        return key, True
     return _RAW_PREFIX_RE.match(line)[0], False
 
 
 def _subject_keys(lines: list[bytes], fallback: Callable[[bytes], object]) -> list:
     """Each line's subject sort key where the fast pattern takes its subject,
     else `fallback(line)`. A trailing terminator changes neither result."""
-    match = _FAST_SUBJECT_RE.match
+    match = PLAIN_SUBJECT_TOKEN_RE.match
     return [m[1] if (m := match(line)) else fallback(line) for line in lines]
 
 
@@ -240,34 +221,37 @@ def sort_by_subject(
     return summary
 
 
-def _recognised_key(line: bytes) -> bytes | None:
-    key, ok = subject_sort_key(line.rstrip(b"\r\n"))
-    return key if ok else None
+def subject_reappears(subject: bytes, started: set[int]) -> bool:
+    """Whether a run of `subject`, a canonical token in UTF-8, had started
+    before: `started` holds the 128-bit digest of each run's subject, and
+    takes this one if it is new. Called as each run starts."""
+    digest = hash128(subject)
+    if digest in started:
+        return True
+    started.add(digest)
+    return False
 
 
 def verify_subject_contiguous(path: str | Path) -> int | None:
     """Single-pass contiguity check.
 
     Returns None when every subject's lines are contiguous, else the
-    1-based line number of the first line whose subject already closed.
-    Only lines with a recognised subject are judged: blank, comment and
-    junk lines neither close a subject's run nor reopen one, as `assess`
-    skips them too. Memory stays bounded by keeping 128-bit key digests,
-    not keys.
+    1-based line number of the first line whose subject reappears, by
+    `subject_reappears`. Every line whose subject `sort` recognises is
+    judged, a malformed statement included, though `assess` skips it;
+    other lines neither close a subject's run nor reopen one. Memory stays
+    bounded by keeping 128-bit key digests, not keys.
     """
-    closed: set[int] = set()
+    started: set[int] = set()
     current: bytes | None = None
-    current_digest = 0
     line_no = 0
 
     with open(path, "rb") as fh:
         for batch in _line_batches(fh):
-            for line_no, key in enumerate(_subject_keys(batch, _recognised_key), line_no + 1):
+            for line_no, key in enumerate(_subject_keys(batch, line_subject), line_no + 1):
                 if key is None or key == current:
                     continue
-                if current is not None:
-                    closed.add(current_digest)
-                current, current_digest = key, hash128(key)
-                if current_digest in closed:
+                current = key
+                if subject_reappears(key, started):
                     return line_no
     return None

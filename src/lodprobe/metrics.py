@@ -39,6 +39,7 @@ from typing import Iterable, Iterator
 
 # pld_alive is unused here; it stays bound because perfbench/tracer.py patches it.
 from .deref import CachedResolver, Resolver, classify, pld_alive
+from .extsort import subject_reappears
 from .graph import (
     ResourceGraph,
     estimate_cc,
@@ -52,7 +53,7 @@ from .murmur3 import murmur3_x64_128
 from .ntriples import serialize_term
 from .pld import try_pld
 from .rng import derive_seed, SeededRng
-from .sketches import ReservoirSampler, StableBloomFilter, check_capacity, filter_shape, hash128
+from .sketches import ReservoirSampler, StableBloomFilter, check_capacity, filter_shape
 from .terms import IRI, Term, Triple
 
 # Triples per chunk, per derivation and per clock pair in the pass; larger
@@ -119,19 +120,17 @@ class SharedPlds:
     """Per chunk, `subjects[i]` and `objects[i]` are the PLDs of triple i's
     subject and object, None for a term that is not an IRI or has no PLD.
     A subject's PLD is looked up once per run of triples sharing its
-    `Term`; `previous_subject` is the subject just before the chunk, and
-    `chunk` the chunk derived last."""
+    `Term`, across chunks too; `chunk` is the chunk derived last."""
 
     def __init__(self):
         self.chunk: list | None = None
-        self.previous_subject: Term | None = None
         self.subjects: list[str | None] = []
         self.objects: list[str | None] = []
         self._subject: Term | None = None
         self._subject_pld: str | None = None
 
     def derive(self, chunk: list) -> None:
-        subject = self.previous_subject = self._subject
+        subject = self._subject
         pld = self._subject_pld
         subjects = []
         append = subjects.append
@@ -166,21 +165,21 @@ class SharedInstances:
     order: each the sorted, distinct `predicate object` statements of one
     subject run, one a line. A run is the triples whose subjects are one
     `Term` or equal ones: the reader's memo may hand out equal but distinct
-    Terms, so identity is only the fast path. A closed subject is kept as
-    its 128-bit BLAKE2b digest; one that reappears raises
-    `SortOrderViolation` with its triple ordinal. `chunk` is the chunk
-    derived last."""
+    Terms, so identity is only the fast path. A subject whose run started
+    before raises `SortOrderViolation` with its triple ordinal, as
+    `extsort.subject_reappears` tells here and for `verify`. `chunk` is
+    the chunk derived last."""
 
     def __init__(self):
         self.chunk: list | None = None
         self.signatures: list[str] = []
         self._subject: Term | None = None
         self._statements: set[str] = set()
-        self._closed: set[int] = set()
+        self._started: set[int] = set()
         self._triples = 0
 
     def derive(self, chunk: list) -> None:
-        subject, statements, closed = self._subject, self._statements, self._closed
+        subject, statements, started = self._subject, self._statements, self._started
         number = self._triples
         signatures = self.signatures = []
         for s, p, o in chunk:
@@ -189,10 +188,8 @@ class SharedInstances:
                 if subject is not None:
                     signatures.append("\n".join(sorted(statements)))
                     statements = set()
-                digest = hash128(s.token.encode("utf-8"))
-                if digest in closed:
+                if subject_reappears(s.token.encode("utf-8"), started):
                     raise SortOrderViolation(s.token, number)
-                closed.add(digest)
                 subject = s
             statements.add(f"{p.token} {o.token}")
         self._subject, self._statements, self._triples = subject, statements, number
@@ -391,10 +388,10 @@ class DerefMetric:
     ratio, at most `sample_capacity` classifications.
 
     Subjects and objects take one rule. A subject is offered once per run
-    of triples sharing its `Term`: offering it again would change neither
-    the set nor the sample, since an item once held, evicted or turned
-    away by a bottom-k sample never enters it again. The counters still
-    count every triple."""
+    of triples sharing its `Term` within a chunk: offering it again would
+    change neither the set nor the sample, since an item once held, evicted
+    or turned away by a bottom-k sample never enters it again. The counters
+    still count every triple."""
 
     name = "dereferenceability"
 
@@ -414,7 +411,7 @@ class DerefMetric:
         shared, add = self.shared, self._uris.add
         _check_derived(shared, chunk)
         routed = without_pld = 0
-        subject = shared.previous_subject
+        subject = None
         for (s, _, o), subject_pld, object_pld in zip(chunk, shared.subjects, shared.objects):
             if s.kind is IRI:
                 if subject_pld is None:

@@ -12,6 +12,9 @@ Within one reader pass a repeated IRI or blank-node token yields one
 shared `Term`: the pass keeps a bounded token-to-Term memo, cleared when
 full and released with the pass. Literals are parsed each time, since
 they rarely repeat.
+
+The same pieces tell `extsort` the subject of a raw line and its canonical
+bytes (`line_subject`, and `PLAIN_SUBJECT_TOKEN_RE` for the common case).
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from .terms import BLANK_NODE, IRI, LITERAL, Term, Triple
 # without saving a backtrack point per character. A blank-node label stays
 # greedy, since it may not end in '.' and its run must be able to give a
 # final '.' back; so does the language tag, a few characters long.
-_IRI_RUN = r"[^\x00-\x20<>\"{}|^`\\]*"  # extsort strips the trailing "]*"
+_IRI_EXCLUDED = r"\x00-\x20<>\"{}|^`\\"  # the one IRI character class, negated
+_IRI_RUN = "[^" + _IRI_EXCLUDED + "]*"
 _IRI_ESCAPE = r"\\(?:u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})"
 _IRI = r"<" + _IRI_RUN + r"+(?:" + _IRI_ESCAPE + _IRI_RUN + r"+)*+>"
 _BNODE = r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
@@ -60,7 +64,14 @@ _STATEMENT_RE = re.compile(
     r"[ \t]*+\.[ \t]*+(?:#.*+)?$"
 )
 _BLANK_RE = re.compile(r"[ \t]*(?:#.*)?$")
-_SUBJECT_RE = re.compile(_IRI + r"|" + _BNODE)
+# The subject piece over a raw line's bytes: those of a UTF-8 encoded
+# non-ASCII character are above the IRI's excluded range, as it is. The
+# first takes any subject after leading blanks; the second, at the line's
+# start, one canonical as written (an ASCII IRI without escapes, or a blank
+# node). Each takes the blank or tab that must follow.
+_SUBJECT_TOKEN_RE = re.compile(rb"[ \t]*(" + f"{_IRI}|{_BNODE}".encode("ascii") + rb")[ \t]")
+PLAIN_SUBJECT_TOKEN_RE = re.compile(
+    f"(<[^{_IRI_EXCLUDED}\\x80-\\xff]+>|{_BNODE})[ \t]".encode("ascii"))
 # The same pieces, one at a time, for _diagnose: each term kind is told by
 # its first character, and each role names the kinds it takes and the
 # characters that may follow its token ("" is the end of the line).
@@ -173,11 +184,18 @@ def _term_from_token(token: str) -> Term:
     return Term(LITERAL, value)
 
 
-def canonical_subject(token: str) -> str:
-    """Canonical form of a subject token; ValueError when it is not one."""
-    if _SUBJECT_RE.fullmatch(token) is None:
-        raise NTriplesParseError("not an IRI or blank node")
-    return _term_from_token(token).token
+def line_subject(line: bytes) -> bytes | None:
+    """The canonical token, UTF-8 encoded, of the subject that raw line
+    `line` starts with; None where the parser would not take one. That is
+    the grammar's IRI or blank-node piece after leading blanks, then a
+    blank or tab, then the parser's term checks."""
+    m = _SUBJECT_TOKEN_RE.match(line)
+    if m is None:
+        return None
+    try:
+        return _term_from_token(m[1].decode("utf-8")).token.encode("utf-8")
+    except ValueError:  # UnicodeDecodeError included
+        return None
 
 
 # Memo entries per reader pass; repeats cluster within a few thousand lines,

@@ -205,8 +205,6 @@ class StableBloomFilter:
         # the lowest-indexed one on a tie.
         counts = self._set_counts
         target = counts.index(max(counts))
-        if counts[target] == 0:
-            return
         array = self._arrays[target]
         bpf = self.bits_per_filter
         pos = -1

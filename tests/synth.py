@@ -2,12 +2,38 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from typing import Callable
 
 from lodprobe import SeededRng, Triple, iri, literal
 from lodprobe.graph import ResourceGraph
 from lodprobe.metrics import derived_chunks
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def outputs_across_hash_seeds(snippet: str, hash_seeds: tuple[str, ...], cwd) -> list[str]:
+    """The standard output of `snippet` run once per string hash seed, each
+    time by a fresh `python -B` in `cwd`. The child imports the checkout
+    under test, not an installed lodprobe: its src and tests directories go
+    first on sys.path. Its environment holds only the seed and PATH, so -B
+    keeps it from writing bytecode into the checkout."""
+    paths = [str(_ROOT / "src"), str(_ROOT / "tests")]
+    outputs = []
+    for hash_seed in hash_seeds:
+        child = subprocess.run(
+            [sys.executable, "-B", "-c", f"import sys; sys.path[:0] = {paths!r}; {snippet}"],
+            capture_output=True, text=True,
+            env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
+            cwd=str(cwd),
+        )
+        assert child.returncode == 0, child.stderr
+        outputs.append(child.stdout)
+    return outputs
 
 
 def feed(processor, triples) -> None:

@@ -14,13 +14,15 @@ import jsonschema
 import pytest
 
 from lodprobe import (
-    NTriplesReader, ResourceGraph, TermKind, cli, metrics, verify_subject_contiguous,
+    NTriplesReader, ResourceGraph, TermKind, cli, extsort, metrics, verify_subject_contiguous,
 )
 from lodprobe.cli import main
 from lodprobe.deref import MockResolver
 from lodprobe.metrics import ClusteringMetric
 
-from synth import conciseness_stream, deref_fixture, run, write_ntriples
+from synth import (
+    conciseness_stream, deref_fixture, outputs_across_hash_seeds, run, write_ntriples,
+)
 
 
 @pytest.fixture
@@ -489,33 +491,19 @@ class TestCompare:
 
     def test_report_identical_across_hash_seeds(self, tmp_path):
         # Sets and dicts iterate differently per process; none of that may
-        # reach the report. The child imports the checkout under test.
-        import subprocess
-        import sys
-
-        src = str(Path(__file__).resolve().parent.parent / "src")
+        # reach the report. The child prints the report alone, without the
+        # summary table, whose speedups are timings.
         snippet = (
-            f"import sys; sys.path[:0] = [{src!r}]; "
-            "from lodprobe.cli import main; "
-            f"sys.exit(main(['compare', '--input', {str(DATA / 'golden.nt')!r}, "
+            "import os; from lodprobe.cli import main; sys.stdout = open(os.devnull, 'w'); "
+            f"status = main(['compare', '--input', {str(DATA / 'golden.nt')!r}, "
             "'--metric', 'deref', '--metric', 'ext-links', '--metric', 'extcon', "
             "'--metric', 'cc', '--seed', '42', "
             f"'--resolver', 'mock:' + {str(DATA / 'golden-mock.json')!r}, "
-            "'--out', 'report.json']))"
+            "'--out', 'report.json']); "
+            "sys.stdout = sys.__stdout__; assert status == 2; print(open('report.json').read())"
         )
-        texts = []
-        for hash_seed in ("1", "2"):
-            cwd = tmp_path / f"hash-{hash_seed}"
-            cwd.mkdir()
-            child = subprocess.run(
-                [sys.executable, "-c", snippet],
-                capture_output=True, text=True,
-                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
-                cwd=str(cwd),
-            )
-            assert child.returncode == 2, child.stderr
-            texts.append(_mask_timings((cwd / "report.json").read_text()))
-        assert texts[0] == texts[1]
+        texts = outputs_across_hash_seeds(snippet, ("1", "2"), tmp_path)
+        assert _mask_timings(texts[0]) == _mask_timings(texts[1])
 
 
 DATA = Path(__file__).parent / "data"
@@ -602,7 +590,8 @@ class TestSharedFacts:
 
     def test_shared_lookups_charged_to_the_dataset(self, tiny_dataset, tmp_path, monkeypatch):
         # 10 object IRIs and 10 one-triple subject runs
-        _assert_charged_to_dataset("try_pld", "ext-links", 20, tiny_dataset, tmp_path, monkeypatch)
+        _assert_charged_to_dataset(metrics, "try_pld", "ext-links", 20, tiny_dataset, tmp_path,
+                                   monkeypatch)
 
     def test_compare_extcon_digests_each_subject_run_once(self, tmp_path, monkeypatch):
         runs, subject = 0, None
@@ -610,8 +599,8 @@ class TestSharedFacts:
             if s != subject:
                 runs, subject = runs + 1, s
         digested = []
-        digest = metrics.hash128
-        monkeypatch.setattr(metrics, "hash128", lambda data: digested.append(data) or digest(data))
+        digest = extsort.hash128
+        monkeypatch.setattr(extsort, "hash128", lambda data: digested.append(data) or digest(data))
         out = tmp_path / "r.json"
         assert main(["compare", "--input", str(DATA / "golden.nt"), "--metric", "extcon",
                      "--seed", "42", "--out", str(out)]) == 2
@@ -621,23 +610,24 @@ class TestSharedFacts:
 
     def test_shared_digests_charged_to_the_dataset(self, tiny_dataset, tmp_path, monkeypatch):
         # one digest per subject run, read by both variants
-        _assert_charged_to_dataset("hash128", "extcon", 10, tiny_dataset, tmp_path, monkeypatch)
+        _assert_charged_to_dataset(extsort, "hash128", "extcon", 10, tiny_dataset, tmp_path,
+                                   monkeypatch)
 
 
-def _assert_charged_to_dataset(name: str, metric: str, calls: int, dataset, tmp_path,
+def _assert_charged_to_dataset(owner, name: str, metric: str, calls: int, dataset, tmp_path,
                                monkeypatch) -> None:
-    """`compare --metric METRIC` calls `metrics.NAME`, slowed by 5 ms, `calls`
+    """`compare --metric METRIC` calls `OWNER.NAME`, slowed by 5 ms, `calls`
     times, and the time lands in the dataset's elapsed, in neither variant."""
     delay = 0.005
     made = []
-    real = getattr(metrics, name)
+    real = getattr(owner, name)
 
     def slow(arg):
         made.append(arg)
         time.sleep(delay)
         return real(arg)
 
-    monkeypatch.setattr(metrics, name, slow)
+    monkeypatch.setattr(owner, name, slow)
     out = tmp_path / "r.json"
     code = main(["compare", "--input", str(dataset), "--metric", metric,
                  "--seed", "3", "--out", str(out)])

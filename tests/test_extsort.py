@@ -5,11 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from lodprobe import SeededRng, extsort, sort_by_subject, verify_subject_contiguous
+from lodprobe import (
+    NTriplesReader, SeededRng, SortOrderViolation, extsort, sort_by_subject,
+    verify_subject_contiguous,
+)
+from lodprobe.cli import main
 from lodprobe.extsort import _subject_keys, subject_sort_key, write_atomically
+from lodprobe.metrics import ConcisenessMetric
 from lodprobe.ntriples import NTriplesParseError, parse_line, serialize_term
 
-from synth import random_triple, serialize_triple
+from synth import feed, random_triple, serialize_triple
 
 
 def _oracle_sort(lines: list[bytes]) -> list[bytes]:
@@ -145,7 +150,7 @@ def test_more_runs_than_open_files_allowed(tmp_path):
         "from lodprobe.extsort import sort_by_subject; "
         f"print(sort_by_subject({str(src)!r}, {str(dst)!r}, memory_budget=300).chunks)"
     )
-    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    child = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
     assert int(child.stdout) > 200
     assert _read(dst) == _oracle_sort(lines)
@@ -380,3 +385,35 @@ def test_contiguity_line_numbers_span_read_batches(tmp_path):
     lines.insert(2_500, lines[10])
     _write(path, lines)
     assert verify_subject_contiguous(path) == 2_501
+
+
+# Subject spellings: one IRI plain, escaped and after a leading tab, one
+# with a non-ASCII character plain and escaped, and two blank nodes.
+_SPELLINGS = ["<http://a.org/x>", "<http://a.org/\\u0078>", "\t<http://a.org/x>",
+              "<http://a.org/é>", "<http://a.org/\\u00E9>", "_:b1", "_:b2"]
+
+
+def test_verify_refuses_exactly_what_conciseness_refuses(tmp_path):
+    rng = SeededRng(410)
+    path = tmp_path / "in.nt"
+    outcomes = Counter()
+    for _ in range(2_000):
+        lines = [f"{_SPELLINGS[rng.uniform_below(len(_SPELLINGS))]} <http://a.org/p> "
+                 f"<http://a.org/o{rng.uniform_below(3)}> ." for _ in range(1 + rng.uniform_below(8))]
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        try:
+            feed(ConcisenessMetric(False), NTriplesReader(path))
+            refused = None
+        except SortOrderViolation as exc:
+            refused = exc.triple_number
+        assert verify_subject_contiguous(path) == refused, lines
+        outcomes[refused is None] += 1
+    assert min(outcomes.values()) > 500, outcomes
+    # verify also judges a malformed statement whose subject sort recognises,
+    # which assess skips and counts
+    path.write_text("<http://a.org/s1> <http://a.org/p> <http://a.org/o> .\n"
+                    "<http://a.org/s2> <http://a.org/p> <http://a.org/o> .\n"
+                    '<http://a.org/s1> <http://a.org/p> "unterminated .\n')
+    assert verify_subject_contiguous(path) == 3
+    assert main(["assess", "--input", str(path), "--metric", "extcon:exact",
+                 "--out", str(tmp_path / "r.json")]) == 2

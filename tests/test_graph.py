@@ -21,7 +21,7 @@ from lodprobe import (
 )
 from lodprobe.graph import _local_cc
 
-from synth import complete_graph, er_graph, path_graph, random_triple
+from synth import complete_graph, er_graph, outputs_across_hash_seeds, path_graph, random_triple
 
 
 def _neighbors(g: ResourceGraph, v: str) -> set[str]:
@@ -398,33 +398,16 @@ class TestRandomWalk:
         w3 = random_walk(g, 100, seed=10)
         assert (w3.phi_sum, w3.psi_sum) != (w1.phi_sum, w1.psi_sum)
 
-    def test_deterministic_across_processes(self):
+    def test_deterministic_across_processes(self, tmp_path):
         # Hash randomisation must not leak into walk results: neighbor
         # order comes from sets, which iterate differently per process.
-        import subprocess
-        import sys
-
-        # The child imports the checkout under test, not an installed
-        # lodprobe: its src and tests directories go first on sys.path.
-        root = Path(__file__).resolve().parent.parent
-        paths = [str(root / "src"), str(root / "tests")]
         snippet = (
-            f"import sys; sys.path[:0] = {paths!r}; "
             "from synth import er_graph; "
             "from lodprobe import random_walk; "
             "w = random_walk(er_graph(60, 0.08, seed=3), 200, seed=5); "
             "print(w.phi_sum, w.psi_sum)"
         )
-        outputs = set()
-        for hash_seed in ("1", "2", "3"):
-            child = subprocess.run(
-                [sys.executable, "-c", snippet],
-                capture_output=True, text=True,
-                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
-                cwd=str(root),
-            )
-            assert child.returncode == 0, child.stderr
-            outputs.add(child.stdout)
+        outputs = set(outputs_across_hash_seeds(snippet, ("1", "2", "3"), tmp_path))
         assert len(outputs) == 1, outputs
         (output,) = outputs
         assert len(output.splitlines()) == 1 and output.strip(), output

@@ -1,6 +1,4 @@
 import json
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -19,6 +17,7 @@ from lodprobe import (
     TermKind,
     Triple,
     blank,
+    extsort,
     iri,
     literal,
     try_pld,
@@ -39,6 +38,7 @@ from synth import (
     deref_fixture,
     er_graph,
     feed,
+    outputs_across_hash_seeds,
     random_triple,
     run,
 )
@@ -259,8 +259,8 @@ class TestConciseness:
         # Equal but distinct subject Terms continue one run, and a subject's
         # digest is taken when its run opens, not on every triple.
         digested = []
-        real = metrics.hash128
-        monkeypatch.setattr(metrics, "hash128", lambda data: digested.append(data) or real(data))
+        real = extsort.hash128
+        monkeypatch.setattr(extsort, "hash128", lambda data: digested.append(data) or real(data))
         triples = [_t("http://a.org/s1", f"http://p.org/p{i}", "http://a.org/o") for i in range(4)]
         triples.append(_t("http://a.org/s2", "http://p.org/p0", "http://a.org/o"))
         assert triples[0].subject == triples[1].subject
@@ -285,30 +285,19 @@ class TestConciseness:
             est._filter._maybe_reset = lambda: None
             assert exact.value >= run(est, triples).value
 
-    def test_estimate_identical_across_hash_seeds(self):
-        # The filter positions and the closed-subject digests come from
+    def test_estimate_identical_across_hash_seeds(self, tmp_path):
+        # The filter positions and the subject-run digests come from
         # BLAKE2b, never from `hash()`, so the estimate is the same bytes
         # in processes whose string hashing differs.
-        root = Path(__file__).resolve().parent.parent
-        paths = [str(root / "src"), str(root / "tests")]
         snippet = (
-            f"import json, sys; sys.path[:0] = {paths!r}; "
+            "import json; "
             "from synth import conciseness_stream, run; "
             "from lodprobe.metrics import ConcisenessMetric; "
             "triples, _ = conciseness_stream(3000, 400, seed=5, triples_per_instance=3); "
             "r = run(ConcisenessMetric(True, 8_000, 0.01, seed=9), triples); "
             "print(json.dumps([r.value, r.counters, r.parameters]))"
         )
-        outputs = set()
-        for hash_seed in ("1", "2", "3"):
-            child = subprocess.run(
-                [sys.executable, "-c", snippet],
-                capture_output=True, text=True,
-                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
-                cwd=str(root),
-            )
-            assert child.returncode == 0, child.stderr
-            outputs.add(child.stdout)
+        outputs = set(outputs_across_hash_seeds(snippet, ("1", "2", "3"), tmp_path))
         assert len(outputs) == 1, outputs
         value, counters, _ = json.loads(outputs.pop())
         assert counters["filter_resets"] > 0 and 0 < value < 1
@@ -909,8 +898,8 @@ class TestSharedInstances:
     def test_shared_derivation_equals_standalone(self, size, monkeypatch):
         triples = _chunking_stream(2)
         digested = []
-        digest = metrics.hash128
-        monkeypatch.setattr(metrics, "hash128", lambda data: digested.append(data) or digest(data))
+        digest = extsort.hash128
+        monkeypatch.setattr(extsort, "hash128", lambda data: digested.append(data) or digest(data))
         instances = SharedInstances()
         processors = [ConcisenessMetric(True, 20_000, 0.01, seed=5, shared=instances),
                       ConcisenessMetric(False, shared=instances)]

@@ -297,7 +297,7 @@ def _cli_import_modules(then: str = "pass") -> tuple[set[str], set[str]]:
         "print(' '.join(sys.modules)); "
         "print(' '.join({m.partition('.')[0] for m in set(sys.modules) - before}))"
     )
-    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    child = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
     loaded, added = child.stdout.splitlines()
     return set(loaded.split()), set(added.split())
