@@ -210,10 +210,19 @@ def _stream_into(reader: NTriplesReader, timed_processors: list) -> float:
 
 
 def _finalize(entry) -> dict:
+    """The entry's result; a conciseness estimate whose filter ends above
+    its target false-positive rate also prints one warning to stderr."""
     clock = time.perf_counter
+    processor = entry["processor"]
     t0 = clock()
-    result = entry["processor"].finalize()
+    result = processor.finalize()
     entry["elapsed"] += clock() - t0
+    if isinstance(processor, ConcisenessMetric) and processor.estimated:
+        f = processor._filter
+        if (fpr := f.current_fpr()) > f.fpr_threshold:
+            print(f"warning: {result.metric} estimate: the filter's final false-positive "
+                  f"rate {fpr:.4g} is above fpr_threshold {f.fpr_threshold:g}; "
+                  f"raise total_bits", file=sys.stderr)
     return asdict(replace(result, elapsed_seconds=entry["elapsed"]))
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import re
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -202,29 +201,25 @@ class MockResolver:
 
 
 class CachedResolver:
-    """At most one inner resolution per distinct URI.
+    """At most one inner resolution per distinct URI, a crash included.
 
-    Safe under concurrent use: one lock guards the cache and is held
-    across a miss's inner `resolve`, so lookups are serialised and
-    different URIs are never resolved in parallel. The inner resolver must
-    not call back into this cache, or it deadlocks on the lock.
+    Not for concurrent use: lodprobe resolves one URI at a time, and two
+    threads missing on one URI would each resolve it.
     """
 
     def __init__(self, inner: Resolver):
         self.inner = inner
         self._cache: dict[str, Resolution] = {}
-        self._lock = threading.Lock()
 
     def resolve(self, uri: str) -> Resolution:
-        with self._lock:
-            result = self._cache.get(uri)
-            if result is None:
-                try:
-                    result = self.inner.resolve(uri)
-                except Exception as exc:  # resolver contract: failures are values
-                    result = Resolution(uri, transport_error=f"resolver-crash: {exc}")
-                self._cache[uri] = result
-            return result
+        result = self._cache.get(uri)
+        if result is None:
+            try:
+                result = self.inner.resolve(uri)
+            except Exception as exc:  # resolver contract: failures are values
+                result = Resolution(uri, transport_error=f"resolver-crash: {exc}")
+            self._cache[uri] = result
+        return result
 
 
 class LiveResolver:

@@ -7,7 +7,9 @@ line breaks ties. Other lines (junk, comments, blanks, malformed subjects)
 still pass through, keyed by their leading token, and are counted in the
 summary. `ntriples` decides what a subject is and its canonical bytes; this
 module decides subject order and, in `subject_reappears`, whether a subject's
-run started before. `verify_subject_contiguous` and conciseness both ask it.
+run started before. `verify_subject_contiguous` and conciseness both ask it,
+each through its own `StartedSubjects`: 16 bytes a run while runs arrive in
+this order, a set of 128-bit digests from the first run that does not.
 
 Lines are read and keyed in batches of about `_READ_BATCH` bytes, one list
 comprehension per batch. Most subjects are canonical as written, and
@@ -221,14 +223,40 @@ def sort_by_subject(
     return summary
 
 
-def subject_reappears(subject: bytes, started: set[int]) -> bool:
+class StartedSubjects:
+    """The subject runs a stream has started, as `subject_reappears` keeps
+    them. While each run's subject sorts above the last one's, as always in
+    `sort`'s output, no run can reappear, so each digest is only appended
+    to `packed`, 16 bytes a run. The first run that does not sort above
+    unpacks them once into the `digests` set, and every later run is
+    looked up there."""
+
+    __slots__ = ("last", "packed", "digests")
+
+    def __init__(self):
+        self.last: bytes | None = b""
+        self.packed: bytearray | None = bytearray()
+        self.digests: set[int] | None = None
+
+
+def subject_reappears(subject: bytes, started: StartedSubjects) -> bool:
     """Whether a run of `subject`, a canonical token in UTF-8, had started
-    before: `started` holds the 128-bit digest of each run's subject, and
-    takes this one if it is new. Called as each run starts."""
+    before, by its 128-bit digest; `started` takes the run if it is new.
+    Called as each run starts."""
     digest = hash128(subject)
-    if digest in started:
+    digests = started.digests
+    if digests is None:
+        if subject > started.last:
+            started.last = subject
+            started.packed += digest.to_bytes(16, "little")
+            return False
+        packed = started.packed
+        digests = started.digests = {int.from_bytes(packed[i:i + 16], "little")
+                                     for i in range(0, len(packed), 16)}
+        started.last = started.packed = None
+    if digest in digests:
         return True
-    started.add(digest)
+    digests.add(digest)
     return False
 
 
@@ -239,10 +267,12 @@ def verify_subject_contiguous(path: str | Path) -> int | None:
     1-based line number of the first line whose subject reappears, by
     `subject_reappears`. Every line whose subject `sort` recognises is
     judged, a malformed statement included, though `assess` skips it;
-    other lines neither close a subject's run nor reopen one. Memory stays
-    bounded by keeping 128-bit key digests, not keys.
+    other lines neither close a subject's run nor reopen one. Memory per
+    subject run is a 16-byte digest while runs ascend, as in `sort`'s
+    output, and a set entry of about 140 bytes from the first run that
+    does not.
     """
-    started: set[int] = set()
+    started = StartedSubjects()
     current: bytes | None = None
     line_no = 0
 

@@ -39,7 +39,7 @@ from typing import Iterable, Iterator
 
 # pld_alive is unused here; it stays bound because perfbench/tracer.py patches it.
 from .deref import CachedResolver, Resolver, classify, pld_alive
-from .extsort import subject_reappears
+from .extsort import StartedSubjects, subject_reappears
 from .graph import (
     ResourceGraph,
     estimate_cc,
@@ -175,7 +175,7 @@ class SharedInstances:
         self.signatures: list[str] = []
         self._subject: Term | None = None
         self._statements: set[str] = set()
-        self._started: set[int] = set()
+        self._started = StartedSubjects()
         self._triples = 0
 
     def derive(self, chunk: list) -> None:

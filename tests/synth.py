@@ -66,8 +66,9 @@ def conciseness_stream(
     seed: int,
     triples_per_instance: int = 10,
 ) -> tuple[list[Triple], float]:
-    """Subject-sorted instance stream with exactly `duplicate_count` instances
-    whose property/value set copies an earlier distinct instance.
+    """Instance stream, one subject run an instance, its subjects ascending
+    as `sort` orders them, with exactly `duplicate_count` instances whose
+    property/value set copies an earlier distinct instance.
 
     Returns (triples, exact conciseness) where the exact value is
     (n_instances - duplicate_count) / n_instances by construction.

@@ -7,6 +7,7 @@ import shutil
 import stat
 import time
 import weakref
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -706,8 +707,29 @@ class TestFinalizeOrder:
             for variant in variants]
 
 
+def test_overloaded_filter_warns_once(tmp_path, capsys):
+    # 3,000 instances overload a 20,000-bit filter: its final false-positive
+    # rate ends above the threshold, which one stderr line says, and the
+    # report holds what the library gives.
+    triples, _ = conciseness_stream(3_000, 300, seed=3, triples_per_instance=1)
+    path, out = tmp_path / "in.nt", tmp_path / "r.json"
+    write_ntriples(path, triples)
+    assert main(["compare", "--input", str(path), "--metric", "extcon", "--seed", "3",
+                 "--param", "total_bits=20000", "--out", str(out)]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    estimate = metrics.ConcisenessMetric(True, 20_000, seed=3)
+    alone = [run(metrics.ConcisenessMetric(False), triples), run(estimate, triples)]
+    fpr = estimate._filter.current_fpr()
+    assert fpr > 0.001
+    assert warnings == [f"warning: extensional-conciseness estimate: the filter's final "
+                        f"false-positive rate {fpr:.4g} is above fpr_threshold 0.001; "
+                        f"raise total_bits"]
+    results = json.loads(out.read_text())["results"]
+    assert [{**r, "elapsed_seconds": 0.0} for r in results] == [asdict(r) for r in alone]
+
+
 @pytest.mark.parametrize("command", ["assess", "compare"])
-def test_golden_report(command, tmp_path, monkeypatch):
+def test_golden_report(command, tmp_path, monkeypatch, capsys):
     """Every value of a seeded report, pinned bit for bit, however the pass
     cuts the stream into chunks.
 
@@ -727,6 +749,7 @@ def test_golden_report(command, tmp_path, monkeypatch):
             input="golden.nt", output="report.json", resolver="mock:golden-mock.json"
         )
         assert json.dumps(report, indent=2, sort_keys=True) + "\n" == expected, chunk
+        assert "warning" not in capsys.readouterr().err
 
 
 def test_readme_library_example(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from lodprobe import (
-    NTriplesReader, SeededRng, SortOrderViolation, extsort, sort_by_subject,
+    NTriplesReader, SeededRng, SortOrderViolation, extsort, metrics, sort_by_subject,
     verify_subject_contiguous,
 )
 from lodprobe.cli import main
@@ -387,19 +387,34 @@ def test_contiguity_line_numbers_span_read_batches(tmp_path):
     assert verify_subject_contiguous(path) == 2_501
 
 
-# Subject spellings: one IRI plain, escaped and after a leading tab, one
-# with a non-ASCII character plain and escaped, and two blank nodes.
-_SPELLINGS = ["<http://a.org/x>", "<http://a.org/\\u0078>", "\t<http://a.org/x>",
-              "<http://a.org/é>", "<http://a.org/\\u00E9>", "_:b1", "_:b2"]
+# Subject spellings, in `sort`'s order of their subjects: `<http://a.org/w>`;
+# `<http://a.org/x>` plain, escaped and after a leading tab; one IRI with a
+# non-ASCII character, plain and escaped; and three blank nodes.
+_SPELLINGS = ["<http://a.org/w>", "<http://a.org/x>", "<http://a.org/\\u0078>",
+              "\t<http://a.org/x>", "<http://a.org/é>", "<http://a.org/\\u00E9>",
+              "_:b1", "_:b2", "_:b3"]
+
+
+def _ascending_runs(lines: list[str]) -> tuple[int, int]:
+    """(subject runs that ascend before the first that does not, runs)."""
+    keys = [subject_sort_key(line.encode())[0] for line in lines]
+    runs = [key for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
+    ascending = next((i for i in range(1, len(runs)) if runs[i] < runs[i - 1]), len(runs))
+    return ascending, len(runs)
 
 
 def test_verify_refuses_exactly_what_conciseness_refuses(tmp_path):
     rng = SeededRng(410)
     path = tmp_path / "in.nt"
-    outcomes = Counter()
+    outcomes, late = Counter(), Counter()
     for _ in range(2_000):
-        lines = [f"{_SPELLINGS[rng.uniform_below(len(_SPELLINGS))]} <http://a.org/p> "
-                 f"<http://a.org/o{rng.uniform_below(3)}> ." for _ in range(1 + rng.uniform_below(8))]
+        lines, at = [], 0
+        for _ in range(1 + rng.uniform_below(10)):
+            # Half the lines step up at most three spellings, so that runs
+            # often ascend for a while before one does not.
+            at = (min(at + rng.uniform_below(4), len(_SPELLINGS) - 1) if rng.uniform_below(2)
+                  else rng.uniform_below(len(_SPELLINGS)))
+            lines.append(f"{_SPELLINGS[at]} <http://a.org/p> <http://a.org/o{rng.uniform_below(3)}> .")
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         try:
             feed(ConcisenessMetric(False), NTriplesReader(path))
@@ -408,7 +423,11 @@ def test_verify_refuses_exactly_what_conciseness_refuses(tmp_path):
             refused = exc.triple_number
         assert verify_subject_contiguous(path) == refused, lines
         outcomes[refused is None] += 1
+        ascending, runs = _ascending_runs(lines)
+        if ascending < runs:
+            late[ascending >= 3] += 1
     assert min(outcomes.values()) > 500, outcomes
+    assert late[True] >= sum(late.values()) / 4, late
     # verify also judges a malformed statement whose subject sort recognises,
     # which assess skips and counts
     path.write_text("<http://a.org/s1> <http://a.org/p> <http://a.org/o> .\n"
@@ -417,3 +436,101 @@ def test_verify_refuses_exactly_what_conciseness_refuses(tmp_path):
     assert verify_subject_contiguous(path) == 3
     assert main(["assess", "--input", str(path), "--metric", "extcon:exact",
                  "--out", str(tmp_path / "r.json")]) == 2
+
+
+# Canonical subjects, each with the spellings a line may give it: IRIs
+# plain, x-escaped and after a leading tab; non-ASCII IRIs plain and
+# é-escaped; blank nodes.
+_CANONICAL = {}
+for _i in range(12):
+    _CANONICAL[f"<http://a.org/x{_i}>"] = [f"<http://a.org/x{_i}>", f"<http://a.org/\\u0078{_i}>",
+                                          f"\t<http://a.org/x{_i}>"]
+    _CANONICAL[f"<http://a.org/é{_i}>"] = [f"<http://a.org/é{_i}>", f"<http://a.org/\\u00E9{_i}>"]
+    _CANONICAL[f"_:b{_i}"] = [f"_:b{_i}"]
+_IN_SORT_ORDER = sorted(_CANONICAL, key=lambda subject: subject.encode())
+
+
+def _subject_runs(rng: SeededRng) -> tuple[list[str], str]:
+    """The canonical subjects of a stream's runs, and the kind of its first
+    run that does not ascend: "none", a new subject "below" the last run's,
+    a reappearance of the "first" run, or of the run "before-last"."""
+    prefix: set[str] = set()
+    wanted = 1 + rng.uniform_below(10)
+    while len(prefix) < wanted:
+        prefix.add(_IN_SORT_ORDER[rng.uniform_below(len(_IN_SORT_ORDER))])
+    runs = sorted(prefix, key=lambda subject: subject.encode())
+    below = [s for s in _IN_SORT_ORDER if s.encode() < runs[-1].encode() and s not in prefix]
+    kinds = ["none"] + ["below"] * bool(below) + ["first", "before-last"] * (len(runs) > 1)
+    kind = kinds[rng.uniform_below(len(kinds))]
+    if kind == "none":
+        return runs, kind
+    runs.append(below[rng.uniform_below(len(below))] if kind == "below"
+                else runs[0] if kind == "first" else runs[-2])
+    for _ in range(rng.uniform_below(5)):  # any other subject, a repeat or not
+        subject = runs[-1]
+        while subject == runs[-1]:
+            subject = _IN_SORT_ORDER[rng.uniform_below(len(_IN_SORT_ORDER))]
+        runs.append(subject)
+    return runs, kind
+
+
+def test_reappearance_found_whatever_precedes_the_first_descent(tmp_path, monkeypatch):
+    # Conciseness and verify each refuse the first run whose subject ran
+    # before, at its triple ordinal and at its line, exactly as a plain set
+    # of canonical subjects does, however long runs ascended before.
+    rng = SeededRng(411)
+    path = tmp_path / "in.nt"
+    kinds, refusals = Counter(), Counter()
+    for _ in range(1_500):
+        runs, kind = _subject_runs(rng)
+        lines, seen, expected = [], set(), (None, None)
+        ordinal = 0
+        for i, subject in enumerate(runs):
+            spellings = _CANONICAL[subject]
+            for j in range(1 + rng.uniform_below(3)):
+                if rng.uniform_below(6) == 0:
+                    lines.append("# neither a triple nor a subject")
+                ordinal += 1
+                if j == 0 and subject in seen and expected == (None, None):
+                    expected = (ordinal, len(lines) + 1)
+                lines.append(f"{spellings[rng.uniform_below(len(spellings))]} "
+                             f"<http://a.org/p> <http://a.org/o{i}> .")
+            seen.add(subject)
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        monkeypatch.setattr(metrics, "CHUNK_TRIPLES", (1, 3, 256)[rng.uniform_below(3)])
+        try:
+            feed(ConcisenessMetric(False), NTriplesReader(path))
+            refused = None
+        except SortOrderViolation as exc:
+            refused = exc.triple_number
+        assert (refused, verify_subject_contiguous(path)) == expected, lines
+        kinds[kind] += 1
+        refusals[kind, expected[0] is not None] += 1
+    assert min(kinds.values()) > 250, kinds
+    assert refusals["none", True] == 0 and refusals["below", True] > 50, refusals
+    assert refusals["first", False] == refusals["before-last", False] == 0, refusals
+
+
+def test_sort_output_never_unpacks_the_digests(tmp_path, monkeypatch):
+    # In sort's output every subject run sorts above the one before it,
+    # so neither verify nor conciseness ever builds the set of digests.
+    made = []
+    init = extsort.StartedSubjects.__init__
+    monkeypatch.setattr(extsort.StartedSubjects, "__init__",
+                        lambda started: made.append(started) or init(started))
+    rng = SeededRng(412)
+    lines = [f"{spelling} <http://a.org/p> <http://a.org/o{rng.uniform_below(4)}> ."
+             for spellings in _CANONICAL.values() for spelling in spellings for _ in range(2)]
+    lines += ["junk line", "", "# a comment", "<http://a.org/\\q> <http://a.org/p> <http://a.org/o> .",
+              '<http://a.org/x3> <http://a.org/p> "unterminated .']
+    order = [rng.next_float() for _ in lines]
+    src, dst = tmp_path / "in.nt", tmp_path / "out.nt"
+    src.write_text("".join(line + "\n" for _, line in sorted(zip(order, lines))), encoding="utf-8")
+    sort_by_subject(src, dst)
+    assert verify_subject_contiguous(dst) is None
+    assert main(["assess", "--input", str(dst), "--metric", "extcon",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert len(made) == 2
+    for started in made:
+        assert started.digests is None
+        assert len(started.packed) == 16 * len(_CANONICAL)

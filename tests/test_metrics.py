@@ -688,6 +688,17 @@ def _flat_stream(n: int) -> list[Triple]:
             for i in range(n)]
 
 
+def _traced_peak(make, triples):
+    """The traced peak while a processor from `make()` is built and runs
+    over `triples`, and its result."""
+    tracemalloc.start()
+    try:
+        result = run(make(), triples)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
 class TestFlatEstimateMemory:
     # Samples of 200 against 1,000 object PLDs and n distinct URIs: both
     # samples bind well before n triples, so past that point nothing an
@@ -710,20 +721,22 @@ class TestFlatEstimateMemory:
         # The PLD memo is shared by the pass: warm it on every authority
         # first, so neither traced run pays for its entries.
         run(make(), streams[5 * n])
-
-        def peak(triples):
-            tracemalloc.start()
-            try:
-                result = run(make(), triples)
-                return tracemalloc.get_traced_memory()[1], result
-            finally:
-                tracemalloc.stop()
-
-        small_peak, small = peak(streams[n])
-        large_peak, large = peak(streams[5 * n])
+        small_peak, small = _traced_peak(make, streams[n])
+        large_peak, large = _traced_peak(make, streams[5 * n])
         sampled = "plds_sampled" if "plds_sampled" in small.counters else "uris_sampled"
         assert small.counters[sampled] == large.counters[sampled] == 200
         assert abs(large_peak - small_peak) <= self.MARGIN, (small_peak, large_peak)
+
+    def test_conciseness_keeps_16_bytes_a_sorted_subject_run(self):
+        # Runs in sort's order each keep a packed 16-byte digest, which a
+        # bytearray over-allocates by an eighth; a set keeps about 140 B.
+        n = 4_000
+        streams = {size: conciseness_stream(size, 0, seed=5, triples_per_instance=1)[0]
+                   for size in (n, 5 * n)}
+        small_peak, small = _traced_peak(lambda: ConcisenessMetric(True), streams[n])
+        large_peak, large = _traced_peak(lambda: ConcisenessMetric(True), streams[5 * n])
+        assert (small.counters["total_instances"], large.counters["total_instances"]) == (n, 5 * n)
+        assert large_peak - small_peak <= 24 * 4 * n + self.MARGIN, (small_peak, large_peak)
 
 
 class TestMetricResultContract:
